@@ -11,9 +11,10 @@ from .errors import (DegenerateInput, HypothesisViolated, InvalidChoices,
 from .geom_core import (Orientation, Point, PointSet, collinear_triple,
                         convex_hull, edge, make_wheel, orientation,
                         segments_cross, wheel_crossing, wheel_n)
-from .halving import (HalvingLine, HLabeling, HypothesisReport, WLabeling,
-                      balance, check_theorem3_hypothesis,
-                      check_theorem4_hypothesis, h_labeling, k_halving_lines,
+from .halving import (HalvingLine, HalvingProfile, HLabeling,
+                      HypothesisReport, WLabeling, balance,
+                      check_theorem3_hypothesis, check_theorem4_hypothesis,
+                      h_labeling, halving_profile, k_halving_lines,
                       w_labeling)
 from .halving_partition import (ConstructionChoices, lemma6_tree,
                                 theorem2_partition, theorem3_partition,

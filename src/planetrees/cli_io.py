@@ -23,12 +23,9 @@ from importlib import resources
 from pathlib import Path
 
 from . import presets
-from .errors import (DegenerateInput, HypothesisViolated, InvalidChoices,
-                     InvalidParameter, InvariantViolation, NoHLabeling,
-                     NotAHalvingLine, NotAPartition, NotATree, NotWCaterpillar,
-                     NotWheelConfig, NoWLabeling, OddPointCount, ParseError,
-                     PlaneTreesError, SideViolation, SizeMismatch,
-                     StructureViolation, TooLarge)
+from .errors import (HypothesisViolated, InvalidParameter, InvariantViolation,
+                     NoHLabeling, NotAHalvingLine, NoWLabeling, ParseError,
+                     PlaneTreesError, SideViolation, StructureViolation)
 from .geom_core import PointSet, collinear_triple, make_wheel
 from .halving import h_labeling, k_halving_lines, w_labeling
 from .halving_partition import (ConstructionChoices, theorem2_partition,
@@ -45,11 +42,6 @@ _RANDOM_ARG = re.compile(r"^random([0-9]+)$")
 # config failures the math can legitimately report on good input
 _CHECK_FAILURES = (NoHLabeling, NoWLabeling, HypothesisViolated,
                    StructureViolation, NotAHalvingLine, SideViolation)
-# everything else is a malformed invocation
-_USAGE_FAILURES = (ParseError, InvariantViolation, InvalidParameter,
-                   InvalidChoices, SizeMismatch, NotWCaterpillar, TooLarge,
-                   OddPointCount, DegenerateInput, NotATree, NotWheelConfig,
-                   NotAPartition)
 
 
 # ---------------------------------------------------------------------------
@@ -572,9 +564,6 @@ def main(argv=None) -> int:
     except _CHECK_FAILURES as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except _USAGE_FAILURES as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except PlaneTreesError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

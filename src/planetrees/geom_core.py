@@ -24,7 +24,6 @@ GeomEdge = tuple[int, int]
 ORIENTATION_TOL = 1e-9
 
 _WHEEL_TAG = re.compile(r"^wheel([0-9]+)$")
-CONFIG_TAGS = ("general", "convex")  # plus wheel<n>
 
 
 @dataclass(frozen=True)

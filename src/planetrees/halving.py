@@ -2,18 +2,27 @@
 
 A line through two points of a 2m-point set is k-halving when it splits
 the remaining 2m-2 points into sizes m-1-k and m-1+k (0-halving lines
-are called halving lines). Everything here is brute force over all point
-pairs with an O(m) side count each: at desk scale the cubic enumeration
-is its own oracle.
+are called halving lines). The k of every pair comes from one
+HalvingProfile per PointSet, built by the k-edge sweep (Edelsbrunner,
+Algorithms in Combinatorial Geometry, 1987): about each point, sort the
+others by angle and rotate a directed line through it, O(n^2 log n) in
+all. The profile is cached on the PointSet, so the labelings, the
+hypothesis checks and the constructions share one sweep. balance()
+counts one pair by brute force and is the oracle the sweep is tested
+against.
 """
 from __future__ import annotations
 
-import math
+from array import array
 from dataclasses import dataclass
+from functools import cmp_to_key
 
 from .errors import (DegenerateInput, InvalidParameter, NoHLabeling,
                      NoWLabeling, OddPointCount)
-from .geom_core import Orientation, PointSet, orientation
+from .geom_core import Orientation, Point, PointSet, orientation
+
+# PointSet.__dict__ key of the cached HalvingProfile (as functools.cached_property does)
+_PROFILE_ATTR = "_halving_profile"
 
 
 @dataclass(frozen=True)
@@ -70,6 +79,114 @@ def balance(ps: PointSet, i: int, j: int) -> int:
     return abs(len(left) - len(right)) // 2
 
 
+@dataclass(frozen=True)
+class HalvingProfile:
+    """The k of every point pair of one PointSet.
+
+    ks[i * npts + j] == ks[j * npts + i] is the k of the line through
+    points i and j, as balance(ps, min(i, j), max(i, j)) counts it; the
+    diagonal holds -1. Build it with halving_profile, which caches it.
+    """
+
+    npts: int
+    ks: array
+
+    def k(self, i: int, j: int) -> int:
+        return self.ks[i * self.npts + j]
+
+    def incidence(self, k: int) -> list[int]:
+        """Number of k-halving lines through each point."""
+        n, ks = self.npts, self.ks
+        return [ks[row:row + n].count(k) for row in range(0, n * n, n)]
+
+
+def halving_profile(ps: PointSet) -> HalvingProfile:
+    """The HalvingProfile of ps, swept on first use and kept on ps itself.
+
+    Raises DegenerateInput, naming a collinear triple, when some point
+    lies on the line through two others.
+    """
+    profile = ps.__dict__.get(_PROFILE_ATTR)
+    if profile is None:
+        profile = HalvingProfile(len(ps), _sweep(ps))
+        ps.__dict__[_PROFILE_ATTR] = profile
+    return profile
+
+
+def _sweep(ps: PointSet) -> array:
+    """HalvingProfile.ks: per pivot, sort the others by angle, then rotate
+    a directed line through the pivot over them.
+
+    For the direction at ring position a, ring[a+1 .. e-1] are the points
+    strictly left of the line; e only moves forward, so a pivot costs
+    O(n log n) for the sort and O(n) for the scan. The point at e is the
+    first not strictly left: if it is on the line, the triple is
+    degenerate. A point on the ray of the direction point itself is
+    caught by the sort instead.
+    """
+    pts = ps.points
+    npts = len(pts)
+    ks = array("i", [-1]) * (npts * npts)
+    off_line = npts - 2
+    for i, p in enumerate(pts):
+        ring = _ccw_order(ps, p, [j for j in range(npts) if j != i], pivot_index=i)
+        size = len(ring)
+        ring2 = ring + ring
+        e = 1
+        for a, j in enumerate(ring):
+            e = max(e, a + 1)
+            q = pts[j]
+            while e < a + size:
+                o = orientation(p, q, pts[ring2[e]])
+                if o is not Orientation.CCW:
+                    if o is Orientation.COLLINEAR:
+                        raise _collinear(i, j, ring2[e])
+                    break
+                e += 1
+            if j > i:
+                ks[i * npts + j] = ks[j * npts + i] = abs(2 * (e - a - 1) - off_line) // 2
+    return ks
+
+
+def _collinear(i: int, j: int, t: int) -> DegenerateInput:
+    return DegenerateInput(
+        f"collinear triple ({i}, {j}, {t}): point {t} lies on the line through {i}, {j}")
+
+
+def _ccw_order(ps: PointSet, pivot: Point, indices: list[int],
+               pivot_index: int | None = None) -> list[int]:
+    """Anticlockwise about pivot, starting at minimal angle from the +x axis.
+
+    Angles in [0, pi) come before [pi, 2pi); within one half-plane the
+    order is orientation's. When pivot is point pivot_index of ps, two
+    points on one ray from it raise DegenerateInput. Any other pivot
+    (the centroid) is no point of the set, and a pair collinear with it
+    is no degeneracy: rounding can put both points of an antipodal pair
+    in one half-plane, so such a pair is ordered by x, nearer the half's
+    starting ray (+x, then -x) first.
+    """
+    pts = ps.points
+
+    def by_angle(upper: bool):
+        def cmp(a: int, b: int) -> int:
+            o = orientation(pivot, pts[a], pts[b])
+            if o is not Orientation.COLLINEAR:
+                return -o.value
+            if pivot_index is not None:
+                raise _collinear(pivot_index, a, b)
+            dx = pts[b][0] - pts[a][0]
+            return (dx > 0) - (dx < 0) if upper else (dx < 0) - (dx > 0)
+        return cmp_to_key(cmp)
+
+    px, py = pivot
+    upper: list[int] = []
+    lower: list[int] = []
+    for t in indices:
+        x, y = pts[t]
+        (upper if y > py or (y == py and x > px) else lower).append(t)
+    return sorted(upper, key=by_angle(True)) + sorted(lower, key=by_angle(False))
+
+
 def k_halving_lines(ps: PointSet, k: int) -> list[HalvingLine]:
     """All k-halving lines, lexicographic by (i, j)."""
     npts = len(ps)
@@ -78,22 +195,9 @@ def k_halving_lines(ps: PointSet, k: int) -> list[HalvingLine]:
     m = npts // 2
     if not 0 <= k <= m - 1:
         raise InvalidParameter(f"k must be in 0..{m - 1}, got {k}")
-    out = []
-    for i in range(npts):
-        for j in range(i + 1, npts):
-            if balance(ps, i, j) == k:
-                out.append(HalvingLine(i, j, k))
-    return out
-
-
-def _angle_about(pivot: tuple[float, float], pt: tuple[float, float]) -> float:
-    a = math.atan2(pt[1] - pivot[1], pt[0] - pivot[0])
-    return a if a >= 0 else a + 2 * math.pi
-
-
-def _ccw_order(ps: PointSet, pivot: tuple[float, float], indices: list[int]) -> list[int]:
-    """Anticlockwise about pivot, starting at minimal angle from the +x axis."""
-    return sorted(indices, key=lambda i: _angle_about(pivot, ps.points[i]))
+    profile = halving_profile(ps)
+    return [HalvingLine(i, j, k) for i in range(npts) for j in range(i + 1, npts)
+            if profile.k(i, j) == k]
 
 
 def h_labeling(ps: PointSet) -> HLabeling:
@@ -107,24 +211,20 @@ def h_labeling(ps: PointSet) -> HLabeling:
     if npts % 2:
         raise OddPointCount(f"{npts} points; h-labeling needs an even count")
     m = npts // 2
-    lines = k_halving_lines(ps, 0)
-    if len(lines) != m:
-        raise NoHLabeling(f"expected {m} halving lines, found {len(lines)}")
-    incidence = {i: 0 for i in range(npts)}
-    for hl in lines:
-        incidence[hl.i] += 1
-        incidence[hl.j] += 1
-    bad = [i for i, c in incidence.items() if c != 1]
+    profile = halving_profile(ps)
+    incidence = profile.incidence(0)
+    lines = sum(incidence) // 2
+    if lines != m:
+        raise NoHLabeling(f"expected {m} halving lines, found {lines}")
+    bad = [i for i, c in enumerate(incidence) if c != 1]
     if bad:
         raise NoHLabeling(f"point {bad[0]} lies on {incidence[bad[0]]} halving lines")
     cx = sum(p[0] for p in ps.points) / npts
     cy = sum(p[1] for p in ps.points) / npts
     order = _ccw_order(ps, (cx, cy), list(range(npts)))
     pos = {orig: new for new, orig in enumerate(order)}
-    line_set = {(hl.i, hl.j) for hl in lines}
     for i in range(m):
-        a, b = order[i], order[i + m]
-        if (min(a, b), max(a, b)) not in line_set:
+        if profile.k(order[i], order[i + m]) != 0:
             raise NoHLabeling(
                 f"halving lines do not pair angular antipodes (v{i} vs v{i + m})")
     # each side of h_i must be exactly one contiguous label range
@@ -145,32 +245,16 @@ def w_labeling(ps: PointSet) -> WLabeling:
     npts = len(ps)
     if npts % 2:
         raise OddPointCount(f"{npts} points; w-labeling needs an even count")
-    lines = k_halving_lines(ps, 0)
-    if len(lines) != npts - 1:
-        raise NoWLabeling(f"expected {npts - 1} halving lines, found {len(lines)}")
-    incidence = {i: 0 for i in range(npts)}
-    for hl in lines:
-        incidence[hl.i] += 1
-        incidence[hl.j] += 1
-    candidates = [i for i, c in incidence.items() if c == npts - 1]
+    incidence = halving_profile(ps).incidence(0)
+    lines = sum(incidence) // 2
+    if lines != npts - 1:
+        raise NoWLabeling(f"expected {npts - 1} halving lines, found {lines}")
+    candidates = [i for i, c in enumerate(incidence) if c == npts - 1]
     if not candidates:
         raise NoWLabeling("no point is incident to all halving lines")
     w = candidates[0]
-    order = _ccw_order(ps, ps.points[w], [i for i in range(npts) if i != w])
+    order = _ccw_order(ps, ps.points[w], [i for i in range(npts) if i != w], pivot_index=w)
     return WLabeling(w=w, order=tuple(order))
-
-
-def _incidence_by_k(ps: PointSet, r: int) -> list[dict[int, int]]:
-    """counts[k][point] = number of k-halving lines through point, k = 0..r."""
-    npts = len(ps)
-    counts: list[dict[int, int]] = [{i: 0 for i in range(npts)} for _ in range(r + 1)]
-    for i in range(npts):
-        for j in range(i + 1, npts):
-            k = balance(ps, i, j)
-            if k <= r:
-                counts[k][i] += 1
-                counts[k][j] += 1
-    return counts
 
 
 def check_theorem3_hypothesis(ps: PointSet, r: int) -> HypothesisReport:
@@ -182,14 +266,15 @@ def check_theorem3_hypothesis(ps: PointSet, r: int) -> HypothesisReport:
     n = npts // 2
     if not 1 <= r <= n - 1:
         raise InvalidParameter(f"r must be in 1..{n - 1}, got {r}")
-    counts = _incidence_by_k(ps, r)
+    profile = halving_profile(ps)
     for k in range(r + 1):
+        counts = profile.incidence(k)
         want = 1 if k == 0 else 2
         for i in range(npts):
-            if counts[k][i] != want:
+            if counts[i] != want:
                 return HypothesisReport(
                     ok=False, witness=(i, k),
-                    reason=f"point {i} on {counts[k][i]} {k}-halving lines, want {want}")
+                    reason=f"point {i} on {counts[i]} {k}-halving lines, want {want}")
     return HypothesisReport(ok=True)
 
 
@@ -206,17 +291,18 @@ def check_theorem4_hypothesis(ps: PointSet, r: int) -> HypothesisReport:
         wl = w_labeling(ps)
     except NoWLabeling as exc:
         return HypothesisReport(ok=False, witness=None, reason=str(exc))
-    counts = _incidence_by_k(ps, r)
+    profile = halving_profile(ps)
     for k in range(1, r + 1):
-        if counts[k][wl.w] != 0:
+        counts = profile.incidence(k)
+        if counts[wl.w] != 0:
             return HypothesisReport(
                 ok=False, witness=(wl.w, k),
-                reason=f"w lies on {counts[k][wl.w]} {k}-halving lines, want 0")
+                reason=f"w lies on {counts[wl.w]} {k}-halving lines, want 0")
         for i in range(npts):
             if i == wl.w:
                 continue
-            if counts[k][i] != 2:
+            if counts[i] != 2:
                 return HypothesisReport(
                     ok=False, witness=(i, k),
-                    reason=f"point {i} on {counts[k][i]} {k}-halving lines, want 2")
+                    reason=f"point {i} on {counts[i]} {k}-halving lines, want 2")
     return HypothesisReport(ok=True)

@@ -17,8 +17,8 @@ from .errors import (DegenerateInput, HypothesisViolated, InvalidChoices,
                      InvalidParameter, NotAHalvingLine, SideViolation,
                      StructureViolation)
 from .geom_core import Orientation, PointSet, edge, orientation
-from .halving import (balance, check_theorem3_hypothesis,
-                      check_theorem4_hypothesis, h_labeling, w_labeling)
+from .halving import (check_theorem3_hypothesis, check_theorem4_hypothesis,
+                      h_labeling, halving_profile, w_labeling)
 from .tree_taxonomy import GeomTree
 from .wheel_partition import Partition
 
@@ -182,7 +182,7 @@ def theorem3_partition(ps: PointSet, r: int, choices: ConstructionChoices | None
     relab = lab.relabeling
     candidates = [(i, i + n - r) for i in range(r)]
     s, t = _pick_line(choices, candidates, f"theorem3 with r={r}")
-    if balance(ps, relab[s], relab[t]) != r:
+    if halving_profile(ps).k(relab[s], relab[t]) != r:
         raise HypothesisViolated(f"label line ({s},{t}) is not {r}-halving on this set")
     big = 2 * n
     label_edges = [(0, n)]
@@ -232,7 +232,7 @@ def theorem4_partition(ps: PointSet, r: int, choices: ConstructionChoices | None
         candidates = [(i, i + n - r) for i in range(n, n + r - 1)]
     s, t = _pick_line(choices, candidates, f"theorem4 {choices.type4} with r={r}")
     # candidate t may be the window top 2n-1, which is v_0 in disguise
-    if balance(ps, orig(s % m), orig(t % m)) != r:
+    if halving_profile(ps).k(orig(s % m), orig(t % m)) != r:
         raise HypothesisViolated(f"label line ({s},{t}) is not {r}-halving on this set")
     step2 = _star(s, t, choices.star_side)
     step2 += _zigzag(s, t, lo_raw, hi_raw, r - 2, choices.extend_side)

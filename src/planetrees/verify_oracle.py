@@ -9,6 +9,7 @@ breaking, so each unordered partition appears exactly once.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -39,7 +40,7 @@ def verify_partition(p: Partition) -> VerifyReport:
     if len(p.trees) != n or got != want:
         missing = sorted(set(want) - set(got))
         extra = sorted(set(got) - set(want))
-        dupes = sorted({e for e in got if got.count(e) > 1}) if len(got) != len(set(got)) else []
+        dupes = sorted(e for e, c in Counter(got).items() if c > 1)
         return VerifyReport(False, "coverage",
                             {"trees": len(p.trees), "missing": missing,
                              "extra": extra, "duplicated": dupes})

@@ -159,6 +159,13 @@ def test_cli_generate_usage_error(capsys):
     assert "InvalidParameter" in capsys.readouterr().err
 
 
+def test_cli_halving_collinear_general_file(tmp_path, capsys):
+    points = tmp_path / "line.points"
+    points.write_text("pointset 4 general\n0 0\n1 1\n2 2\n0 3\n")
+    assert run_cli("halving", "--input", str(points)) == 2
+    assert "InvariantViolation: collinear triple (0, 1, 2)" in capsys.readouterr().err
+
+
 def test_cli_halving_labelings(capsys):
     assert run_cli("halving", "--input", "wheel3", "--labeling", "w") == 0
     assert capsys.readouterr().out.splitlines()[0] == "w 5"

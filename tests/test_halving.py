@@ -1,12 +1,19 @@
 import math
 import random
+import re
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from planetrees import (HalvingLine, InvalidParameter, NoHLabeling,
-                        NoWLabeling, OddPointCount, balance,
-                        check_theorem3_hypothesis, check_theorem4_hypothesis,
-                        h_labeling, k_halving_lines, make_wheel, w_labeling)
+from planetrees import (DegenerateInput, HalvingLine, InvalidParameter,
+                        NoHLabeling, NoWLabeling, OddPointCount, Orientation,
+                        balance, check_theorem3_hypothesis,
+                        check_theorem4_hypothesis, h_labeling, halving,
+                        halving_profile, k_halving_lines, make_wheel,
+                        orientation, theorem2_partition, theorem3_partition,
+                        theorem4_partition, w_labeling)
 from planetrees.geom_core import PointSet
 from planetrees.presets import figure_pointset
 
@@ -160,3 +167,84 @@ def test_hypothesis_r_range_errors(wheel3):
             checker(wheel3, 0)
         with pytest.raises(InvalidParameter):
             checker(wheel3, 3)
+
+
+def assert_profile_matches_balance(ps):
+    """The profile raises iff some pair's balance does, naming a collinear
+    triple; otherwise every pair's k equals balance."""
+    try:
+        want = {(i, j): balance(ps, i, j) for i, j in combinations(range(len(ps)), 2)}
+    except DegenerateInput:
+        with pytest.raises(DegenerateInput, match=r"collinear triple") as exc:
+            halving_profile(ps)
+        a, b, c = map(int, re.search(r"\((\d+), (\d+), (\d+)\)", str(exc.value)).groups())
+        assert len({a, b, c}) == 3
+        assert orientation(ps.points[a], ps.points[b], ps.points[c]) is Orientation.COLLINEAR
+        return
+    profile = halving_profile(ps)
+    assert {(i, j): profile.k(i, j) for i, j in want} == want
+    assert all(profile.k(j, i) == k for (i, j), k in want.items())
+
+
+grid_points = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                       min_size=4, max_size=10, unique=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_points)
+def test_profile_matches_balance_on_grids(cells):
+    assert_profile_matches_balance(
+        PointSet(tuple((float(x), float(y)) for x, y in cells), "general"))
+
+
+def test_profile_matches_balance_on_jittered_polygons_and_wheels():
+    rng = random.Random(5)
+    for m in range(3, 17):
+        for _ in range(3):
+            pts = tuple((math.cos(a) * r, math.sin(a) * r) for a, r in (
+                (2 * math.pi * (i + rng.uniform(-0.2, 0.2)) / m, rng.uniform(0.9, 1.1))
+                for i in range(m)))
+            assert_profile_matches_balance(PointSet(pts, "general"))
+    for n in range(2, 13):
+        assert_profile_matches_balance(make_wheel(n))
+
+
+def test_profile_is_cached_on_the_point_set():
+    ps = make_wheel(4)
+    assert halving_profile(ps) is halving_profile(ps)
+    assert halving_profile(make_wheel(4)) is not halving_profile(ps)
+
+
+@pytest.mark.parametrize("build, ps", [
+    (lambda ps: theorem2_partition(ps, 1), regular_gon(10)),
+    (lambda ps: theorem3_partition(ps, 2), regular_gon(10)),
+    (lambda ps: theorem4_partition(ps, 2), make_wheel(5)),
+])
+def test_construction_sweeps_once_per_point_set(monkeypatch, build, ps):
+    calls = []
+    sweep = halving._sweep
+
+    def counted(ps):
+        calls.append(ps)
+        return sweep(ps)
+
+    monkeypatch.setattr(halving, "_sweep", counted)
+    build(ps)
+    assert calls == [ps]
+    build(ps)
+    assert len(calls) == 1
+
+
+def test_h_labeling_antipodes_collinear_with_centroid():
+    # regular polygons with a vertex on the +x ray, points shuffled: rounding
+    # puts both points of an antipodal pair in one half-plane about the
+    # centroid, and the sort compares them
+    rng = random.Random(1)
+    for m in (4, 6, 8, 10, 12, 16, 20):
+        base = regular_gon(m, phase=0.0).points
+        for _ in range(20):
+            perm = list(range(m))
+            rng.shuffle(perm)
+            lab = h_labeling(PointSet(tuple(base[p] for p in perm), "convex"))
+            polygon_order = [perm[v] for v in lab.relabeling]
+            assert polygon_order == [(polygon_order[0] + i) % m for i in range(m)]
