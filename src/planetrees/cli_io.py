@@ -490,7 +490,6 @@ def _cmd_render(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--seed", type=int, default=None, help="RNG seed")
     parser = argparse.ArgumentParser(
         prog="planetrees",
         description="Partitions of complete geometric graphs into plane spanning trees.")
@@ -501,6 +500,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="wheel<n> | gon<m> | random<m>")
     p.add_argument("--preset", choices=presets.POINT_PRESETS)
     p.add_argument("--radius", type=float, default=1.0)
+    p.add_argument("--seed", type=int, default=None, help="RNG seed for random<m>")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_generate)
 

@@ -3,21 +3,26 @@ caterpillars, P4-symmetric trees, w-caterpillars, and symmetric trees.
 
 All classification is purely combinatorial; geometry enters only through
 is_plane / boundary_edges / radial_edges. Functions accepting a tree take
-either a GeomTree or a bare iterable of index pairs wherever geometry is
-irrelevant, because the wheel builder works on abstract trees.
+a GeomTree, a bare iterable of index pairs (the wheel builder works on
+abstract trees) or, to ask several questions of one tree, its TreeIndex.
 
-The P4-symmetric search is exhaustive over ordered 4-paths u1u2u3u4 with
-u1 pendant: deleting the three path edges must leave u1 and u_i isolated
-(i in {2,4}) plus two non-trivial components A (containing u3) and B with
-a rooted isomorphism phi: A -> B, phi(u3) = u_{6-i}. i=4 gives Type-1,
-i=2 gives Type-2; on 4-vertex trees both "components" are trivial and the
-witness is reported untyped. A w-caterpillar additionally needs T, or
-T minus the witness' u1, to be a caterpillar.
+A TreeIndex holds the size and AHU canon id of the far side of every
+directed edge, so a rooted-isomorphism question is an integer comparison.
+A P4-symmetry witness is an ordered 4-path u1u2u3u4 with u1 pendant such
+that deleting the three path edges leaves u1 and u_i isolated (i in
+{2,4}) plus two non-trivial components A (containing u3) and B with a
+rooted isomorphism phi: A -> B, phi(u3) = u_{6-i}. i=4 gives Type-1, i=2
+gives Type-2; on 4-vertex trees both "components" are trivial and the
+witness is reported untyped. The witnesses are read off the index, not
+searched for. A w-caterpillar additionally needs T, or T minus the
+witness' u1, to be a caterpillar. Nothing here recurses.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Union
+from itertools import combinations
+from typing import Collection, Iterable, Union
 
 from .errors import InvalidParameter, NotATree, NotWheelConfig
 from .geom_core import (GeomEdge, PointSet, convex_hull, edge, segments_cross,
@@ -93,103 +98,158 @@ def adjacency(edges: Iterable[GeomEdge]) -> dict[int, set[int]]:
     return adj
 
 
-def is_tree_edges(edges: tuple[GeomEdge, ...]) -> bool:
-    """Connected and acyclic on the vertex set spanned by the edges."""
-    if not edges:
-        return False
-    adj = adjacency(edges)
-    if len(edges) != len(adj) - 1 or len(set(edges)) != len(edges):
-        return False
-    seen = set()
-    start = next(iter(adj))
-    stack = [start]
-    seen.add(start)
+def _parents(adj: dict[int, set[int]], root: int) -> dict[int, int]:
+    """DFS parent of every vertex reachable from root (root's is root),
+    inserted parents first, so the keys are a top-down order."""
+    parent = {root: root}
+    stack = [root]
     while stack:
         v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(adj)
-
-
-def _component(adj, start, skip: frozenset[frozenset[int]]) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u in seen or frozenset((u, v)) in skip:
-                continue
-            seen.add(u)
-            stack.append(u)
-    return seen
-
-
-def rooted_canon(adj, root, skip: frozenset[frozenset[int]] = frozenset()) -> str:
-    """AHU canonical string of the tree rooted at root."""
-
-    def rec(v, parent) -> str:
-        subs = sorted(rec(u, v) for u in adj[v]
-                      if u != parent and frozenset((u, v)) not in skip)
-        return "(" + "".join(subs) + ")"
-
-    return rec(root, None)
-
-
-def tree_canon(t: TreeLike) -> str:
-    """Unrooted AHU canonical form: root at the centroid (min over the two)."""
-    edges = as_edges(t)
-    adj = adjacency(edges)
-    if not adj:
-        raise NotATree("empty edge set")
-    verts = list(adj)
-    order: list[int] = []
-    parent: dict[int, int | None] = {verts[0]: None}
-    stack = [verts[0]]
-    while stack:
-        v = stack.pop()
-        order.append(v)
         for u in adj[v]:
             if u not in parent:
                 parent[u] = v
                 stack.append(u)
-    size = {}
-    for v in reversed(order):
-        size[v] = 1 + sum(size[u] for u in adj[v] if parent.get(u) == v)
-    n = len(verts)
-    centroids = [v for v in verts
-                 if max([n - size[v]] + [size[u] for u in adj[v] if parent.get(u) == v]) <= n // 2]
-    return min(rooted_canon(adj, c) for c in centroids)
+    return parent
 
 
-def rooted_iso_map(adj_a, root_a, adj_b, root_b,
-                   skip: frozenset[frozenset[int]] = frozenset()) -> dict[int, int] | None:
-    """Explicit vertex map realizing a rooted isomorphism, or None."""
-
-    def rec(a, pa, b, pb) -> dict[int, int] | None:
-        kids_a = sorted(
-            ((rooted_canon(adj_a, u, skip | {frozenset((a, u))}), u)
-             for u in adj_a[a] if u != pa and frozenset((a, u)) not in skip))
-        kids_b = sorted(
-            ((rooted_canon(adj_b, u, skip | {frozenset((b, u))}), u)
-             for u in adj_b[b] if u != pb and frozenset((b, u)) not in skip))
-        if [c for c, _ in kids_a] != [c for c, _ in kids_b]:
-            return None
-        out = {a: b}
-        for (_, ua), (_, ub) in zip(kids_a, kids_b):
-            sub = rec(ua, a, ub, b)
-            if sub is None:
-                return None
-            out.update(sub)
-        return out
-
-    return rec(root_a, None, root_b, None)
+def is_tree_edges(edges: tuple[GeomEdge, ...]) -> bool:
+    """Connected and acyclic on the vertex set spanned by the edges."""
+    adj = adjacency(edges)
+    # with n - 1 edges, connected implies acyclic and free of duplicates
+    return bool(edges) and len(edges) == len(adj) - 1 and len(
+        _parents(adj, edges[0][0])) == len(adj)
 
 
-def is_caterpillar_edges(edges: Iterable[GeomEdge], drop: int | None = None) -> bool:
-    """Caterpillar test; drop removes one vertex (and its edges) first."""
-    adj = adjacency(e for e in edges if drop not in e)
+class TreeIndex:
+    """Size and AHU canon id of both sides of every edge of one tree.
+
+    size[a, b] and canon[a, b] describe the component of b after deleting
+    the edge ab, rooted at b. Canon ids name rooted shapes (Aho, Hopcroft
+    & Ullman, 1974), equal exactly for isomorphic ones, and are private to
+    the index; shapes[i] is the sorted tuple of id i's child ids, all
+    smaller than i. A DFS fills the sides facing away from its root
+    bottom-up, then a rerooting pass fills the rest top-down. Raises
+    NotATree unless the edges form a tree.
+    """
+
+    def __init__(self, edges: tuple[GeomEdge, ...]):
+        adj = adjacency(edges)
+        n = len(adj)
+        self.edges, self.adj, self.n = edges, adj, n
+        self.size: dict[tuple[int, int], int] = {}
+        self.canon: dict[tuple[int, int], int] = {}
+        self.shapes: list[tuple[int, ...]] = []
+        self._ids: dict[tuple[int, ...], int] = {}
+        parent = _parents(adj, edges[0][0]) if edges else {}
+        if len(edges) != n - 1 or len(parent) != n:  # see is_tree_edges
+            raise NotATree(f"{len(edges)} edges do not form a tree")
+        order = list(parent)
+        size, canon = self.size, self.canon
+        for v in reversed(order[1:]):
+            p = parent[v]
+            size[p, v] = 1 + sum(size[v, u] for u in adj[v] if u != p)
+            canon[p, v] = self._id(sorted(canon[v, u] for u in adj[v] if u != p))
+        for v in order:
+            ids = sorted(canon[v, u] for u in adj[v])
+            without: dict[int, int] = {}  # a child's id -> id of the rest of v
+            for c in adj[v]:
+                if parent[c] != v:
+                    continue
+                x = canon[v, c]
+                if x not in without:
+                    i = bisect_left(ids, x)
+                    without[x] = self._id(ids[:i] + ids[i + 1:])
+                canon[c, v] = without[x]
+                size[c, v] = n - size[v, c]
+        # vertices with more than two inner neighbours; none in a caterpillar
+        self._overfull = [v for v, nb in adj.items()
+                          if sum(1 for u in nb if len(adj[u]) > 1) > 2]
+
+    def _id(self, kids: list[int]) -> int:
+        key = tuple(kids)
+        i = self._ids.setdefault(key, len(self.shapes))
+        if i == len(self.shapes):
+            self.shapes.append(key)
+        return i
+
+    def symmetric_edge(self) -> GeomEdge | None:
+        """The edge with isomorphic rooted sides (n / 2 each, so unique), or None."""
+        return next((e for e in self.edges
+                     if self.canon[e] == self.canon[e[1], e[0]]), None)
+
+    def compatible(self, path: tuple[int, int, int, int]) -> bool:
+        """T, or T minus the leaf path[0], is a caterpillar.
+
+        Deleting the leaf changes inner degrees only when u2 = path[1] has
+        degree 2: u2 becomes a leaf and u3 = path[2] loses an inner neighbour.
+        """
+        if not self._overfull:
+            return True
+        u2, u3 = path[1], path[2]
+        adj = self.adj
+        return (len(adj[u2]) == 2 and self._overfull == [u3]
+                and sum(1 for u in adj[u3] if len(adj[u]) > 1) == 3)
+
+
+def tree_index(t: TreeLike | TreeIndex) -> TreeIndex:
+    """t itself when it is an index already, else the index of its edges."""
+    return t if isinstance(t, TreeIndex) else TreeIndex(as_edges(t))
+
+
+def rooted_canon(index: TreeIndex, root: int) -> str:
+    """AHU canonical string of the tree rooted at root.
+
+    A vertex is spelled "(" + its children's strings, sorted + ")"; each
+    canon id below root is spelled once, children before parents.
+    """
+    top = index._id(sorted(index.canon[root, u] for u in index.adj[root]))
+    need, stack = set(), [top]
+    while stack:
+        i = stack.pop()
+        if i not in need:
+            need.add(i)
+            stack.extend(index.shapes[i])
+    spelled: dict[int, str] = {}
+    for i in sorted(need):
+        spelled[i] = "(" + "".join(sorted(spelled[c] for c in index.shapes[i])) + ")"
+    return spelled[top]
+
+
+def tree_canon(t: TreeLike | TreeIndex) -> str:
+    """Unrooted AHU canonical form: root at the centroid (min over the two)."""
+    index = tree_index(t)
+    return min(rooted_canon(index, c) for c, nb in index.adj.items()
+               if max(index.size[c, u] for u in nb) <= index.n // 2)
+
+
+def rooted_iso_map(index: TreeIndex, a: int, b: int,
+                   cut: Collection[int]) -> dict[int, int] | None:
+    """Explicit vertex map realizing a rooted isomorphism from a to b, or None.
+
+    The roots' neighbours in cut are cut off with all behind them. Below
+    the roots, children paired in order of canon id always match.
+    """
+    adj, canon = index.adj, index.canon
+
+    def kids(v, drop):
+        return sorted((canon[v, u], u) for u in adj[v] if u not in drop)
+
+    kids_a, kids_b = kids(a, cut), kids(b, cut)
+    if [i for i, _ in kids_a] != [i for i, _ in kids_b]:
+        return None
+    out = {a: b}
+    stack = [(x, a, y, b) for (_, x), (_, y) in zip(kids_a, kids_b)]
+    while stack:
+        x, px, y, py = stack.pop()
+        out[x] = y
+        stack.extend((u, x, w, y) for (_, u), (_, w)
+                     in zip(kids(x, (px,)), kids(y, (py,))))
+    return out
+
+
+def is_caterpillar_edges(edges: Iterable[GeomEdge]) -> bool:
+    """Caterpillar test: the tree minus its leaves is a path."""
+    adj = adjacency(edges)
     if len(adj) <= 2:
         return True
     inner = {v for v, nb in adj.items() if len(nb) > 1}
@@ -197,77 +257,88 @@ def is_caterpillar_edges(edges: Iterable[GeomEdge], drop: int | None = None) -> 
     return all(sum(1 for u in adj[v] if u in inner) <= 2 for v in inner)
 
 
-def p4_witness_paths(t: TreeLike) -> list[tuple[int | None, tuple[int, int, int, int], set[int]]]:
-    """All (type, 4-path, component-of-u3) triples satisfying the definition."""
-    edges = as_edges(t)
-    adj = adjacency(edges)
-    nverts = len(adj)
-    found = []
-    for u1 in sorted(adj):
-        if len(adj[u1]) != 1:
-            continue
-        (u2,) = adj[u1]
-        for u3 in sorted(adj[u2]):
-            if u3 == u1:
+def _p4_families(index: TreeIndex) -> list[tuple[int | None, list[int], int, int, list[int]]]:
+    """Every P4-symmetry witness, as groups (type, u1s, u2, u3, u4s) that
+    stand for (type, (a, u2, u3, b)) with a in sorted u1s, b in sorted u4s.
+
+    Type-1: u1 and u4 are leaves, deg(u2) >= 3 and canon[u2, u3] ==
+    canon[u3, u2] (B and A plus the leaves u1 and u4); a double star
+    has O(n^2) of them in two groups. Type-2: deg(u2) == 2, size[u3, u4]
+    == (n - 2) / 2 and u3's children other than u2 and u4 match u4's
+    children. On 4 vertices that test accepts just P4, both ways, untyped.
+    """
+    adj, size, canon, n = index.adj, index.size, index.canon, index.n
+    out = []
+    sym = index.symmetric_edge()
+    if sym is not None and len(adj[sym[0]]) >= 3:
+        for u2, u3 in (sym, sym[::-1]):
+            u1s = sorted(u for u in adj[u2] if len(adj[u]) == 1)
+            u4s = sorted(u for u in adj[u3] if len(adj[u]) == 1)
+            if u1s:  # the sides are isomorphic, so u4s is non-empty too
+                out.append((1, u1s, u2, u3, u4s))
+    if n % 2:
+        return out
+    half = n // 2 - 1  # |A| = |B| = (n - 2) / 2 for Type-2
+    for u3, nb in adj.items():
+        twigs = [u2 for u2 in nb if size[u3, u2] == 2]  # u2 of degree 2 with a leaf u1
+        for u4 in nb:
+            u2s = [u2 for u2 in twigs if u2 != u4] if size[u3, u4] == half else []
+            if not u2s:
                 continue
-            for u4 in sorted(adj[u3]):
-                if u4 in (u1, u2):
-                    continue
-                skip = frozenset(frozenset(e) for e in ((u1, u2), (u2, u3), (u3, u4)))
-                c2 = _component(adj, u2, skip)
-                c3 = _component(adj, u3, skip)
-                c4 = _component(adj, u4, skip)
-                if nverts == 4:
-                    if len(c2) == len(c3) == len(c4) == 1:
-                        found.append((None, (u1, u2, u3, u4), c3))
-                    continue
-                if len(c4) == 1 and len(c2) > 1 and len(c3) > 1 and len(c2) == len(c3):
-                    if rooted_canon(adj, u3, skip) == rooted_canon(adj, u2, skip):
-                        found.append((1, (u1, u2, u3, u4), c3))
-                if len(c2) == 1 and len(c4) > 1 and len(c3) > 1 and len(c4) == len(c3):
-                    if rooted_canon(adj, u3, skip) == rooted_canon(adj, u4, skip):
-                        found.append((2, (u1, u2, u3, u4), c3))
-    return found
+            # every twig has the same id, so the test holds for all or none of them
+            rest = tuple(sorted(canon[u3, x] for x in nb if x not in (u2s[0], u4)))
+            if rest != index.shapes[canon[u3, u4]]:
+                continue
+            for u2 in u2s:
+                (u1,) = adj[u2] - {u3}
+                out.append((2 if n > 4 else None, [u1], u2, u3, [u4]))
+    return out
 
 
-def preferred_p4_witness(t: TreeLike) -> P4Witness | None:
+def p4_witness_paths(t: TreeLike | TreeIndex) -> list[tuple[int | None, tuple[int, int, int, int]]]:
+    """All (type, 4-path) pairs satisfying the definition, sorted by path."""
+    return sorted(((typ, (a, u2, u3, b))
+                   for typ, u1s, u2, u3, u4s in _p4_families(tree_index(t))
+                   for a in u1s for b in u4s), key=lambda w: w[1])
+
+
+def preferred_p4_witness(t: TreeLike | TreeIndex,
+                         path: tuple[int, int, int, int] | None = None) -> P4Witness | None:
     """The witness the wheel builder uses.
 
-    Preference: caterpillar-compatible Type-1, then compatible Type-2,
-    then any Type-1, then any Type-2; ties broken by the 4-path tuple.
-    Compatibility means T, or T minus the witness' u1, is a caterpillar,
-    i.e. the witness also certifies the w-caterpillar property.
+    Preference: caterpillar-compatible Type-1 (or untyped), then
+    compatible Type-2, then any Type-1, then any Type-2; ties broken by
+    the 4-path tuple. Compatibility means T, or T minus the witness' u1,
+    is a caterpillar, i.e. the witness also certifies the w-caterpillar
+    property; it is the same across a group, so only its least path
+    competes. Given path: that 4-path's witness, or None if it is none.
     """
-    cands = p4_witness_paths(t)
-    if not cands:
+    index = tree_index(t)
+    path = None if path is None else tuple(path)
+    best = None
+    for typ, u1s, u2, u3, u4s in _p4_families(index):
+        if path is None:
+            cand = (u1s[0], u2, u3, u4s[0])
+        elif len(path) == 4 and path[1:3] == (u2, u3) and path[0] in u1s and path[3] in u4s:
+            cand = path
+        else:
+            continue
+        rank = (not index.compatible(cand), typ == 2, cand)
+        if best is None or rank < best[0]:
+            best = (rank, typ)
+    if best is None:
         return None
-    edges = as_edges(t)
-    whole = is_caterpillar_edges(edges)
-
-    def compatible(c) -> bool:
-        return whole or is_caterpillar_edges(edges, drop=c[1][0])
-
-    def rank(c):
-        return (not compatible(c), 1 if c[0] in (1, None) else 2, c[1])
-
-    typ, path, comp_a = min(cands, key=rank)
-    adj = adjacency(edges)
-    u1, u2, u3, u4 = path
-    skip = frozenset(frozenset(e) for e in ((u1, u2), (u2, u3), (u3, u4)))
-    partner = u2 if typ in (1, None) else u4
-    iso = rooted_iso_map(adj, u3, adj, partner, skip)
+    (_, _, cand), typ = best
+    partner = cand[3] if typ == 2 else cand[1]
+    iso = rooted_iso_map(index, cand[2], partner, cand)
     assert iso is not None  # canon equality guaranteed it
-    return P4Witness(type=typ, path=path, iso_witness=iso)
+    return P4Witness(type=typ, path=cand, iso_witness=iso)
 
 
-def is_w_caterpillar(t: TreeLike) -> bool:
-    cands = p4_witness_paths(t)
-    if not cands:
-        return False
-    edges = as_edges(t)
-    if is_caterpillar_edges(edges):
-        return True
-    return any(is_caterpillar_edges(edges, drop=c[1][0]) for c in cands)
+def is_w_caterpillar(t: TreeLike | TreeIndex) -> bool:
+    index = tree_index(t)
+    witness = preferred_p4_witness(index)
+    return witness is not None and index.compatible(witness.path)
 
 
 def _spine(adj) -> list[int] | None:
@@ -275,7 +346,8 @@ def _spine(adj) -> list[int] | None:
     inner = sorted(v for v, nb in adj.items() if len(nb) > 1)
     if not inner:
         return []
-    deg_in = {v: [u for u in adj[v] if u in set(inner)] for v in inner}
+    inner_set = set(inner)
+    deg_in = {v: [u for u in adj[v] if u in inner_set] for v in inner}
     if any(len(nb) > 2 for nb in deg_in.values()):
         return None
     ends = [v for v in inner if len(deg_in[v]) <= 1]
@@ -289,20 +361,6 @@ def _spine(adj) -> list[int] | None:
             return seq
         prev = seq[-1]
         seq.append(nxt[0])
-
-
-def _symmetric_witness(edges: tuple[GeomEdge, ...]) -> SymmetricWitness | None:
-    adj = adjacency(edges)
-    for v, w in edges:
-        skip = frozenset({frozenset((v, w))})
-        side_v = _component(adj, v, skip)
-        side_w = _component(adj, w, skip)
-        if len(side_v) != len(side_w):
-            continue
-        iso = rooted_iso_map(adj, v, adj, w, skip)
-        if iso is not None:
-            return SymmetricWitness(edge=edge(v, w), iso_witness=iso)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -331,27 +389,25 @@ def is_spanning_tree(t: GeomTree) -> bool:
     return True
 
 
+def crossing_pair(ps: PointSet, edges) -> tuple[GeomEdge, GeomEdge] | None:
+    """The first two edges that cross; exact index arithmetic on wheel configurations."""
+    n = wheel_n(ps)
+    for e1, e2 in combinations(edges, 2):
+        if wheel_crossing(e1, e2, n) if n is not None else segments_cross(e1, e2, ps):
+            return (e1, e2)
+    return None
+
+
 def is_plane(t: GeomTree) -> bool:
-    """No two edges cross; exact index arithmetic on wheel configurations."""
-    n = wheel_n(t.ps)
-    es = t.edges
-    for i in range(len(es)):
-        for j in range(i + 1, len(es)):
-            if n is not None:
-                if wheel_crossing(es[i], es[j], n):
-                    return False
-            elif segments_cross(es[i], es[j], t.ps):
-                return False
-    return True
+    """No two edges cross."""
+    return crossing_pair(t.ps, t.edges) is None
 
 
 def classify(t: TreeLike) -> TreeClassReport:
     """Full recognizer report; raises NotATree on non-trees."""
-    edges = as_edges(t)
-    if not is_tree_edges(edges):
-        raise NotATree(f"{len(edges)} edges do not form a tree")
-    adj = adjacency(edges)
-    nverts = len(adj)
+    index = TreeIndex(as_edges(t))
+    adj = index.adj
+    nverts = index.n
     degs = {v: len(nb) for v, nb in adj.items()}
 
     is_path = all(d <= 2 for d in degs.values())
@@ -370,9 +426,11 @@ def classify(t: TreeLike) -> TreeClassReport:
             if len(spine) == 2:
                 double_star = (m, n)
 
-    p4 = preferred_p4_witness(edges)
-    w_cat = is_w_caterpillar(edges) if p4 is not None else False
-    sym = _symmetric_witness(edges)
+    p4 = preferred_p4_witness(index)
+    w_cat = p4 is not None and index.compatible(p4.path)
+    sym_edge = index.symmetric_edge()
+    sym = None if sym_edge is None else SymmetricWitness(
+        edge=sym_edge, iso_witness=rooted_iso_map(index, *sym_edge, sym_edge))
 
     return TreeClassReport(
         is_path=is_path,
@@ -409,23 +467,13 @@ def radial_edges(t: GeomTree) -> list[GeomEdge]:
 
 def unique_path(t: GeomTree, u: int, v: int) -> list[int]:
     """Vertex sequence of the unique u-v path in the tree."""
-    edges = t.edges
-    if not is_tree_edges(edges):
+    if not is_tree_edges(t.edges):
         raise NotATree("edge set is not a tree")
-    adj = adjacency(edges)
+    adj = adjacency(t.edges)
     if u not in adj or v not in adj:
         raise InvalidParameter(f"vertex {u if u not in adj else v} not in tree")
-    parent: dict[int, int | None] = {u: None}
-    stack = [u]
-    while stack:
-        x = stack.pop()
-        if x == v:
-            break
-        for y in adj[x]:
-            if y not in parent:
-                parent[y] = x
-                stack.append(y)
+    parent = _parents(adj, u)
     path = [v]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])  # type: ignore[arg-type]
+    while path[-1] != u:
+        path.append(parent[path[-1]])
     return path[::-1]

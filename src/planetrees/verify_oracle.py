@@ -15,8 +15,8 @@ from itertools import combinations
 
 from .errors import OddPointCount, TooLarge
 from .geom_core import PointSet, segments_cross, wheel_crossing, wheel_n
-from .tree_taxonomy import GeomTree
-from .wheel_partition import Partition, _observation1_violation, observation1_splits
+from .tree_taxonomy import GeomTree, crossing_pair, is_spanning_tree
+from .wheel_partition import Partition, observation1_violation, observation1_splits
 
 
 @dataclass(frozen=True)
@@ -45,46 +45,18 @@ def verify_partition(p: Partition) -> VerifyReport:
                             {"trees": len(p.trees), "missing": missing,
                              "extra": extra, "duplicated": dupes})
     for i, t in enumerate(p.trees):
-        if not _spanning(npts, t.edges):
+        if not is_spanning_tree(t):
             return VerifyReport(False, "spanning", i)
     for i, t in enumerate(p.trees):
-        bad = _crossing_pair(p.ps, t.edges)
+        bad = crossing_pair(p.ps, t.edges)
         if bad is not None:
             return VerifyReport(False, "plane", (i, *bad))
     return VerifyReport(True)
 
 
-def _spanning(npts: int, edges) -> bool:
-    if len(edges) != npts - 1:
-        return False
-    parent = list(range(npts))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    return True
-
-
-def _crossing_pair(ps: PointSet, edges):
-    n = wheel_n(ps)
-    for e1, e2 in combinations(edges, 2):
-        crossed = wheel_crossing(e1, e2, n) if n is not None else segments_cross(e1, e2, ps)
-        if crossed:
-            return (e1, e2)
-    return None
-
-
 def check_observation1(t: GeomTree) -> VerifyReport:
     """Small-side bounds for every non-radial edge of a wheel tree."""
-    viol = _observation1_violation(t)
+    viol = observation1_violation(t)
     if viol is not None:
         return VerifyReport(False, "observation1", viol)
     return VerifyReport(True, witness=observation1_splits(t))

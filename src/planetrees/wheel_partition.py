@@ -20,11 +20,11 @@ from typing import NamedTuple
 from .errors import (InvalidParameter, NotAPartition, NotATree, NotWCaterpillar,
                      NotWheelConfig, SizeMismatch, StructureViolation)
 from .geom_core import GeomEdge, PointSet, edge, make_wheel, wheel_n
-from .tree_taxonomy import (GeomTree, TreeLike, adjacency, as_edges,
-                            boundary_edges, classify, is_caterpillar_edges,
-                            is_plane, is_spanning_tree, is_tree_edges,
-                            p4_witness_paths, preferred_p4_witness,
-                            radial_edges, tree_canon)
+from .tree_taxonomy import (GeomTree, TreeIndex, TreeLike, adjacency,
+                            as_edges, boundary_edges, classify,
+                            is_caterpillar_edges, is_plane, is_spanning_tree,
+                            is_tree_edges, preferred_p4_witness, radial_edges,
+                            tree_canon)
 
 
 @dataclass(frozen=True)
@@ -163,37 +163,22 @@ def build_wheel_partition(t: TreeLike, n: int,
     """
     if n < 2:
         raise InvalidParameter(f"n must be >= 2, got {n}")
-    edges = as_edges(t)
-    if not is_tree_edges(edges):
-        raise NotATree("input is not a tree")
-    adj = adjacency(edges)
-    if len(adj) != 2 * n:
-        raise SizeMismatch(f"tree has {len(adj)} vertices, wheel needs {2 * n}")
-    candidates = p4_witness_paths(edges)
-    whole_cat = is_caterpillar_edges(edges)
-
-    def compatible(cand) -> bool:
-        return whole_cat or is_caterpillar_edges(edges, drop=cand[1][0])
-
-    if four_path is not None:
-        chosen = next((c for c in candidates if c[1] == tuple(four_path)), None)
-        if chosen is None or not compatible(chosen):
+    index = TreeIndex(as_edges(t))
+    if index.n != 2 * n:
+        raise SizeMismatch(f"tree has {index.n} vertices, wheel needs {2 * n}")
+    witness = preferred_p4_witness(index, four_path)
+    if witness is None or not index.compatible(witness.path):
+        if four_path is not None:
             raise NotWCaterpillar(
                 f"designated 4-path {four_path} is not a compatible witness")
-    else:
-        witness = preferred_p4_witness(edges)
-        if witness is None or not any(map(compatible, candidates)):
-            raise NotWCaterpillar("input admits no w-caterpillar witness")
-        chosen = next(c for c in candidates if c[1] == witness.path)
-    typ, (u1, u2, u3, u4), comp_a = chosen
-    if typ is None:
-        typ = 1  # 4-vertex path: Type-1 geometry
+        raise NotWCaterpillar("input admits no w-caterpillar witness")
+    u3 = witness.path[2]
+    typ = witness.type or 1  # 4-vertex path: Type-1 geometry
 
     m = 2 * n - 1
     center = 2 * n - 1
-    skip = frozenset(frozenset(e) for e in ((u1, u2), (u2, u3), (u3, u4)))
-    a_adj = {v: {u for u in adj[v] if u in comp_a and frozenset((u, v)) not in skip}
-             for v in comp_a}
+    comp_a = set(witness.iso_witness)  # the component A of u3
+    a_adj = {v: index.adj[v] & comp_a for v in comp_a}
     pos = _place_slots(a_adj, u3)
     width = n - 1
     if typ == 1:
@@ -219,22 +204,17 @@ def build_wheel_partition(t: TreeLike, n: int,
         raise StructureViolation("theorem1-disjointness", sorted(used))
     rest = tuple(e for e in combinations(range(2 * n), 2) if e not in used)
     last = GeomTree(ps, rest)
+    radials = [e[0] for e in radial_edges(last)]
     if not (is_spanning_tree(last) and is_plane(last)
             and is_caterpillar_edges(last.edges)
             and len(boundary_edges(last)) == 1
-            and _is_consecutive_run([e[0] for e in radial_edges(last)], m, n)):
+            and len(radials) == n and _has_run(radials, m, n)):
         raise StructureViolation("theorem1-complement", last.edges)
     return Partition(ps=ps, trees=tuple(family) + (last,))
 
 
-def _is_consecutive_run(labels: list[int], m: int, want: int) -> bool:
-    s = set(labels)
-    if len(s) != len(labels) or len(s) != want:
-        return False
-    return any(all((start + i) % m in s for i in range(len(s))) for start in s)
-
-
 def _has_run(labels: list[int], m: int, want: int) -> bool:
+    """labels include want cyclically consecutive values mod m."""
     s = set(labels)
     return any(all((start + i) % m in s for i in range(want)) for start in s)
 
@@ -289,7 +269,7 @@ def observation1_splits(t: GeomTree) -> list[tuple[GeomEdge, tuple[int, ...], tu
     return out
 
 
-def _observation1_violation(t: GeomTree) -> tuple | None:
+def observation1_violation(t: GeomTree) -> tuple | None:
     n = wheel_n(t.ps)
     for e, small, big in observation1_splits(t):
         if not (len(small) < len(big) and len(small) <= n - 2 and len(big) >= n):
@@ -317,7 +297,7 @@ def analyze_wheel_partition(p: Partition) -> WheelAnalysis:
             raise StructureViolation("lemma3", (idx, t.edges))
         if len(r) < n and len(b) < 2:
             raise StructureViolation("proposition3", (idx, len(r), len(b)))
-        viol = _observation1_violation(t)
+        viol = observation1_violation(t)
         if viol is not None:
             raise StructureViolation("observation1", (idx, *viol))
         four = None
@@ -341,10 +321,8 @@ def analyze_wheel_partition(p: Partition) -> WheelAnalysis:
         if four is None:
             raise StructureViolation("lemma5", (idx, spoke))
         stats[idx] = TreeStats(b, r, four)
-    keeper_stats = stats[keeper]
-    keeper_run = [e[0] for e in radial_edges(p.trees[keeper])]
-    if keeper_stats.radial_count != n or not _is_consecutive_run(keeper_run, m, n):
-        raise StructureViolation("lemma4", (keeper, keeper_stats.radial_count))
+    if stats[keeper].radial_count != n:  # its run was checked with proposition2
+        raise StructureViolation("lemma4", (keeper, stats[keeper].radial_count))
     return WheelAnalysis(
         one_boundary_tree=keeper,
         radial_run=tuple(radial_edges(p.trees[keeper])),

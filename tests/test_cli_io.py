@@ -185,6 +185,25 @@ def test_cli_classify(tmp_path, capsys):
     assert payload["p4_symmetric"]["type"] == 2
 
 
+def test_cli_classify_long_path(tmp_path, capsys):
+    tree = tmp_path / "p3000.edges"
+    tree.write_text(emit_edgelist(tuple((i, i + 1) for i in range(2999))))
+    assert run_cli("classify", "--input", "wheel1500", "--tree", str(tree), "--json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["is_path"] is True and payload["symmetric"] == {"edge": [1499, 1500]}
+
+
+def test_cli_seed_belongs_to_generate(capsys):
+    texts = []
+    for _ in range(2):
+        assert run_cli("generate", "--config", "random8", "--seed", "3") == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] and texts[0].startswith("pointset 8 convex")
+    with pytest.raises(SystemExit) as exc:
+        main(["halving", "--input", "wheel3", "--seed", "3"])
+    assert exc.value.code == 2
+
+
 def test_cli_wheel_partition(tmp_path, wheel3, capsys):
     out = tmp_path / "parts"
     code = run_cli("wheel-partition", "--n", "3", "--tree", "builtin:fig2i",

@@ -1,3 +1,5 @@
+import random
+
 import networkx as nx
 import pytest
 
@@ -6,7 +8,9 @@ from planetrees import (GeomTree, InvalidParameter, NotATree, NotWheelConfig,
                         is_plane, is_spanning_tree, make_wheel, radial_edges,
                         tree_canon, unique_path)
 from planetrees.presets import builtin_tree, figure_pointset
-from planetrees.tree_taxonomy import is_caterpillar_edges, is_w_caterpillar
+from planetrees.tree_taxonomy import (TreeIndex, adjacency, as_edges,
+                                      is_caterpillar_edges, is_w_caterpillar,
+                                      p4_witness_paths, preferred_p4_witness)
 
 
 def path_edges(k):
@@ -134,3 +138,165 @@ def test_unique_path_fig2i(wheel3):
 def test_classify_works_on_geomtrees(wheel3):
     t = GeomTree(wheel3, builtin_tree("fig2i", 3))
     assert classify(t).w_caterpillar
+
+
+# ---------------------------------------------------------------------------
+# the TreeIndex kernel against a brute-force copy of the definition
+
+def _bf_component(adj, start, skip):
+    seen, stack = {start}, [start]
+    while stack:
+        v = stack.pop()
+        for u in adj[v]:
+            if u not in seen and frozenset((u, v)) not in skip:
+                seen.add(u)
+                stack.append(u)
+    return seen
+
+
+def _bf_canon(adj, v, parent, skip):
+    return "(" + "".join(sorted(_bf_canon(adj, u, v, skip) for u in adj[v]
+                                if u != parent and frozenset((u, v)) not in skip)) + ")"
+
+
+def bf_p4_witnesses(edges):
+    """Every (type, 4-path, component of u3): delete the three path edges,
+    BFS the components, compare rooted canon strings."""
+    adj = adjacency(edges)
+    found = []
+    for u1 in adj:
+        if len(adj[u1]) != 1:
+            continue
+        (u2,) = adj[u1]
+        for u3 in adj[u2] - {u1}:
+            for u4 in adj[u3] - {u1, u2}:
+                skip = {frozenset(e) for e in ((u1, u2), (u2, u3), (u3, u4))}
+                c2, c3, c4 = (_bf_component(adj, u, skip) for u in (u2, u3, u4))
+                path = (u1, u2, u3, u4)
+                if len(adj) == 4:
+                    if len(c2) == len(c3) == len(c4) == 1:
+                        found.append((None, path, c3))
+                    continue
+                canon3 = _bf_canon(adj, u3, None, skip)
+                if (len(c4) == 1 and len(c2) == len(c3) > 1
+                        and canon3 == _bf_canon(adj, u2, None, skip)):
+                    found.append((1, path, c3))
+                if (len(c2) == 1 and len(c4) == len(c3) > 1
+                        and canon3 == _bf_canon(adj, u4, None, skip)):
+                    found.append((2, path, c3))
+    return found
+
+
+def bf_symmetric_edges(edges):
+    adj = adjacency(edges)
+    out = []
+    for v, w in edges:
+        skip = {frozenset((v, w))}
+        if _bf_canon(adj, v, None, skip) == _bf_canon(adj, w, None, skip):
+            out.append(((v, w), _bf_component(adj, v, skip), _bf_component(adj, w, skip)))
+    return out
+
+
+def bf_rank(edges, witness):
+    typ, path, _ = witness
+    compatible = (is_caterpillar_edges(edges)
+                  or is_caterpillar_edges(e for e in edges if path[0] not in e))
+    return (not compatible, typ == 2, path)
+
+
+def assert_iso(edges, iso, domain, image, root, partner):
+    """iso is a bijection domain -> image, root -> partner, edges onto edges."""
+    es = set(edges)
+    assert set(iso) == domain and set(iso.values()) == image
+    assert iso[root] == partner
+    inner = [(a, b) for a, b in edges if a in domain and b in domain]
+    assert all(tuple(sorted((iso[a], iso[b]))) in es for a, b in inner)
+    assert len(inner) == len(domain) - 1
+
+
+def shuffled_trees(kmax, rng):
+    for k in range(2, kmax + 1):
+        for g in nx.nonisomorphic_trees(k):
+            label = list(range(100, 100 + k))
+            rng.shuffle(label)
+            yield as_edges((label[a], label[b]) for a, b in g.edges())
+
+
+def test_kernel_matches_brute_force_on_all_small_trees():
+    rng = random.Random(7)
+    for edges in shuffled_trees(12, rng):
+        adj = adjacency(edges)
+        brute = bf_p4_witnesses(edges)
+        assert p4_witness_paths(edges) == sorted(
+            ((typ, path) for typ, path, _ in brute), key=lambda w: w[1]), edges
+
+        preferred = preferred_p4_witness(edges)
+        assert is_w_caterpillar(edges) == any(not bf_rank(edges, w)[0] for w in brute)
+        if not brute:
+            assert preferred is None
+        else:
+            typ, path, comp = min(brute, key=lambda w: bf_rank(edges, w))
+            assert (preferred.type, preferred.path) == (typ, path), edges
+            u1, u2, u3, u4 = path
+            partner = u4 if typ == 2 else u2
+            skip = {frozenset(e) for e in ((u1, u2), (u2, u3), (u3, u4))}
+            image = _bf_component(adj, partner, skip)
+            assert_iso(edges, preferred.iso_witness, comp, image, u3, partner)
+
+        index = TreeIndex(edges)
+        for u1 in (v for v, nb in adj.items() if len(nb) == 1):
+            (u2,) = adj[u1]
+            for u3 in adj[u2] - {u1}:
+                assert index.compatible((u1, u2, u3, None)) == (
+                    is_caterpillar_edges(edges)
+                    or is_caterpillar_edges(e for e in edges if u1 not in e))
+
+        sym = classify(edges).symmetric
+        brute_sym = bf_symmetric_edges(edges)
+        assert (sym is not None) == bool(brute_sym), edges
+        if sym is not None:
+            (e, side_v, side_w), = brute_sym
+            assert sym.edge == e
+            assert_iso(edges, sym.iso_witness, side_v, side_w, *e)
+
+
+def test_tree_canon_separates_small_trees():
+    rng = random.Random(11)
+    for k in range(2, 12):
+        trees = [tuple(g.edges()) for g in nx.nonisomorphic_trees(k)]
+        canons = [tree_canon(t) for t in trees]
+        assert len(set(canons)) == len(trees), k
+        for t, canon in zip(trees, canons):
+            label = list(range(k))
+            rng.shuffle(label)
+            assert tree_canon([(label[a], label[b]) for a, b in t]) == canon
+
+
+def test_designated_path_must_be_a_witness():
+    chair = builtin_tree("fig2i", 3)
+    for typ, path in p4_witness_paths(chair):
+        w = preferred_p4_witness(chair, list(path))
+        assert (w.type, w.path) == (typ, path)
+    assert preferred_p4_witness(chair, (0, 4, 1, 5)) is None
+
+
+def test_tree_index_rejects_non_trees():
+    for bad in ((), ((0, 1), (1, 2), (0, 2)), ((0, 1), (0, 1)), ((0, 1), (2, 3))):
+        with pytest.raises(NotATree):
+            TreeIndex(as_edges(bad))
+
+
+# ---------------------------------------------------------------------------
+# deep trees: nothing recurses
+
+def test_tree_canon_on_a_long_path():
+    canon = tree_canon(path_edges(1500))
+    assert len(canon) == 2 * 1500 and canon.startswith("((")
+
+
+def test_classify_on_a_long_path():
+    rep = classify(path_edges(3000))
+    assert rep.is_path and rep.caterpillar and rep.s_k == (2996, 1, 1)
+    assert rep.p4_symmetric is None and not rep.w_caterpillar
+    assert rep.symmetric is not None and rep.symmetric.edge == (1499, 1500)
+    assert rep.symmetric.iso_witness[0] == 2999

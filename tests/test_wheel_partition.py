@@ -3,10 +3,11 @@ import pytest
 from planetrees import (GeomTree, InvalidParameter, NotAPartition, NotATree,
                         NotWCaterpillar, NotWheelConfig, Partition, SizeMismatch,
                         analyze_wheel_partition, build_wheel_partition,
-                        check_note1, make_wheel, observation1_splits,
+                        check_note1, classify, make_wheel, observation1_splits,
                         place_caterpillar_on_chain, rotate_tree,
                         verify_partition)
 from planetrees.presets import builtin_tree, figure_pointset
+from planetrees.tree_taxonomy import TreeIndex
 
 from conftest import regular_gon
 
@@ -128,6 +129,24 @@ def test_designated_four_path():
     assert alt.trees == default.trees
     with pytest.raises(NotWCaterpillar):
         build_wheel_partition(CHAIR, 3, four_path=(0, 4, 1, 5))
+
+
+@pytest.mark.parametrize("run", [
+    lambda: build_wheel_partition(builtin_tree("doublestar", 6), 6),
+    lambda: build_wheel_partition(CHAIR, 3, four_path=(5, 1, 4, 2)),
+    lambda: classify(builtin_tree("doublestar", 6)),
+])
+def test_tree_index_built_once(monkeypatch, run):
+    calls = []
+    init = TreeIndex.__init__
+
+    def counted(self, edges):
+        calls.append(edges)
+        init(self, edges)
+
+    monkeypatch.setattr(TreeIndex, "__init__", counted)
+    run()
+    assert len(calls) == 1
 
 
 def test_builder_errors():
