@@ -8,9 +8,10 @@ from .errors import (DegenerateInput, HypothesisViolated, InvalidChoices,
                      NotWheelConfig, NoWLabeling, OddPointCount, ParseError,
                      PlaneTreesError, SideViolation, SizeMismatch,
                      StructureViolation, TooLarge)
-from .geom_core import (Orientation, Point, PointSet, collinear_triple,
-                        convex_hull, edge, make_wheel, orientation,
-                        segments_cross, wheel_crossing, wheel_n)
+from .geom_core import (CyclicOrder, Orientation, Point, PointSet,
+                        collinear_triple, convex_hull, cyclic_order, edge,
+                        make_wheel, orientation, segments_cross,
+                        wheel_crossing, wheel_n)
 from .halving import (HalvingLine, HalvingProfile, HLabeling,
                       HypothesisReport, WLabeling, balance,
                       check_theorem3_hypothesis, check_theorem4_hypothesis,

@@ -449,7 +449,8 @@ def _cmd_verify(args) -> int:
     ps = load_pointset(args.input)
     p = parse_partition(Path(args.partition).read_text(), ps)
     report = verify_partition(p)
-    payload = {"ok": report.ok, "reason": report.reason, "witness": report.witness}
+    payload = {"ok": report.ok, "reason": report.reason, "witness": report.witness,
+               "predicate": report.predicate}
     human = "pass" if report.ok else f"fail: {report.reason} ({report.witness})"
     _emit_report(args, payload, human)
     return 0 if report.ok else 1

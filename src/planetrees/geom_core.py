@@ -1,12 +1,18 @@
-"""Points, predicates, and the regular wheel configuration.
+"""Points, predicates, the regular wheel configuration, and cyclic orders.
 
 Coordinates are plain floats. The orientation predicate classifies a
 near-zero determinant as collinear (tolerance scaled by the squared
 coordinate magnitude) and the callers that require general position
-raise DegenerateInput instead of guessing. Combinatorial questions on
-wheel configurations are answered by wheel_crossing with exact integer
-index arithmetic, so the numeric predicate is only needed for general
-point sets and for cross-validation.
+raise DegenerateInput instead of guessing.
+
+A configuration tag is a claim, not a fact. cyclic_order checks it
+once per PointSet with O(n) orientation calls: a wheel<n> tag earns
+the exact integer index arithmetic of wheel_crossing only when the
+coordinates confirm it (make_wheel's sets are wheels by construction),
+and a set without a wheel tag gets a cyclic order when a strict hull
+pass finds every point on the hull. On such an order CyclicOrder.plane
+decides whether an edge set is crossing-free in O(E log E); a set with
+no order is left to the pairwise predicates.
 """
 from __future__ import annotations
 
@@ -14,6 +20,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable
 
 from .errors import DegenerateInput, InvalidParameter
@@ -24,6 +31,9 @@ GeomEdge = tuple[int, int]
 ORIENTATION_TOL = 1e-9
 
 _WHEEL_TAG = re.compile(r"^wheel([0-9]+)$")
+
+# PointSet.__dict__ key of the cached cyclic order (as halving's profile)
+_ORDER_ATTR = "_cyclic_order"
 
 
 @dataclass(frozen=True)
@@ -153,7 +163,11 @@ def make_wheel(n: int, radius: float = 1.0, seed_angle: float | None = None) -> 
         for i in range(m)
     ) + ((0.0, 0.0),)
     labels = tuple(f"v{i}" for i in range(m)) + ("x",)
-    return PointSet(points=pts, config_tag=f"wheel{n}", labels=labels)
+    ps = PointSet(points=pts, config_tag=f"wheel{n}", labels=labels)
+    # a wheel by construction; checking it with the tolerance-based
+    # orientation would refute it from n = 3143 on
+    ps.__dict__[_ORDER_ATTR] = _wheel_order(n)
+    return ps
 
 
 def wheel_n(ps: PointSet) -> int | None:
@@ -191,13 +205,20 @@ def convex_hull(ps: PointSet) -> list[int]:
     bad = collinear_triple(ps.points)
     if bad is not None:
         raise DegenerateInput(f"collinear triple {bad}")
-    order = sorted(range(len(ps)), key=lambda i: ps.points[i])
+    return _strict_hull(ps.points)
+
+
+def _strict_hull(points: tuple[Point, ...]) -> list[int]:
+    """Monotone chain keeping only strict (CCW) turns: the vertices of the
+    hull, anticlockwise from the lexicographic minimum. Points on a hull
+    edge, or repeated, are left out."""
+    order = sorted(range(len(points)), key=lambda i: points[i])
 
     def half(indices: list[int]) -> list[int]:
         out: list[int] = []
         for i in indices:
             while len(out) >= 2 and orientation(
-                    ps.points[out[-2]], ps.points[out[-1]], ps.points[i]) is not Orientation.CCW:
+                    points[out[-2]], points[out[-1]], points[i]) is not Orientation.CCW:
                 out.pop()
             out.append(i)
         return out
@@ -205,3 +226,137 @@ def convex_hull(ps: PointSet) -> list[int]:
     lower = half(order)
     upper = half(order[::-1])
     return lower[:-1] + upper[:-1]
+
+
+@dataclass(frozen=True)
+class CyclicOrder:
+    """Positions of a PointSet's circle points around a strictly convex
+    polygon, anticlockwise.
+
+    On a verified wheel<n> set pos[i] == i for the 2n-1 circle points,
+    the centre (index 2n-1) has pos -1, and wheel == n. On a set in
+    convex position every point is on the circle and wheel is None.
+    """
+
+    pos: tuple[int, ...]
+    size: int  # points on the circle
+    wheel: int | None = None
+
+    @property
+    def kind(self) -> str:
+        return "convex-order" if self.wheel is None else "wheel-index"
+
+    def neighbours(self, a: int, b: int) -> bool:
+        """a and b are consecutive on the circle (a hull edge)."""
+        if not (0 <= a < len(self.pos) and 0 <= b < len(self.pos)):
+            return False
+        pa, pb = self.pos[a], self.pos[b]
+        return pa >= 0 and pb >= 0 and (pb - pa) % self.size in (1, self.size - 1)
+
+    def plane(self, edges: Iterable[GeomEdge]) -> bool:
+        """True iff no two of the edges cross.
+
+        Chords of a strictly convex polygon cross iff their position
+        intervals interleave, so after sorting by (start, -end) a stack of
+        open interval ends finds any pair that neither nests nor is
+        disjoint. A spoke to circle point s (wheel only) crosses a chord
+        iff s lies strictly inside the chord's short arc, the side away
+        from the centre; a difference array counts the chords over each
+        position. Also False when an index is no point of the set or an
+        edge is a loop, so that the caller's pairwise scan reports it.
+        """
+        pos, m = self.pos, self.size
+        npts = len(pos)
+        chords: list[tuple[int, int]] = []  # (start, -end)
+        spokes: list[int] = []
+        for a, b in edges:
+            if not (0 <= a < npts and 0 <= b < npts) or a == b:
+                return False
+            pa, pb = pos[a], pos[b]
+            if pa < 0 or pb < 0:
+                spokes.append(max(pa, pb))
+            else:
+                chords.append((pa, -pb) if pa < pb else (pb, -pa))
+        chords.sort()
+        ends: list[int] = []
+        for lo, neg_hi in chords:
+            while ends and ends[-1] <= lo:
+                ends.pop()
+            if ends and ends[-1] < -neg_hi:
+                return False
+            ends.append(-neg_hi)
+        if not spokes:
+            return True
+        diff = [0] * (m + 1)
+        for lo, neg_hi in chords:
+            hi = -neg_hi
+            if 2 * (hi - lo) < m:  # short arc lo+1 .. hi-1
+                diff[lo + 1] += 1
+                diff[hi] -= 1
+            else:  # short arc hi+1 .. m-1, 0 .. lo-1
+                diff[hi + 1] += 1
+                diff[0] += 1
+                diff[lo] -= 1
+        covered = list(accumulate(diff))
+        return not any(covered[s] for s in spokes)
+
+
+def cyclic_order(ps: PointSet) -> CyclicOrder | None:
+    """The verified cyclic order of ps, built on first use and kept on ps.
+
+    A wheel<n> tag yields a "wheel-index" order only when the coordinates
+    confirm it (make_wheel's sets are wheels by construction and carry
+    their order from the start); a set without a wheel tag yields a "convex-order" order
+    when every point is a strict hull vertex. Otherwise (a wheel tag the
+    coordinates refute included) None. Raises InvalidParameter when a
+    wheel tag disagrees with the point count.
+    """
+    if _ORDER_ATTR not in ps.__dict__:
+        ps.__dict__[_ORDER_ATTR] = _build_order(ps)
+    return ps.__dict__[_ORDER_ATTR]
+
+
+def _wheel_order(n: int) -> CyclicOrder:
+    m = 2 * n - 1
+    return CyclicOrder(tuple(range(m)) + (-1,), m, n)
+
+
+def _build_order(ps: PointSet) -> CyclicOrder | None:
+    n = wheel_n(ps)
+    if n is not None:
+        return _wheel_order(n) if _is_wheel(ps.points, n) else None
+    if len(ps) < 3:
+        return None
+    hull = _strict_hull(ps.points)
+    if len(hull) != len(ps):
+        return None
+    pos = [0] * len(ps)
+    for k, i in enumerate(hull):
+        pos[i] = k
+    return CyclicOrder(tuple(pos), len(ps))
+
+
+def _is_wheel(points: tuple[Point, ...], n: int) -> bool:
+    """The 2n-1 circle points are a strictly convex polygon wound once
+    anticlockwise in index order, and the centre (last point) lies
+    strictly on the long side of every chord.
+
+    Every turn v_i v_{i+1} v_{i+2} and every fan triangle v_0 v_i v_{i+1}
+    anticlockwise make the polygon strictly convex and wound once. The
+    centre strictly left of every boundary edge and every near-diameter
+    v_i v_{i+n-1} suffices for all chords: each chord's short side lies
+    inside some near-diameter's short side.
+    """
+    m = 2 * n - 1
+    circle, centre = points[:m], points[m]
+    ccw = Orientation.CCW
+
+    def left(p: Point, q: Point, r: Point) -> bool:
+        return orientation(p, q, r) is ccw
+
+    return (all(left(circle[i], circle[(i + 1) % m], circle[(i + 2) % m])
+                for i in range(m))
+            and all(left(circle[0], circle[i], circle[i + 1]) for i in range(1, m - 1))
+            and all(left(circle[i], circle[(i + 1) % m], centre)
+                    and left(circle[i], circle[(i + n - 1) % m], centre)
+                    for i in range(m)))

@@ -2,9 +2,14 @@
 caterpillars, P4-symmetric trees, w-caterpillars, and symmetric trees.
 
 All classification is purely combinatorial; geometry enters only through
-is_plane / boundary_edges / radial_edges. Functions accepting a tree take
-a GeomTree, a bare iterable of index pairs (the wheel builder works on
-abstract trees) or, to ask several questions of one tree, its TreeIndex.
+crossing_pair / is_plane / boundary_edges / radial_edges. The first
+three read the point set's verified cyclic order (geom_core.cyclic_order):
+wheel index arithmetic runs only after the coordinates have confirmed
+the wheel<n> tag, and a set without an order falls back to coordinate
+predicates. radial_edges reads the tag, as it names the centre by index.
+Functions accepting a tree take a GeomTree, a bare iterable of index
+pairs (the wheel builder works on abstract trees) or, to ask several
+questions of one tree, its TreeIndex.
 
 A TreeIndex holds the size and AHU canon id of the far side of every
 directed edge, so a rooted-isomorphism question is an integer comparison.
@@ -25,8 +30,8 @@ from itertools import combinations
 from typing import Collection, Iterable, Union
 
 from .errors import InvalidParameter, NotATree, NotWheelConfig
-from .geom_core import (GeomEdge, PointSet, convex_hull, edge, segments_cross,
-                        wheel_crossing, wheel_n)
+from .geom_core import (GeomEdge, PointSet, convex_hull, cyclic_order, edge,
+                        segments_cross, wheel_crossing, wheel_n)
 
 
 @dataclass(frozen=True)
@@ -390,8 +395,19 @@ def is_spanning_tree(t: GeomTree) -> bool:
 
 
 def crossing_pair(ps: PointSet, edges) -> tuple[GeomEdge, GeomEdge] | None:
-    """The first two edges that cross; exact index arithmetic on wheel configurations."""
-    n = wheel_n(ps)
+    """The first two edges, in combinations order, that cross; None if none do.
+
+    On a PointSet with a cyclic order (geom_core.cyclic_order) a
+    crossing-free edge set is recognised in O(E log E). The pairwise scan
+    runs only without an order, or to name the first crossing pair, with
+    wheel_crossing's index arithmetic on a verified wheel and coordinates
+    otherwise.
+    """
+    edges = tuple(edges)
+    order = cyclic_order(ps)
+    if order is not None and order.plane(edges):
+        return None
+    n = order.wheel if order is not None else None
     for e1, e2 in combinations(edges, 2):
         if wheel_crossing(e1, e2, n) if n is not None else segments_cross(e1, e2, ps):
             return (e1, e2)
@@ -446,11 +462,9 @@ def classify(t: TreeLike) -> TreeClassReport:
 
 def boundary_edges(t: GeomTree) -> list[GeomEdge]:
     """Edges of t joining consecutive hull vertices of t's point set."""
-    n = wheel_n(t.ps)
-    if n is not None:
-        m = 2 * n - 1
-        return [e for e in t.edges
-                if e[1] < m and (e[1] - e[0]) % m in (1, m - 1)]
+    order = cyclic_order(t.ps)
+    if order is not None:
+        return [e for e in t.edges if order.neighbours(*e)]
     hull = convex_hull(t.ps)
     hull_pairs = {edge(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))}
     return [e for e in t.edges if e in hull_pairs]

@@ -3,7 +3,10 @@ brute-force enumerator small enough to trust by inspection.
 
 verify_partition never raises on mathematically wrong input; it returns
 a report naming the first failed check (coverage, then spanning, then
-plane) with a concrete witness. The enumerator assigns edges of K_2n to
+plane) with a concrete witness, and which planarity predicate ran:
+"wheel-index" on a verified wheel, "convex-order" on a set in convex
+position (both through the point set's cyclic order), or "pairwise"
+coordinate tests. The enumerator assigns edges of K_2n to
 tree slots in lexicographic order with first-free-slot symmetry
 breaking, so each unordered partition appears exactly once.
 """
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import OddPointCount, TooLarge
-from .geom_core import PointSet, segments_cross, wheel_crossing, wheel_n
+from .geom_core import PointSet, cyclic_order, segments_cross, wheel_crossing
 from .tree_taxonomy import GeomTree, crossing_pair, is_spanning_tree
 from .wheel_partition import Partition, observation1_violation, observation1_splits
 
@@ -24,6 +27,7 @@ class VerifyReport:
     ok: bool
     reason: str | None = None
     witness: object = None
+    predicate: str | None = None  # None: the planarity check was not reached
 
     def __bool__(self) -> bool:
         return self.ok
@@ -47,11 +51,13 @@ def verify_partition(p: Partition) -> VerifyReport:
     for i, t in enumerate(p.trees):
         if not is_spanning_tree(t):
             return VerifyReport(False, "spanning", i)
+    order = cyclic_order(p.ps)
+    predicate = "pairwise" if order is None else order.kind
     for i, t in enumerate(p.trees):
         bad = crossing_pair(p.ps, t.edges)
         if bad is not None:
-            return VerifyReport(False, "plane", (i, *bad))
-    return VerifyReport(True)
+            return VerifyReport(False, "plane", (i, *bad), predicate)
+    return VerifyReport(True, predicate=predicate)
 
 
 def check_observation1(t: GeomTree) -> VerifyReport:
@@ -80,7 +86,8 @@ def brute_force_partitions(ps: PointSet, limit: int | None = 10_000) -> list[tup
         raise TooLarge("n=4 enumeration requires an explicit limit")
 
     edges = sorted(combinations(range(npts), 2))
-    wheel = wheel_n(ps)
+    order = cyclic_order(ps)
+    wheel = order.wheel if order is not None else None
     cross = [[False] * len(edges) for _ in edges]
     for i, e1 in enumerate(edges):
         for j in range(i + 1, len(edges)):

@@ -140,11 +140,17 @@ def place_caterpillar_on_chain(c: TreeLike, ps: PointSet, chain: list[int],
 # ---------------------------------------------------------------------------
 # Theorem 1 converse
 
+def _tagged_n(ps: PointSet) -> int:
+    """The n of ps's wheel<n> tag; NotWheelConfig without one."""
+    n = wheel_n(ps)
+    if n is None:
+        raise NotWheelConfig(f"config tag {ps.config_tag!r} is not a wheel")
+    return n
+
+
 def rotate_tree(t: GeomTree, steps: int) -> GeomTree:
     """Rotate every circle index by steps (mod 2n-1); the center stays put."""
-    n = wheel_n(t.ps)
-    if n is None:
-        raise NotWheelConfig(f"config tag {t.ps.config_tag!r} is not a wheel")
+    n = _tagged_n(t.ps)
     m = 2 * n - 1
     center = 2 * n - 1
     rot = tuple(
@@ -223,9 +229,7 @@ def _has_run(labels: list[int], m: int, want: int) -> bool:
 # analysis of claimed partitions
 
 def _require_valid(p: Partition) -> int:
-    n = wheel_n(p.ps)
-    if n is None:
-        raise NotWheelConfig(f"config tag {p.ps.config_tag!r} is not a wheel")
+    n = _tagged_n(p.ps)
     if len(p.trees) != n:
         raise NotAPartition(f"{len(p.trees)} trees, expected {n}")
     all_edges = [e for t in p.trees for e in t.edges]
@@ -253,27 +257,31 @@ def _lemma5_four_path(edges: set[GeomEdge], i: int, n: int) -> tuple[int, int, i
 
 def observation1_splits(t: GeomTree) -> list[tuple[GeomEdge, tuple[int, ...], tuple[int, ...]]]:
     """(edge, A, A(x)) for every non-radial edge; A is the small side."""
-    n = wheel_n(t.ps)
-    if n is None:
-        raise NotWheelConfig(f"config tag {t.ps.config_tag!r} is not a wheel")
-    m = 2 * n - 1
-    center = 2 * n - 1
-    out = []
-    for a, b in t.edges:
-        if center in (a, b):
-            continue
-        ccw = tuple((a + i) % m for i in range(1, (b - a) % m))
-        cw = tuple((b + i) % m for i in range(1, (a - b) % m))
-        small, big = sorted((ccw, cw), key=len)
-        out.append(((a, b), small, big + (center,)))
-    return out
+    m = 2 * _tagged_n(t.ps) - 1  # also the centre's index
+    return [_split(a, b, m) for a, b in t.edges if m not in (a, b)]
+
+
+def _split(a: int, b: int, m: int) -> tuple[GeomEdge, tuple[int, ...], tuple[int, ...]]:
+    ccw = tuple((a + i) % m for i in range(1, (b - a) % m))
+    cw = tuple((b + i) % m for i in range(1, (a - b) % m))
+    small, big = sorted((ccw, cw), key=len)
+    return ((a, b), small, big + (m,))
 
 
 def observation1_violation(t: GeomTree) -> tuple | None:
-    n = wheel_n(t.ps)
-    for e, small, big in observation1_splits(t):
-        if not (len(small) < len(big) and len(small) <= n - 2 and len(big) >= n):
-            return (e, small, big)
+    """The first non-radial edge whose split breaks Observation 1, as
+    observation1_splits spells it; the side lengths are (b - a) mod m
+    arithmetic, so only a violating edge's sides are listed."""
+    n = _tagged_n(t.ps)
+    m = 2 * n - 1  # also the centre's index
+    for a, b in t.edges:
+        if m in (a, b):
+            continue
+        ccw = max((b - a) % m - 1, 0)
+        cw = max((a - b) % m - 1, 0)
+        small, big = (ccw, cw + 1) if ccw <= cw else (cw, ccw + 1)
+        if not (small < big and small <= n - 2 and big >= n):
+            return _split(a, b, m)
     return None
 
 

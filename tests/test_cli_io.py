@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from planetrees import (InvariantViolation, ParseError, build_wheel_partition,
-                        make_wheel, verify_partition)
+from planetrees import (InvariantViolation, ParseError, PointSet,
+                        build_wheel_partition, make_wheel, verify_partition)
 from planetrees.cli_io import (RenderStyle, emit_edgelist, emit_partition,
                                emit_pointset, load_pointset, main,
                                parse_edgelist, parse_partition, parse_pointset,
@@ -277,6 +277,8 @@ def test_cli_verify_and_exit_codes(tmp_path, capsys):
     part = out / "partition.txt"
     assert run_cli("verify", "--input", "wheel3", "--partition", str(part)) == 0
     assert capsys.readouterr().out.strip() == "pass"
+    assert run_cli("verify", "--input", "wheel3", "--partition", str(part), "--json") == 0
+    assert json.loads(capsys.readouterr().out)["predicate"] == "wheel-index"
 
     broken = tmp_path / "broken.txt"
     text = part.read_text().splitlines()
@@ -289,11 +291,27 @@ def test_cli_verify_and_exit_codes(tmp_path, capsys):
                    "--json") == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is False and payload["reason"] == "spanning"
+    assert payload["predicate"] is None
 
     garbled = tmp_path / "garbled.txt"
     garbled.write_text("partition nope\n")
     assert run_cli("verify", "--input", "wheel3", "--partition", str(garbled)) == 2
     assert "ParseError" in capsys.readouterr().err
+
+
+def test_cli_verify_refutes_unearned_wheel_tag(tmp_path, capsys):
+    p = build_wheel_partition(builtin_tree("doublestar", 4), 4)
+    pts = list(p.ps.points)
+    pts[0], pts[3] = pts[3], pts[0]
+    points = tmp_path / "swapped.points"
+    points.write_text(emit_pointset(PointSet(tuple(pts), "wheel4")))
+    part = tmp_path / "partition.txt"
+    part.write_text(emit_partition(p))
+    assert run_cli("verify", "--input", str(points), "--partition", str(part),
+                   "--json") == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["reason"] == "plane" and payload["witness"] == [0, [0, 1], [2, 5]]
+    assert payload["predicate"] == "pairwise"
 
 
 def test_cli_oracle(tmp_path, capsys):

@@ -4,11 +4,13 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from planetrees import (DegenerateInput, InvalidParameter, Orientation,
-                        PointSet, collinear_triple, convex_hull, edge,
-                        make_wheel, orientation, segments_cross,
-                        wheel_crossing, wheel_n)
+from planetrees import (DegenerateInput, GeomTree, InvalidParameter,
+                        Orientation, PointSet, collinear_triple, convex_hull,
+                        cyclic_order, edge, is_plane, make_wheel, orientation,
+                        segments_cross, wheel_crossing, wheel_n)
 from planetrees.presets import figure_pointset
+
+from conftest import regular_gon
 
 
 def test_orientation_signs():
@@ -136,3 +138,48 @@ def test_wheel_labels_cover_circle(n, seed):
     ps = make_wheel(n, seed_angle=seed)
     hull = convex_hull(ps)
     assert sorted(hull) == list(range(2 * n - 1))
+
+
+@given(st.integers(min_value=2, max_value=40), st.floats(min_value=-math.pi, max_value=math.pi))
+def test_cyclic_order_earns_wheel_tag(n, seed):
+    ps = make_wheel(n, seed_angle=seed)
+    order = cyclic_order(PointSet(ps.points, ps.config_tag))
+    assert order == cyclic_order(ps)
+    assert order.kind == "wheel-index" and order.wheel == n
+    assert order.pos == tuple(range(2 * n - 1)) + (-1,)
+
+
+def test_make_wheel_carries_its_order():
+    # far past the size at which orientation's tolerance reads neighbouring
+    # circle turns as collinear, make_wheel's set is still a wheel
+    ps = make_wheel(4000)
+    assert cyclic_order(ps).kind == "wheel-index"
+    assert is_plane(GeomTree(ps, ((0, 1), (1, 2), (2, 3))))
+
+
+def test_cyclic_order_refutes_wheel_tag():
+    base = make_wheel(4).points
+    # the {7/3} star: every turn is a left turn and the centre is left of
+    # every edge and near-diameter, but the circle is wound three times
+    star = tuple(base[3 * i % 7] for i in range(7)) + base[7:]
+    assert cyclic_order(PointSet(star, "wheel4")) is None
+    swapped = (base[3],) + base[1:3] + (base[0],) + base[4:]
+    assert cyclic_order(PointSet(swapped, "wheel4")) is None
+    # a wheel tag is never read as convex position, and must match the count
+    assert cyclic_order(PointSet(base[:7] + ((9.0, 9.0),), "wheel4")) is None
+    with pytest.raises(InvalidParameter):
+        cyclic_order(PointSet(base[:6], "wheel4"))
+
+
+def test_cyclic_order_convex_position():
+    ps = PointSet(regular_gon(6).points[::-1], "general")
+    order = cyclic_order(ps)
+    assert order.kind == "convex-order" and order.wheel is None
+    # positions run anticlockwise from the lexicographic minimum
+    assert [order.pos[i] for i in convex_hull(ps)] == list(range(6))
+    inside = PointSet(regular_gon(6).points + ((0.1, 0.05),), "convex")
+    on_edge = PointSet(((0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 1.0)), "convex")
+    repeated = PointSet(((0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)), "convex")
+    for ps in (inside, on_edge, repeated, PointSet(((0.0, 0.0), (1.0, 0.0)))):
+        assert cyclic_order(ps) is None
+    assert cyclic_order(figure_pointset("fig5")) is None

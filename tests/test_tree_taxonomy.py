@@ -1,16 +1,25 @@
+import math
 import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
 
 from planetrees import (GeomTree, InvalidParameter, NotATree, NotWheelConfig,
-                        boundary_edges, build_wheel_partition, classify,
-                        is_plane, is_spanning_tree, make_wheel, radial_edges,
-                        tree_canon, unique_path)
+                        Partition, PointSet, analyze_wheel_partition, boundary_edges,
+                        build_wheel_partition, classify, is_plane,
+                        is_spanning_tree, make_wheel, radial_edges,
+                        segments_cross, theorem2_partition, tree_canon,
+                        unique_path, verify_partition, wheel_crossing)
+from planetrees import geom_core
+from planetrees.geom_core import cyclic_order
 from planetrees.presets import builtin_tree, figure_pointset
 from planetrees.tree_taxonomy import (TreeIndex, adjacency, as_edges,
-                                      is_caterpillar_edges, is_w_caterpillar,
-                                      p4_witness_paths, preferred_p4_witness)
+                                      crossing_pair, is_caterpillar_edges,
+                                      is_w_caterpillar, p4_witness_paths,
+                                      preferred_p4_witness)
+
+from conftest import random_convex, random_plane_convex_tree, regular_gon
 
 
 def path_edges(k):
@@ -125,6 +134,147 @@ def test_boundary_edges_general_positions():
     # hull of fig5 is [2, 5, 6, 1]; only hull-consecutive pairs count
     t = GeomTree(fig5, ((2, 5), (5, 6), (1, 2), (0, 1), (3, 4), (4, 6), (0, 7)))
     assert boundary_edges(t) == [(1, 2), (2, 5), (5, 6)]
+
+
+def swapped_wheel4() -> PointSet:
+    """make_wheel(4) with circle points 0 and 3 swapped, still tagged wheel4."""
+    pts = list(make_wheel(4).points)
+    pts[0], pts[3] = pts[3], pts[0]
+    return PointSet(tuple(pts), "wheel4")
+
+
+def test_boundary_edges_ignore_unearned_wheel_tag():
+    ps = swapped_wheel4()
+    assert cyclic_order(ps) is None
+    # index 0 now sits between 2 and 4 on the hull, index 3 between 6 and 1
+    t = GeomTree(ps, ((0, 1), (0, 2), (1, 3), (3, 4)))
+    assert boundary_edges(t) == [(0, 2), (1, 3)]
+
+
+def test_boundary_edges_convex_order():
+    ps = regular_gon(7)
+    t = GeomTree(ps, ((0, 6), (1, 2), (2, 5), (3, 4), (4, 6), (0, 3)))
+    assert cyclic_order(ps).kind == "convex-order"
+    assert boundary_edges(t) == [(0, 6), (1, 2), (3, 4)]
+
+
+def test_wheel_tag_needs_centre_on_long_side():
+    # the centre moved next to the edge v0 v1 is still inside the circle,
+    # but on the short side of the near-diameter v6 v1
+    base = make_wheel(4)
+    (x0, y0), (x1, y1) = base.points[:2]
+    pts = base.points[:7] + ((0.45 * (x0 + x1), 0.45 * (y0 + y1)),)
+    ps = PointSet(pts, "wheel4")
+    assert cyclic_order(ps) is None
+    # the spoke to v0 now stays inside the cap that v6 v1 cuts off
+    assert not is_plane(GeomTree(base, ((1, 6), (0, 7))))
+    assert is_plane(GeomTree(ps, ((1, 6), (0, 7))))
+
+
+def test_is_plane_refutes_unearned_wheel_tag():
+    p = build_wheel_partition(builtin_tree("doublestar", 4), 4)
+    ps = swapped_wheel4()
+    assert is_plane(p.trees[0])
+    assert not is_plane(GeomTree(ps, p.trees[0].edges))
+
+
+def pairwise_crossing(ps, edges, wheel):
+    """The crossing scan crossing_pair must agree with: first pair in
+    combinations order, index arithmetic on a wheel."""
+    for e1, e2 in combinations(edges, 2):
+        if wheel_crossing(e1, e2, wheel) if wheel else segments_cross(e1, e2, ps):
+            return (e1, e2)
+    return None
+
+
+def random_edge_sets(m, plane_trees, rng, count):
+    """Random subsets of K_m, plus plane trees with and without one extra edge."""
+    every = list(combinations(range(m), 2))
+    for _ in range(count):
+        yield rng.sample(every, rng.randint(0, min(len(every), m)))
+        tree = list(rng.choice(plane_trees))
+        rng.shuffle(tree)
+        yield tree
+        yield tree + [rng.choice(every)]
+
+
+def test_crossing_pair_matches_pairwise_on_wheels():
+    rng = random.Random(4)
+    for n in range(2, 10):
+        for _ in range(4):
+            ps = make_wheel(n, seed_angle=rng.uniform(-math.pi, math.pi))
+            assert cyclic_order(ps).kind == "wheel-index"
+            trees = [t.edges for t in build_wheel_partition(
+                builtin_tree("doublestar", n), n).trees]
+            for edges in random_edge_sets(2 * n, trees, rng, 25):
+                want = pairwise_crossing(ps, edges, n)
+                assert crossing_pair(ps, edges) == want
+                assert cyclic_order(ps).plane(edges) == (want is None)
+
+
+def test_crossing_pair_matches_pairwise_on_convex_sets():
+    rng = random.Random(5)
+    for m in range(3, 15):
+        for _ in range(3):
+            base = random_convex(m, rng).points
+            perm = list(range(m))
+            rng.shuffle(perm)
+            ps = PointSet(tuple(base[i] for i in perm), "general")
+            assert cyclic_order(ps).kind == "convex-order"
+            # plane trees in label space, mapped onto the shuffled labels
+            where = {old: new for new, old in enumerate(perm)}
+            trees = [[(where[a], where[b]) for a, b in random_plane_convex_tree(m, rng)]
+                     for _ in range(3)]
+            for edges in random_edge_sets(m, trees, rng, 25):
+                want = pairwise_crossing(ps, edges, None)
+                assert crossing_pair(ps, edges) == want
+                assert cyclic_order(ps).plane(edges) == (want is None)
+
+
+def test_crossing_pair_matches_pairwise_without_order():
+    rng = random.Random(6)
+    fig5 = figure_pointset("fig5")
+    assert cyclic_order(fig5) is None
+    every = list(combinations(range(len(fig5)), 2))
+    for _ in range(200):
+        edges = rng.sample(every, rng.randint(0, len(fig5)))
+        assert crossing_pair(fig5, edges) == pairwise_crossing(fig5, edges, None)
+
+
+def test_crossing_pair_keeps_pairwise_errors():
+    with pytest.raises(InvalidParameter):
+        crossing_pair(make_wheel(3), [(0, 1), (2, 9)])
+    with pytest.raises(InvalidParameter):
+        crossing_pair(regular_gon(6), [(0, 1), (2, 9)])
+
+
+def check_wheel_partition():
+    built = build_wheel_partition(builtin_tree("fig2i", 3), 3)
+    ps = PointSet(built.ps.points, "wheel3")  # a copy whose tag must be checked
+    p = Partition(ps, tuple(GeomTree(ps, t.edges) for t in built.trees))
+    analyze_wheel_partition(p)
+    verify_partition(p)
+
+
+def check_convex_partition():
+    p = theorem2_partition(regular_gon(10), 1)
+    verify_partition(p)
+    for t in p.trees:
+        boundary_edges(t)
+
+
+@pytest.mark.parametrize("run", [check_wheel_partition, check_convex_partition])
+def test_cyclic_order_built_once_per_point_set(monkeypatch, run):
+    calls = []
+    build = geom_core._build_order
+
+    def counted(ps):
+        calls.append(ps)
+        return build(ps)
+
+    monkeypatch.setattr(geom_core, "_build_order", counted)
+    run()
+    assert len(calls) == 1
 
 
 def test_unique_path_fig2i(wheel3):

@@ -2,8 +2,8 @@ import pytest
 
 from planetrees import (GeomTree, OddPointCount, Partition, TooLarge,
                         brute_force_partitions, build_wheel_partition,
-                        check_observation1, classify, make_wheel, tree_canon,
-                        verify_partition)
+                        check_observation1, classify, make_wheel,
+                        theorem2_partition, tree_canon, verify_partition)
 from planetrees.geom_core import PointSet
 from planetrees.presets import builtin_tree
 
@@ -59,6 +59,49 @@ def test_verify_plane_failure_square_diagonals():
     assert not rep
     assert rep.reason == "plane"
     assert rep.witness == (0, (0, 2), (1, 3))
+
+
+def permuted_wheel4(tag: str) -> Partition:
+    """A Wheel{4} partition with circle points 0 and 3 swapped."""
+    p = build_wheel_partition(builtin_tree("doublestar", 4), 4)
+    pts = list(p.ps.points)
+    pts[0], pts[3] = pts[3], pts[0]
+    ps = PointSet(tuple(pts), tag)
+    return Partition(ps, tuple(GeomTree(ps, t.edges) for t in p.trees))
+
+
+def test_verify_refutes_unearned_wheel_tag():
+    # the wheel4 tag no longer matches the coordinates, so it must not
+    # select index arithmetic: the verdict is the coordinates' verdict
+    tagged = verify_partition(permuted_wheel4("wheel4"))
+    general = verify_partition(permuted_wheel4("general"))
+    assert not tagged and tagged.reason == "plane"
+    assert tagged.witness == general.witness == (0, (0, 1), (2, 5))
+    assert tagged.predicate == general.predicate == "pairwise"
+
+
+def test_verify_reports_predicate():
+    assert verify_partition(
+        build_wheel_partition(builtin_tree("fig2i", 3), 3)).predicate == "wheel-index"
+    convex = theorem2_partition(regular_gon(8), 1)
+    assert verify_partition(convex).predicate == "convex-order"
+    # a convex tag is not trusted either: these points are not in convex position
+    dented = PointSet(convex.ps.points[:-1] + ((0.1, 0.05),), "convex")
+    rep = verify_partition(Partition(dented, tuple(GeomTree(dented, t.edges)
+                                                   for t in convex.trees)))
+    assert rep.predicate == "pairwise"
+    # square diagonals: a plane failure found on the convex order
+    ps = square()
+    rep = verify_partition(Partition(ps, (GeomTree(ps, ((0, 2), (1, 3), (0, 1))),
+                                          GeomTree(ps, ((0, 3), (1, 2), (2, 3))))))
+    assert rep.predicate == "convex-order" and rep.witness == (0, (0, 2), (1, 3))
+
+
+def test_verify_predicate_none_before_planarity():
+    p = build_wheel_partition(builtin_tree("fig2i", 3), 3)
+    clipped = GeomTree(p.ps, p.trees[0].edges[1:])
+    assert verify_partition(Partition(p.ps, (clipped,) + p.trees[1:])).predicate is None
+    assert verify_partition(Partition(regular_gon(5), ())).predicate is None
 
 
 def test_verify_odd_point_count():

@@ -1,13 +1,16 @@
+import networkx as nx
 import pytest
 
 from planetrees import (GeomTree, InvalidParameter, NotAPartition, NotATree,
-                        NotWCaterpillar, NotWheelConfig, Partition, SizeMismatch,
-                        analyze_wheel_partition, build_wheel_partition,
-                        check_note1, classify, make_wheel, observation1_splits,
+                        NotWCaterpillar, NotWheelConfig, Partition, PointSet,
+                        SizeMismatch, analyze_wheel_partition,
+                        build_wheel_partition, check_note1, classify,
+                        make_wheel, observation1_splits,
                         place_caterpillar_on_chain, rotate_tree,
-                        verify_partition)
+                        theorem4_partition, verify_partition)
 from planetrees.presets import builtin_tree, figure_pointset
 from planetrees.tree_taxonomy import TreeIndex
+from planetrees.wheel_partition import observation1_violation
 
 from conftest import regular_gon
 
@@ -224,6 +227,42 @@ def test_observation1_splits():
     assert by_edge[(3, 4)] == ((), (0, 1, 2, 5))
     for small, big in by_edge.values():
         assert len(small) <= 1 and len(big) >= 3 and len(small) < len(big)
+
+
+def listed_violation(t):
+    """Observation 1's first violation, read off the listed splits."""
+    n = len(t.ps) // 2
+    return next(((e, small, big) for e, small, big in observation1_splits(t)
+                 if not (len(small) < len(big) and len(small) <= n - 2
+                         and len(big) >= n)), None)
+
+
+def test_observation1_violation_witness():
+    # only an index past the centre (here 6 = 1 + 5 on the 5-cycle) can
+    # break the bound; the witness spells both sides as the splits do
+    t = GeomTree(make_wheel(3), ((0, 1), (1, 6), (2, 3), (3, 8)))
+    assert observation1_violation(t) == listed_violation(t) == ((1, 6), (), (5,))
+
+
+def test_observation1_holds_on_built_partitions():
+    parts = [build_wheel_partition(builtin_tree("doublestar", n), n) for n in range(2, 13)]
+    for k in (4, 6, 8, 10):
+        parts += [build_wheel_partition(t.edges, k // 2)
+                  for t in nx.nonisomorphic_trees(k) if classify(t.edges).w_caterpillar]
+    parts += [theorem4_partition(make_wheel(n), 2) for n in (4, 8, 12)]
+    for p in parts:
+        for t in p.trees:
+            assert observation1_violation(t) is None
+            assert listed_violation(t) is None
+
+
+def test_analyze_refutes_unearned_wheel_tag():
+    p = build_wheel_partition(builtin_tree("doublestar", 4), 4)
+    pts = list(p.ps.points)
+    pts[0], pts[3] = pts[3], pts[0]
+    ps = PointSet(tuple(pts), "wheel4")
+    with pytest.raises(NotAPartition, match="tree 0 is not plane"):
+        analyze_wheel_partition(Partition(ps, tuple(GeomTree(ps, t.edges) for t in p.trees)))
 
 
 def test_observation1_requires_wheel():
