@@ -77,9 +77,12 @@ def parse_pointset(text: str) -> PointSet:
         if len(fields) != 2:
             raise ParseError(f"want 'x y', got {line!r}", line=lineno)
         try:
-            pts.append((float(fields[0]), float(fields[1])))
+            pt = (float(fields[0]), float(fields[1]))
         except ValueError:
             raise ParseError(f"bad coordinate in {line!r}", line=lineno) from None
+        if not (math.isfinite(pt[0]) and math.isfinite(pt[1])):
+            raise ParseError(f"non-finite coordinate in {line!r}", line=lineno)
+        pts.append(pt)
     if len(set(pts)) != len(pts):
         dup = next(p for i, p in enumerate(pts) if p in pts[:i])
         raise InvariantViolation(f"duplicate point {dup}")

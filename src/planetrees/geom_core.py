@@ -1,8 +1,12 @@
 """Points, predicates, the regular wheel configuration, and cyclic orders.
 
-Coordinates are plain floats. The orientation predicate classifies a
-near-zero determinant as collinear (tolerance scaled by the squared
-coordinate magnitude) and the callers that require general position
+Coordinates are plain floats, and floats are exact dyadic rationals, so
+orientation answers exactly: a static floating-point filter (Shewchuk,
+"Adaptive Precision Floating-Point Arithmetic and Fast Robust Geometric
+Predicates", DCG 1997) decides almost every call, and the rest (near-
+collinear, underflowing, overflowing or non-finite input) go to an integer
+evaluation via float.as_integer_ratio. There is no tolerance: COLLINEAR
+means exactly collinear, and the callers that require general position
 raise DegenerateInput instead of guessing.
 
 A configuration tag is a claim, not a fact. cyclic_order checks it
@@ -12,7 +16,8 @@ coordinates confirm it (make_wheel's sets are wheels by construction),
 and a set without a wheel tag gets a cyclic order when a strict hull
 pass finds every point on the hull. On such an order CyclicOrder.plane
 decides whether an edge set is crossing-free in O(E log E); a set with
-no order is left to the pairwise predicates.
+no order is left to the pairwise predicates. The same hull pass settles
+collinear_triple in O(n log n) on a set in strictly convex position.
 """
 from __future__ import annotations
 
@@ -28,7 +33,12 @@ from .errors import DegenerateInput, InvalidParameter
 Point = tuple[float, float]
 GeomEdge = tuple[int, int]
 
-ORIENTATION_TOL = 1e-9
+# Shewchuk's ccwerrboundA, (3 + 16 eps) eps with eps = 2**-53: when
+# |left - right| exceeds it times |left| + |right|, the float sign is the
+# exact sign, unless a product underflowed; _UNDERFLOW (16 times the
+# smallest subnormal) covers the absolute error of subnormal products.
+_ERRBOUND = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53
+_UNDERFLOW = 2.0 ** -1070
 
 _WHEEL_TAG = re.compile(r"^wheel([0-9]+)$")
 
@@ -64,6 +74,9 @@ class Orientation(enum.Enum):
     COLLINEAR = 0
 
 
+_CCW, _CW = Orientation.CCW, Orientation.CW
+
+
 def edge(a: int, b: int) -> GeomEdge:
     """Normalized (small, large) index pair."""
     if a == b:
@@ -72,16 +85,36 @@ def edge(a: int, b: int) -> GeomEdge:
 
 
 def orientation(p: Point, q: Point, r: Point) -> Orientation:
-    """Sign of the signed area of triangle pqr (CCW positive)."""
-    for pt in (p, q, r):
-        if not (math.isfinite(pt[0]) and math.isfinite(pt[1])):
-            raise DegenerateInput(f"non-finite coordinate in {pt}")
-    det = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-    scale = max(abs(q[0] - p[0]), abs(q[1] - p[1]),
-                abs(r[0] - p[0]), abs(r[1] - p[1]), 1.0)
-    if abs(det) < ORIENTATION_TOL * scale * scale:
-        return Orientation.COLLINEAR
-    return Orientation.CCW if det > 0 else Orientation.CW
+    """Exact sign of the signed area of triangle pqr (CCW positive).
+
+    Raises DegenerateInput on a non-finite coordinate.
+    """
+    px, py = p
+    left = (q[0] - px) * (r[1] - py)
+    right = (q[1] - py) * (r[0] - px)
+    det = left - right
+    # with any inf or nan about, det or bound is nan or inf and both
+    # comparisons fail, so non-finite input always reaches _exact_orientation
+    bound = _ERRBOUND * (abs(left) + abs(right)) + _UNDERFLOW
+    if det > bound:
+        return _CCW
+    if det < -bound:
+        return _CW
+    return _exact_orientation(p, q, r)
+
+
+def _exact_orientation(p: Point, q: Point, r: Point) -> Orientation:
+    """orientation in integers: every float is n / 2**k, so scaling the six
+    coordinates by their largest denominator makes them integers and keeps
+    the sign."""
+    coords = (*p, *q, *r)
+    if not all(map(math.isfinite, coords)):
+        raise DegenerateInput(f"non-finite coordinate in {(p, q, r)}")
+    ratios = [c.as_integer_ratio() for c in coords]
+    den = max(d for _, d in ratios)
+    px, py, qx, qy, rx, ry = (n * (den // d) for n, d in ratios)
+    det = (qx - px) * (ry - py) - (qy - py) * (rx - px)
+    return _CCW if det > 0 else _CW if det < 0 else Orientation.COLLINEAR
 
 
 def segments_cross(e1: GeomEdge, e2: GeomEdge, ps: PointSet) -> bool:
@@ -164,8 +197,8 @@ def make_wheel(n: int, radius: float = 1.0, seed_angle: float | None = None) -> 
     ) + ((0.0, 0.0),)
     labels = tuple(f"v{i}" for i in range(m)) + ("x",)
     ps = PointSet(points=pts, config_tag=f"wheel{n}", labels=labels)
-    # a wheel by construction; checking it with the tolerance-based
-    # orientation would refute it from n = 3143 on
+    # a wheel by construction: storing its order spares the O(n) check
+    # that cyclic_order makes on a parsed or copied wheel
     ps.__dict__[_ORDER_ATTR] = _wheel_order(n)
     return ps
 
@@ -183,8 +216,16 @@ def wheel_n(ps: PointSet) -> int | None:
 
 
 def collinear_triple(points: Iterable[Point]) -> tuple[int, int, int] | None:
-    """First collinear index triple, or None when in general position."""
-    pts = list(points)
+    """First collinear index triple (lexicographically), or None when in
+    general position. A repeated point is collinear with any third point.
+
+    A set whose strict hull keeps every point is in strictly convex
+    position and has no collinear triple: that costs one O(n log n) hull
+    pass. Other sets are scanned triple by triple, O(n^3).
+    """
+    pts = tuple(points)
+    if len(_strict_hull(pts)) == len(pts):
+        return None
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             for k in range(j + 1, len(pts)):

@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import (DegenerateInput, HypothesisViolated, InvalidChoices,
-                     InvalidParameter, NotAHalvingLine, SideViolation,
-                     StructureViolation)
-from .geom_core import Orientation, PointSet, edge, orientation
-from .halving import (check_theorem3_hypothesis, check_theorem4_hypothesis,
-                      h_labeling, halving_profile, w_labeling)
+from .errors import (HypothesisViolated, InvalidChoices, InvalidParameter,
+                     NotAHalvingLine, SideViolation, StructureViolation)
+from .geom_core import PointSet, edge
+from .halving import (_side_split, check_theorem3_hypothesis,
+                      check_theorem4_hypothesis, h_labeling, halving_profile,
+                      w_labeling)
 from .tree_taxonomy import GeomTree
 from .wheel_partition import Partition
 
@@ -105,22 +105,12 @@ def lemma6_tree(ps: PointSet, hl: tuple[int, int], w1: int, w2: int) -> GeomTree
             raise InvalidParameter(f"index {idx} out of range")
     if len({u, v, w1, w2}) != 4:
         raise InvalidParameter("u, v, w1, w2 must be four distinct points")
-    sides = {1: [], -1: []}
-    for k in range(npts):
-        if k in (u, v):
-            continue
-        s = orientation(ps.points[u], ps.points[v], ps.points[k])
-        if s is Orientation.COLLINEAR:
-            raise DegenerateInput(f"point {k} lies on the line ({u},{v})")
-        sides[s.value].append(k)
-    if len(sides[1]) != len(sides[-1]):
-        raise NotAHalvingLine(f"line ({u},{v}) splits {len(sides[1])}/{len(sides[-1])}")
-    s1 = orientation(ps.points[u], ps.points[v], ps.points[w1]).value
-    s2 = orientation(ps.points[u], ps.points[v], ps.points[w2]).value
-    if s1 == s2:
+    left, right = _side_split(ps, u, v)
+    if len(left) != len(right):
+        raise NotAHalvingLine(f"line ({u},{v}) splits {len(left)}/{len(right)}")
+    if (w1 in left) == (w2 in left):
         raise SideViolation(f"w1={w1} and w2={w2} lie on the same side of ({u},{v})")
-    p1 = sides[s1]
-    p2 = sides[s2]
+    p1, p2 = (left, right) if w1 in left else (right, left)
     edges = [edge(w1, u), edge(u, v), edge(v, w2)]
     edges += [edge(w1, x) for x in p1 if x != w1]
     edges += [edge(w2, y) for y in p2 if y != w2]

@@ -166,6 +166,27 @@ def test_cli_halving_collinear_general_file(tmp_path, capsys):
     assert "InvariantViolation: collinear triple (0, 1, 2)" in capsys.readouterr().err
 
 
+def test_cli_halving_near_collinear_general_file(tmp_path, capsys):
+    # (1, 1e-10) lies just above the line through (0, 0) and (2, 0); a
+    # collinearity tolerance would read the first three points as collinear
+    points = tmp_path / "thin.points"
+    points.write_text("pointset 4 general\n0 0\n1 1e-10\n2 0\n1 1\n")
+    assert run_cli("halving", "--input", str(points)) == 0
+    # (1, 1e-10) and (1, 1) lie on the same side of the line through 0 and 2
+    assert capsys.readouterr().out.split("\n")[:-1] == ["0 1 0", "1 2 0", "1 3 0"]
+
+
+@pytest.mark.parametrize("coord", ["inf", "-inf", "nan"])
+def test_cli_non_finite_coordinate(tmp_path, capsys, coord):
+    points = tmp_path / "far.points"
+    points.write_text(f"pointset 4 general\n0 0\n1 0\n0 {coord}\n1 1\n")
+    with pytest.raises(ParseError, match="non-finite coordinate") as exc:
+        parse_pointset(points.read_text())
+    assert exc.value.line == 4
+    assert run_cli("halving", "--input", str(points)) == 2
+    assert "ParseError: line 4: non-finite coordinate" in capsys.readouterr().err
+
+
 def test_cli_halving_labelings(capsys):
     assert run_cli("halving", "--input", "wheel3", "--labeling", "w") == 0
     assert capsys.readouterr().out.splitlines()[0] == "w 5"

@@ -1,9 +1,12 @@
 import math
+import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from planetrees import geom_core
 from planetrees import (DegenerateInput, GeomTree, InvalidParameter,
                         Orientation, PointSet, collinear_triple, convex_hull,
                         cyclic_order, edge, is_plane, make_wheel, orientation,
@@ -20,7 +23,8 @@ def test_orientation_signs():
 
 
 def test_orientation_tolerance_scales_with_magnitude():
-    assert orientation((0, 0), (1e8, 0), (2e8, 1e-4)) is Orientation.COLLINEAR
+    # exact: a tiny offset is a turn at any magnitude
+    assert orientation((0, 0), (1e8, 0), (2e8, 1e-4)) is Orientation.CCW
     assert orientation((0, 0), (1, 0), (2, 1e-4)) is Orientation.CCW
 
 
@@ -37,6 +41,67 @@ coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 @given(st.tuples(coord, coord), st.tuples(coord, coord), st.tuples(coord, coord))
 def test_orientation_antisymmetric(p, q, r):
     assert orientation(p, q, r).value == -orientation(q, p, r).value
+
+
+def exact_sign(p, q, r):
+    """Sign of the determinant in rationals: the oracle orientation must match."""
+    (px, py), (qx, qy), (rx, ry) = ((Fraction(x), Fraction(y)) for x, y in (p, q, r))
+    det = (qx - px) * (ry - py) - (qy - py) * (rx - px)
+    return (det > 0) - (det < 0)
+
+
+def ulp_nudge(x, steps):
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.inf if steps > 0 else -math.inf)
+    return x
+
+
+any_coord = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.floats(min_value=-1e-153, max_value=1e-153),  # subnormal products
+    st.floats(min_value=-4e-308, max_value=4e-308),  # subnormal coordinates
+    st.floats(min_value=1e299, max_value=1.7e308).flatmap(
+        lambda x: st.sampled_from((x, -x))),  # overflowing products and differences
+)
+point = st.tuples(any_coord, any_coord)
+
+
+@settings(max_examples=600, deadline=None)
+@given(point, point, point)
+def test_orientation_is_exact_on_random_floats(p, q, r):
+    assert orientation(p, q, r).value == exact_sign(p, q, r)
+
+
+@settings(max_examples=600, deadline=None)
+@given(point, point, st.floats(min_value=-3.0, max_value=4.0),
+       st.integers(-2, 2), st.integers(-2, 2))
+def test_orientation_is_exact_near_collinear(p, q, t, dx, dy):
+    # r is the rounded point p + t (q - p), moved by up to two ulps per
+    # coordinate: the filter cannot decide, and the exact path must
+    r = tuple(ulp_nudge(a + t * (b - a), d) for a, b, d in zip(p, q, (dx, dy)))
+    assume(all(map(math.isfinite, r)))
+    assert orientation(p, q, r).value == exact_sign(p, q, r)
+
+
+def test_orientation_exact_cases():
+    tiny = 5e-324
+    assert orientation((0.0, 0.0), (1.0, 1e-10), (2.0, 0.0)) is Orientation.CW
+    assert orientation((0.0, 0.0), (tiny, 0.0), (0.0, tiny)) is Orientation.CCW
+    assert orientation((0.0, 0.0), (2 * tiny, tiny), (4 * tiny, 2 * tiny)) is Orientation.COLLINEAR
+    assert orientation((-1e308, 0.0), (1e308, 1.0), (1e308, -1.0)) is Orientation.CW
+    assert orientation((-1e308, -1e308), (0.0, 0.0), (1e308, 1e308)) is Orientation.COLLINEAR
+    # products in the subnormal range, where the relative bound alone misjudges
+    p, q, r = ((5.743419748017356e-156, 2.0305419184542037e-154),
+               (-2.969605658500053e-155, -7.567010986228774e-156),
+               (-7.519556783210454e-156, 1.2423067752806718e-154))
+    assert exact_sign(p, q, r) == -1
+    assert orientation(p, q, r) is Orientation.CW
+    one_up = math.nextafter(1.0, 2.0)
+    assert orientation((0.0, 0.0), (1.0, 1.0), (one_up, one_up)) is Orientation.COLLINEAR
+    assert orientation((0.0, 0.0), (1.0, 1.0), (one_up, 1.0)) is Orientation.CW
+    assert orientation((0.1, 0.1), (0.2, 0.2), (0.3, 0.3)).value == exact_sign(
+        (0.1, 0.1), (0.2, 0.2), (0.3, 0.3))
 
 
 def test_edge_normalizes():
@@ -133,6 +198,53 @@ def test_collinear_triple_finds_planted_triple():
     assert collinear_triple([(0.0, 0.0), (1.0, 2.0), (2.0, 5.0)]) is None
 
 
+def scan_triple(pts):
+    """Reference for collinear_triple: the first collinear triple by brute force."""
+    return next((t for t in combinations(range(len(pts)), 3)
+                 if orientation(*(pts[i] for i in t)) is Orientation.COLLINEAR), None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=3, max_size=10))
+def test_collinear_triple_matches_scan_on_grids(cells):
+    pts = [(float(x), float(y)) for x, y in cells]
+    assert collinear_triple(pts) == scan_triple(pts)
+
+
+def test_collinear_triple_matches_scan_on_convex_polygons():
+    rng = random.Random(9)
+    for m in range(3, 25):
+        pts = [(math.cos(a) * r, math.sin(a) * r) for a, r in (
+            (2 * math.pi * (i + rng.uniform(-0.2, 0.2)) / m, rng.uniform(0.9, 1.1))
+            for i in range(m))]
+        rng.shuffle(pts)
+        a, b = rng.sample(range(m), 2)
+        on_edge = [(0.0, 0.0), (1.0, 0.0), (0.5, 0.0), (0.5, 1.0)]
+        for case in (pts, pts + [pts[a]], [pts[a]] + pts,
+                     pts + [((pts[a][0] + pts[b][0]) / 2, (pts[a][1] + pts[b][1]) / 2)],
+                     on_edge + [(x + 3.0, y + 3.0) for x, y in pts]):
+            assert collinear_triple(case) == scan_triple(case)
+    square = [(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)]
+    assert collinear_triple(square + [(1.0, 0.0)]) == (0, 1, 4)
+    assert collinear_triple(square + [(2.0, 2.0)]) == (0, 2, 4)
+
+
+def test_collinear_triple_on_a_convex_set_is_one_hull_pass(monkeypatch):
+    calls = []
+    exact = geom_core.orientation
+
+    def counted(p, q, r):
+        calls.append(1)
+        return exact(p, q, r)
+
+    monkeypatch.setattr(geom_core, "orientation", counted)
+    pts = list(regular_gon(40).points)
+    random.Random(3).shuffle(pts)
+    assert collinear_triple(pts) is None
+    # a strict hull pass: a few calls per point, far below C(40, 3) = 9880
+    assert len(calls) <= 4 * len(pts)
+
+
 @given(st.integers(min_value=2, max_value=9), st.floats(min_value=-math.pi, max_value=math.pi))
 def test_wheel_labels_cover_circle(n, seed):
     ps = make_wheel(n, seed_angle=seed)
@@ -150,9 +262,15 @@ def test_cyclic_order_earns_wheel_tag(n, seed):
 
 
 def test_make_wheel_carries_its_order():
-    # far past the size at which orientation's tolerance reads neighbouring
-    # circle turns as collinear, make_wheel's set is still a wheel
     ps = make_wheel(4000)
+    assert cyclic_order(ps).kind == "wheel-index"
+    assert is_plane(GeomTree(ps, ((0, 1), (1, 2), (2, 3))))
+
+
+def test_large_wheel_copy_earns_its_tag():
+    # consecutive circle turns of make_wheel(3200) have determinants near
+    # 1e-9; exact orientation confirms them, so a copy keeps the index path
+    ps = PointSet(make_wheel(3200).points, "wheel3200")
     assert cyclic_order(ps).kind == "wheel-index"
     assert is_plane(GeomTree(ps, ((0, 1), (1, 2), (2, 3))))
 
