@@ -20,16 +20,17 @@ from .halving import (HalvingLine, HalvingProfile, HLabeling,
 from .halving_partition import (ConstructionChoices, lemma6_tree,
                                 theorem2_partition, theorem3_partition,
                                 theorem4_partition)
-from .tree_taxonomy import (GeomTree, P4Witness, SymmetricWitness,
+from .tree_taxonomy import (GeomTree, P4Witness, Partition, SymmetricWitness,
                             TreeClassReport, boundary_edges, classify,
                             is_plane, is_spanning_tree, radial_edges,
                             tree_canon, unique_path)
 from .verify_oracle import (VerifyReport, brute_force_partitions,
-                            check_observation1, verify_partition)
-from .wheel_partition import (Partition, TreeStats, WheelAnalysis,
+                            check_observation1, observation1_splits,
+                            verify_partition)
+from .wheel_partition import (TreeStats, WheelAnalysis,
                               analyze_wheel_partition, build_wheel_partition,
-                              check_note1, observation1_splits,
-                              place_caterpillar_on_chain, rotate_tree)
+                              check_note1, place_caterpillar_on_chain,
+                              rotate_tree)
 
 __version__ = "0.1.0"
 

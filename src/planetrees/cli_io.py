@@ -19,21 +19,19 @@ import random
 import re
 import sys
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from . import presets
 from .errors import (HypothesisViolated, InvalidParameter, InvariantViolation,
                      NoHLabeling, NotAHalvingLine, NoWLabeling, ParseError,
                      PlaneTreesError, SideViolation, StructureViolation)
-from .geom_core import PointSet, collinear_triple, make_wheel
+from .geom_core import PointSet, collinear_triple, cyclic_order, make_wheel
 from .halving import h_labeling, k_halving_lines, w_labeling
 from .halving_partition import (ConstructionChoices, theorem2_partition,
                                 theorem3_partition, theorem4_partition)
-from .tree_taxonomy import GeomTree, classify
+from .tree_taxonomy import GeomTree, Partition, classify
 from .verify_oracle import brute_force_partitions, verify_partition
-from .wheel_partition import (Partition, analyze_wheel_partition,
-                              build_wheel_partition)
+from .wheel_partition import analyze_wheel_partition, build_wheel_partition
 
 _WHEEL_ARG = re.compile(r"^wheel([0-9]+)$")
 _GON_ARG = re.compile(r"^gon([0-9]+)$")
@@ -93,13 +91,15 @@ def parse_pointset(text: str) -> PointSet:
         if count != 2 * n:
             raise InvariantViolation(f"tag wheel{n} needs {2 * n} points, file has {count}")
         labels = tuple(f"v{i}" for i in range(2 * n - 1)) + ("x",)
-    elif tag in ("general", "convex"):
+    elif tag not in ("general", "convex"):
+        raise ParseError(f"unknown config tag {tag!r}")
+    ps = PointSet(tuple(pts), tag, labels)
+    # a strict-hull order, built once and kept on ps, rules out a collinear triple
+    if not wheel and cyclic_order(ps) is None:
         triple = collinear_triple(pts)
         if triple is not None:
             raise InvariantViolation(f"collinear triple {triple} under tag {tag!r}")
-    else:
-        raise ParseError(f"unknown config tag {tag!r}")
-    return PointSet(tuple(pts), tag, labels)
+    return ps
 
 
 def emit_pointset(ps: PointSet) -> str:
@@ -249,8 +249,7 @@ def load_pointset(value: str) -> PointSet:
     if path.is_file():
         return parse_pointset(path.read_text())
     if value in presets.POINT_PRESETS:
-        data = resources.files("planetrees").joinpath("data", f"{value}.points")
-        return parse_pointset(data.read_text())
+        return presets.figure_pointset(value)
     wheel = _WHEEL_ARG.match(value)
     if wheel:
         return make_wheel(int(wheel.group(1)))

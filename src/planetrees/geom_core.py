@@ -226,6 +226,10 @@ def collinear_triple(points: Iterable[Point]) -> tuple[int, int, int] | None:
     pts = tuple(points)
     if len(_strict_hull(pts)) == len(pts):
         return None
+    return _scan_triples(pts)
+
+
+def _scan_triples(pts: tuple[Point, ...]) -> tuple[int, int, int] | None:
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             for k in range(j + 1, len(pts)):
@@ -243,10 +247,11 @@ def convex_hull(ps: PointSet) -> list[int]:
     """
     if len(ps) < 3:
         raise InvalidParameter("convex hull needs at least 3 points")
-    bad = collinear_triple(ps.points)
+    hull = _strict_hull(ps.points)
+    bad = None if len(hull) == len(ps) else _scan_triples(ps.points)
     if bad is not None:
         raise DegenerateInput(f"collinear triple {bad}")
-    return _strict_hull(ps.points)
+    return hull
 
 
 def _strict_hull(points: tuple[Point, ...]) -> list[int]:

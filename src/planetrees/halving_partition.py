@@ -11,7 +11,6 @@ ConstructionChoices so every drawn variant is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import (HypothesisViolated, InvalidChoices, InvalidParameter,
                      NotAHalvingLine, SideViolation, StructureViolation)
@@ -19,8 +18,7 @@ from .geom_core import PointSet, edge
 from .halving import (_side_split, check_theorem3_hypothesis,
                       check_theorem4_hypothesis, h_labeling, halving_profile,
                       w_labeling)
-from .tree_taxonomy import GeomTree
-from .wheel_partition import Partition
+from .tree_taxonomy import GeomTree, Partition, cover_defect
 
 
 @dataclass(frozen=True)
@@ -236,11 +234,7 @@ def theorem4_partition(ps: PointSet, r: int, choices: ConstructionChoices | None
     last = [(m, 2 * n - 2)] + [(m, z) for z in range(n - 1)]
     small = [(a, b) for a, b in t0 if m not in (a, b) and a <= n - 1 and b <= n - 1]
     last += [((a + n - 1) % m, (b + n - 1) % m) for a, b in small]
-    used = {edge(orig(a), orig(b)) for tr in label_trees for a, b in tr}
-    complement = {e for e in combinations(range(2 * n), 2) if e not in used}
-    last_orig = {edge(orig(a), orig(b)) for a, b in last}
-    if last_orig != complement:
-        raise StructureViolation("theorem4-complement", sorted(last_orig ^ complement))
+    # the cover check below also makes last the complement of the others
     label_trees.append(last)
     trees = [GeomTree(ps, tuple(sorted(edge(orig(a), orig(b)) for a, b in tr)))
              for tr in label_trees]
@@ -249,6 +243,6 @@ def theorem4_partition(ps: PointSet, r: int, choices: ConstructionChoices | None
 
 
 def _assert_disjoint_cover(ps: PointSet, trees: list[GeomTree], what: str) -> None:
-    all_edges = [e for t in trees for e in t.edges]
-    if sorted(all_edges) != sorted(combinations(range(len(ps)), 2)):
-        raise StructureViolation(f"{what}-cover", len(all_edges))
+    defect = cover_defect(ps, trees)
+    if any(defect.values()):
+        raise StructureViolation(f"{what}-cover", defect)

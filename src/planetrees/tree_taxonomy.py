@@ -1,15 +1,22 @@
-"""Tree recognizers and witnesses: paths, stars, double stars, S_k(m,n),
-caterpillars, P4-symmetric trees, w-caterpillars, and symmetric trees.
+"""The partition model and the tree kernel.
 
+A GeomTree is an edge set drawn on a PointSet; a Partition is the trees
+claimed to split E(K_2n) on one PointSet, and cover_defect says how a
+set of trees fails to hold every edge exactly once. Builders and the
+verifier (verify_oracle) both take these types from here, so the
+verifier needs nothing from the builders it checks.
+
+Tree recognizers and witnesses: paths, stars, double stars, S_k(m,n),
+caterpillars, P4-symmetric trees, w-caterpillars, and symmetric trees.
 All classification is purely combinatorial; geometry enters only through
 crossing_pair / is_plane / boundary_edges / radial_edges. The first
 three read the point set's verified cyclic order (geom_core.cyclic_order):
 wheel index arithmetic runs only after the coordinates have confirmed
 the wheel<n> tag, and a set without an order falls back to coordinate
-predicates. radial_edges reads the tag, as it names the centre by index.
-Functions accepting a tree take a GeomTree, a bare iterable of index
-pairs (the wheel builder works on abstract trees) or, to ask several
-questions of one tree, its TreeIndex.
+predicates. radial_edges reads the tag (wheel_tag_n), as it names the
+centre by index. Functions accepting a tree take a GeomTree, a bare
+iterable of index pairs (the wheel builder works on abstract trees) or,
+to ask several questions of one tree, its TreeIndex.
 
 A TreeIndex holds the size and AHU canon id of the far side of every
 directed edge, so a rooted-isomorphism question is an integer comparison.
@@ -25,6 +32,7 @@ witness' u1, to be a caterpillar. Nothing here recurses.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Collection, Iterable, Union
@@ -44,6 +52,30 @@ class GeomTree:
     def __post_init__(self):
         norm = tuple(sorted(edge(a, b) for a, b in self.edges))
         object.__setattr__(self, "edges", norm)
+
+
+@dataclass(frozen=True)
+class Partition:
+    """Trees claimed to split E(K_2n) on ps; verify_partition checks the claim."""
+
+    ps: PointSet
+    trees: tuple[GeomTree, ...]
+
+
+def cover_defect(ps: PointSet, trees: Iterable[GeomTree]) -> dict[str, list[GeomEdge]]:
+    """How the trees' edges fail to hold each edge of K on ps exactly once.
+
+    "missing": point pairs no tree holds, in combinations order; "extra":
+    edges that join no two points of ps; "duplicated": edges held more
+    than once. Every list is sorted, and all are empty exactly when the
+    trees cover E(K) once. One count over the edges, O(E) before sorting
+    the defects.
+    """
+    count = Counter(e for t in trees for e in t.edges)
+    npts = len(ps)
+    return {"missing": [e for e in combinations(range(npts), 2) if e not in count],
+            "extra": sorted(e for e in count if not 0 <= e[0] < e[1] < npts),
+            "duplicated": sorted(e for e, c in count.items() if c > 1)}
 
 
 TreeLike = Union[GeomTree, Iterable[tuple[int, int]]]
@@ -117,14 +149,6 @@ def _parents(adj: dict[int, set[int]], root: int) -> dict[int, int]:
     return parent
 
 
-def is_tree_edges(edges: tuple[GeomEdge, ...]) -> bool:
-    """Connected and acyclic on the vertex set spanned by the edges."""
-    adj = adjacency(edges)
-    # with n - 1 edges, connected implies acyclic and free of duplicates
-    return bool(edges) and len(edges) == len(adj) - 1 and len(
-        _parents(adj, edges[0][0])) == len(adj)
-
-
 class TreeIndex:
     """Size and AHU canon id of both sides of every edge of one tree.
 
@@ -146,7 +170,8 @@ class TreeIndex:
         self.shapes: list[tuple[int, ...]] = []
         self._ids: dict[tuple[int, ...], int] = {}
         parent = _parents(adj, edges[0][0]) if edges else {}
-        if len(edges) != n - 1 or len(parent) != n:  # see is_tree_edges
+        # with n - 1 edges, connected implies acyclic and free of duplicates
+        if len(edges) != n - 1 or len(parent) != n:
             raise NotATree(f"{len(edges)} edges do not form a tree")
         order = list(parent)
         size, canon = self.size, self.canon
@@ -346,22 +371,16 @@ def is_w_caterpillar(t: TreeLike | TreeIndex) -> bool:
     return witness is not None and index.compatible(witness.path)
 
 
-def _spine(adj) -> list[int] | None:
-    """Vertices of T minus its leaves as a path, or None if not a path."""
-    inner = sorted(v for v, nb in adj.items() if len(nb) > 1)
-    if not inner:
-        return []
-    inner_set = set(inner)
-    deg_in = {v: [u for u in adj[v] if u in inner_set] for v in inner}
-    if any(len(nb) > 2 for nb in deg_in.values()):
-        return None
-    ends = [v for v in inner if len(deg_in[v]) <= 1]
-    if len(inner) == 1:
-        return inner
-    seq = [min(ends)]
-    prev = None
+def spine_walk(adj: dict[int, set[int]], head: int) -> list[int] | None:
+    """Walk from head, at each step to the one non-leaf neighbour not just
+    left; None where there are two. From an end of the inner path (the
+    tree minus its leaves) the walk is that path, and it is None exactly
+    when the inner vertices form no path."""
+    seq, prev = [head], None
     while True:
-        nxt = [u for u in deg_in[seq[-1]] if u != prev]
+        nxt = [u for u in adj[seq[-1]] if u != prev and len(adj[u]) > 1]
+        if len(nxt) > 1:
+            return None
         if not nxt:
             return seq
         prev = seq[-1]
@@ -429,7 +448,9 @@ def classify(t: TreeLike) -> TreeClassReport:
     is_path = all(d <= 2 for d in degs.values())
     is_star = nverts >= 3 and sorted(degs.values())[-1] == nverts - 1
 
-    spine = _spine(adj)
+    ends = [v for v, nb in adj.items()
+            if len(nb) > 1 and sum(1 for u in nb if len(adj[u]) > 1) <= 1]
+    spine = spine_walk(adj, min(ends)) if ends else []
     caterpillar = spine is not None
 
     s_k = None
@@ -470,20 +491,24 @@ def boundary_edges(t: GeomTree) -> list[GeomEdge]:
     return [e for e in t.edges if e in hull_pairs]
 
 
+def wheel_tag_n(ps: PointSet) -> int:
+    """The n of ps's wheel<n> tag; NotWheelConfig without one."""
+    n = wheel_n(ps)
+    if n is None:
+        raise NotWheelConfig(f"config tag {ps.config_tag!r} is not a wheel")
+    return n
+
+
 def radial_edges(t: GeomTree) -> list[GeomEdge]:
     """Center-incident edges, ordered by circle endpoint index."""
-    n = wheel_n(t.ps)
-    if n is None:
-        raise NotWheelConfig(f"config tag {t.ps.config_tag!r} is not a wheel")
-    center = 2 * n - 1
+    center = 2 * wheel_tag_n(t.ps) - 1
     return sorted((e for e in t.edges if center in e), key=lambda e: e[0])
 
 
-def unique_path(t: GeomTree, u: int, v: int) -> list[int]:
-    """Vertex sequence of the unique u-v path in the tree."""
-    if not is_tree_edges(t.edges):
-        raise NotATree("edge set is not a tree")
-    adj = adjacency(t.edges)
+def unique_path(t: GeomTree | TreeIndex, u: int, v: int) -> list[int]:
+    """Vertex sequence of the unique u-v path in the tree; NotATree if t
+    is none."""
+    adj = tree_index(t).adj
     if u not in adj or v not in adj:
         raise InvalidParameter(f"vertex {u if u not in adj else v} not in tree")
     parent = _parents(adj, u)

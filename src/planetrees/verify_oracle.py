@@ -1,25 +1,28 @@
-"""Independent checking: report-style partition verification and a
-brute-force enumerator small enough to trust by inspection.
+"""Independent checking: report-style partition verification, the
+Observation 1 side bounds, and a brute-force enumerator small enough to
+trust by inspection.
 
+The verifier imports no builder: Partition, cover_defect and the tree
+checks come from tree_taxonomy, the predicates from geom_core.
 verify_partition never raises on mathematically wrong input; it returns
 a report naming the first failed check (coverage, then spanning, then
 plane) with a concrete witness, and which planarity predicate ran:
 "wheel-index" on a verified wheel, "convex-order" on a set in convex
 position (both through the point set's cyclic order), or "pairwise"
-coordinate tests. The enumerator assigns edges of K_2n to
-tree slots in lexicographic order with first-free-slot symmetry
-breaking, so each unordered partition appears exactly once.
+coordinate tests. The enumerator fills its crossing table through the
+same crossing_pair and assigns edges of K_2n to tree slots in
+lexicographic order with first-free-slot symmetry breaking, so each
+unordered partition appears exactly once.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import OddPointCount, TooLarge
-from .geom_core import PointSet, cyclic_order, segments_cross, wheel_crossing
-from .tree_taxonomy import GeomTree, crossing_pair, is_spanning_tree
-from .wheel_partition import Partition, observation1_violation, observation1_splits
+from .geom_core import GeomEdge, PointSet, cyclic_order
+from .tree_taxonomy import (GeomTree, Partition, cover_defect, crossing_pair,
+                            is_spanning_tree, wheel_tag_n)
 
 
 @dataclass(frozen=True)
@@ -38,16 +41,9 @@ def verify_partition(p: Partition) -> VerifyReport:
     npts = len(p.ps)
     if npts % 2:
         return VerifyReport(False, "coverage", f"odd point count {npts}")
-    n = npts // 2
-    want = sorted(combinations(range(npts), 2))
-    got = sorted(e for t in p.trees for e in t.edges)
-    if len(p.trees) != n or got != want:
-        missing = sorted(set(want) - set(got))
-        extra = sorted(set(got) - set(want))
-        dupes = sorted(e for e, c in Counter(got).items() if c > 1)
-        return VerifyReport(False, "coverage",
-                            {"trees": len(p.trees), "missing": missing,
-                             "extra": extra, "duplicated": dupes})
+    defect = cover_defect(p.ps, p.trees)
+    if len(p.trees) != npts // 2 or any(defect.values()):
+        return VerifyReport(False, "coverage", {"trees": len(p.trees), **defect})
     for i, t in enumerate(p.trees):
         if not is_spanning_tree(t):
             return VerifyReport(False, "spanning", i)
@@ -58,6 +54,36 @@ def verify_partition(p: Partition) -> VerifyReport:
         if bad is not None:
             return VerifyReport(False, "plane", (i, *bad), predicate)
     return VerifyReport(True, predicate=predicate)
+
+
+def observation1_splits(t: GeomTree) -> list[tuple[GeomEdge, tuple[int, ...], tuple[int, ...]]]:
+    """(edge, A, A(x)) for every non-radial edge; A is the small side."""
+    m = 2 * wheel_tag_n(t.ps) - 1  # also the centre's index
+    return [_split(a, b, m) for a, b in t.edges if m not in (a, b)]
+
+
+def _split(a: int, b: int, m: int) -> tuple[GeomEdge, tuple[int, ...], tuple[int, ...]]:
+    ccw = tuple((a + i) % m for i in range(1, (b - a) % m))
+    cw = tuple((b + i) % m for i in range(1, (a - b) % m))
+    small, big = sorted((ccw, cw), key=len)
+    return ((a, b), small, big + (m,))
+
+
+def observation1_violation(t: GeomTree) -> tuple | None:
+    """The first non-radial edge whose split breaks Observation 1, as
+    observation1_splits spells it; the side lengths are (b - a) mod m
+    arithmetic, so only a violating edge's sides are listed."""
+    n = wheel_tag_n(t.ps)
+    m = 2 * n - 1  # also the centre's index
+    for a, b in t.edges:
+        if m in (a, b):
+            continue
+        ccw = max((b - a) % m - 1, 0)
+        cw = max((a - b) % m - 1, 0)
+        small, big = (ccw, cw + 1) if ccw <= cw else (cw, ccw + 1)
+        if not (small < big and small <= n - 2 and big >= n):
+            return _split(a, b, m)
+    return None
 
 
 def check_observation1(t: GeomTree) -> VerifyReport:
@@ -85,16 +111,11 @@ def brute_force_partitions(ps: PointSet, limit: int | None = 10_000) -> list[tup
     if n == 4 and limit is None:
         raise TooLarge("n=4 enumeration requires an explicit limit")
 
-    edges = sorted(combinations(range(npts), 2))
-    order = cyclic_order(ps)
-    wheel = order.wheel if order is not None else None
+    edges = list(combinations(range(npts), 2))
     cross = [[False] * len(edges) for _ in edges]
     for i, e1 in enumerate(edges):
         for j in range(i + 1, len(edges)):
-            e2 = edges[j]
-            c = (wheel_crossing(e1, e2, wheel) if wheel is not None
-                 else segments_cross(e1, e2, ps))
-            cross[i][j] = cross[j][i] = c
+            cross[i][j] = cross[j][i] = crossing_pair(ps, (e1, edges[j])) is not None
 
     per_tree = npts - 1
     slots: list[list[int]] = [[] for _ in range(n)]

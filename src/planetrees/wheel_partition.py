@@ -10,6 +10,10 @@ pairwise distinct arc gaps, which is exactly what makes the rotated
 copies edge-disjoint; the complement's required shape (spanning
 caterpillar, one boundary edge, n consecutive radials) is verified, not
 assumed.
+
+analyze_wheel_partition is no builder: it takes any claimed partition,
+has verify_partition decide that it is one, then checks Lemmas 3-5 on
+it. Partition lives in tree_taxonomy and is re-exported here.
 """
 from __future__ import annotations
 
@@ -17,20 +21,15 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
-from .errors import (InvalidParameter, NotAPartition, NotATree, NotWCaterpillar,
-                     NotWheelConfig, SizeMismatch, StructureViolation)
-from .geom_core import GeomEdge, PointSet, edge, make_wheel, wheel_n
-from .tree_taxonomy import (GeomTree, TreeIndex, TreeLike, adjacency,
+from .errors import (InvalidParameter, NotAPartition, NotWCaterpillar,
+                     SizeMismatch, StructureViolation)
+from .geom_core import GeomEdge, PointSet, edge, make_wheel
+from .tree_taxonomy import (GeomTree, Partition, TreeIndex, TreeLike,
                             as_edges, boundary_edges, classify,
                             is_caterpillar_edges, is_plane, is_spanning_tree,
-                            is_tree_edges, preferred_p4_witness, radial_edges,
-                            tree_canon)
-
-
-@dataclass(frozen=True)
-class Partition:
-    ps: PointSet
-    trees: tuple[GeomTree, ...]
+                            preferred_p4_witness, radial_edges, spine_walk,
+                            tree_canon, wheel_tag_n)
+from .verify_oracle import observation1_violation, verify_partition
 
 
 class TreeStats(NamedTuple):
@@ -49,21 +48,6 @@ class WheelAnalysis:
 # ---------------------------------------------------------------------------
 # caterpillar placement
 
-def _backbone(adj, head) -> list[int] | None:
-    """Spine walk from head: at each step the unique non-leaf continuation."""
-    seq = [head]
-    prev = None
-    cur = head
-    while True:
-        nxt = [v for v in adj[cur] if v != prev and len(adj[v]) > 1]
-        if len(nxt) > 1:
-            return None
-        if not nxt:
-            return seq
-        seq.append(nxt[0])
-        prev, cur = cur, nxt[0]
-
-
 def _place_slots(adj, head) -> dict[int, int]:
     """Greedy graceful placement on slots 0..N-1 with head at slot 0.
 
@@ -74,7 +58,7 @@ def _place_slots(adj, head) -> dict[int, int]:
     """
     if len(adj) == 1:
         return {head: 0}
-    seq = _backbone(adj, head)
+    seq = spine_walk(adj, head)
     if seq is None:
         raise InvalidParameter(f"vertex {head} does not start a spine walk")
     total = len(adj)
@@ -117,9 +101,7 @@ def place_caterpillar_on_chain(c: TreeLike, ps: PointSet, chain: list[int],
     convex polygon of the chain.
     """
     edges = as_edges(c)
-    if not is_tree_edges(edges):
-        raise NotATree("input is not a tree")
-    adj = adjacency(edges)
+    adj = TreeIndex(edges).adj
     if len(chain) != len(adj):
         raise SizeMismatch(f"chain has {len(chain)} slots, tree has {len(adj)} vertices")
     if len(set(chain)) != len(chain) or not all(0 <= i < len(ps) for i in chain):
@@ -129,7 +111,7 @@ def place_caterpillar_on_chain(c: TreeLike, ps: PointSet, chain: list[int],
     if not is_caterpillar_edges(edges):
         raise InvalidParameter("input is not a caterpillar")
     if head is None:
-        head = next(v for v in sorted(adj) if _backbone(adj, v) is not None)
+        head = next(v for v in sorted(adj) if spine_walk(adj, v) is not None)
     pos = _place_slots(adj, head)
     last = len(chain) - 1
     if anchor == "last":
@@ -140,17 +122,9 @@ def place_caterpillar_on_chain(c: TreeLike, ps: PointSet, chain: list[int],
 # ---------------------------------------------------------------------------
 # Theorem 1 converse
 
-def _tagged_n(ps: PointSet) -> int:
-    """The n of ps's wheel<n> tag; NotWheelConfig without one."""
-    n = wheel_n(ps)
-    if n is None:
-        raise NotWheelConfig(f"config tag {ps.config_tag!r} is not a wheel")
-    return n
-
-
 def rotate_tree(t: GeomTree, steps: int) -> GeomTree:
     """Rotate every circle index by steps (mod 2n-1); the center stays put."""
-    n = _tagged_n(t.ps)
+    n = wheel_tag_n(t.ps)
     m = 2 * n - 1
     center = 2 * n - 1
     rot = tuple(
@@ -205,9 +179,9 @@ def build_wheel_partition(t: TreeLike, n: int,
     ps = make_wheel(n)
     t1 = GeomTree(ps, tuple(first))
     family = [t1] + [rotate_tree(t1, q) for q in range(1, n - 1)]
+    # rotated copies that overlap leave more than 2n - 1 edges to the
+    # complement, which is_spanning_tree then rejects
     used = {e for tr in family for e in tr.edges}
-    if len(used) != (n - 1) * (2 * n - 1):
-        raise StructureViolation("theorem1-disjointness", sorted(used))
     rest = tuple(e for e in combinations(range(2 * n), 2) if e not in used)
     last = GeomTree(ps, rest)
     radials = [e[0] for e in radial_edges(last)]
@@ -228,21 +202,6 @@ def _has_run(labels: list[int], m: int, want: int) -> bool:
 # ---------------------------------------------------------------------------
 # analysis of claimed partitions
 
-def _require_valid(p: Partition) -> int:
-    n = _tagged_n(p.ps)
-    if len(p.trees) != n:
-        raise NotAPartition(f"{len(p.trees)} trees, expected {n}")
-    all_edges = [e for t in p.trees for e in t.edges]
-    if sorted(all_edges) != sorted(combinations(range(2 * n), 2)):
-        raise NotAPartition("edge multiset differs from E(K_2n)")
-    for i, t in enumerate(p.trees):
-        if not is_spanning_tree(t):
-            raise NotAPartition(f"tree {i} is not a spanning tree")
-        if not is_plane(t):
-            raise NotAPartition(f"tree {i} is not plane")
-    return n
-
-
 def _lemma5_four_path(edges: set[GeomEdge], i: int, n: int) -> tuple[int, int, int, int] | None:
     m = 2 * n - 1
     center = 2 * n - 1
@@ -255,36 +214,6 @@ def _lemma5_four_path(edges: set[GeomEdge], i: int, n: int) -> tuple[int, int, i
     return None
 
 
-def observation1_splits(t: GeomTree) -> list[tuple[GeomEdge, tuple[int, ...], tuple[int, ...]]]:
-    """(edge, A, A(x)) for every non-radial edge; A is the small side."""
-    m = 2 * _tagged_n(t.ps) - 1  # also the centre's index
-    return [_split(a, b, m) for a, b in t.edges if m not in (a, b)]
-
-
-def _split(a: int, b: int, m: int) -> tuple[GeomEdge, tuple[int, ...], tuple[int, ...]]:
-    ccw = tuple((a + i) % m for i in range(1, (b - a) % m))
-    cw = tuple((b + i) % m for i in range(1, (a - b) % m))
-    small, big = sorted((ccw, cw), key=len)
-    return ((a, b), small, big + (m,))
-
-
-def observation1_violation(t: GeomTree) -> tuple | None:
-    """The first non-radial edge whose split breaks Observation 1, as
-    observation1_splits spells it; the side lengths are (b - a) mod m
-    arithmetic, so only a violating edge's sides are listed."""
-    n = _tagged_n(t.ps)
-    m = 2 * n - 1  # also the centre's index
-    for a, b in t.edges:
-        if m in (a, b):
-            continue
-        ccw = max((b - a) % m - 1, 0)
-        cw = max((a - b) % m - 1, 0)
-        small, big = (ccw, cw + 1) if ccw <= cw else (cw, ccw + 1)
-        if not (small < big and small <= n - 2 and big >= n):
-            return _split(a, b, m)
-    return None
-
-
 def analyze_wheel_partition(p: Partition) -> WheelAnalysis:
     """Validate p, then report and assert the Lemma 3-5 structure.
 
@@ -293,8 +222,19 @@ def analyze_wheel_partition(p: Partition) -> WheelAnalysis:
     edges, one radial edge, and a 4-path x v_i v_{i+n} v_{i+1} (possibly
     mirrored). Any deviation raises StructureViolation, which on a
     genuinely valid partition would contradict the structural results.
+    Raises NotWheelConfig without a wheel tag, then NotAPartition for the
+    first check verify_partition fails.
     """
-    n = _require_valid(p)
+    n = wheel_tag_n(p.ps)
+    report = verify_partition(p)
+    if not report:
+        w = report.witness
+        if report.reason == "coverage":
+            raise NotAPartition(f"{w['trees']} trees, expected {n}" if w["trees"] != n
+                                else f"edge multiset differs from E(K_2n): {w}")
+        if report.reason == "spanning":
+            raise NotAPartition(f"tree {w} is not a spanning tree")
+        raise NotAPartition(f"tree {w[0]} is not plane: {w[1]} crosses {w[2]}")
     m = 2 * n - 1
     stats: list[TreeStats] = []
     one_boundary: list[int] = []

@@ -6,12 +6,15 @@ import sys
 import pytest
 
 from planetrees import (InvariantViolation, ParseError, PointSet,
-                        build_wheel_partition, make_wheel, verify_partition)
+                        build_wheel_partition, convex_hull, geom_core,
+                        make_wheel, theorem2_partition, verify_partition)
 from planetrees.cli_io import (RenderStyle, emit_edgelist, emit_partition,
                                emit_pointset, load_pointset, main,
                                parse_edgelist, parse_partition, parse_pointset,
                                render_svg)
 from planetrees.presets import POINT_PRESETS, builtin_tree, figure_pointset
+
+from conftest import regular_gon
 
 FIG2I_SVG_SHA = "9c03434cb3dccd8479ea11221b4579437343a91ec6d495a21d99706e8ac379da"
 
@@ -107,6 +110,30 @@ def test_packaged_presets_match_programmatic():
         built = figure_pointset(name)
         assert packaged.config_tag == built.config_tag, name
         assert packaged.points == built.points, name
+
+
+def test_preset_names_resolve_with_their_labels():
+    for name in POINT_PRESETS:
+        assert load_pointset(name).labels == figure_pointset(name).labels, name
+    assert load_pointset("fig4").label(1) == "u"
+
+
+def test_parsed_convex_file_runs_one_hull_pass(monkeypatch):
+    sizes = []
+    strict_hull = geom_core._strict_hull
+
+    def counted(points):
+        sizes.append(len(points))
+        return strict_hull(points)
+
+    monkeypatch.setattr(geom_core, "_strict_hull", counted)
+    ps = parse_pointset(emit_pointset(regular_gon(16)))
+    assert ps.config_tag == "convex"
+    assert verify_partition(theorem2_partition(ps, 0)).predicate == "convex-order"
+    assert sizes == [16]
+    sizes.clear()
+    assert len(convex_hull(regular_gon(16))) == 16
+    assert sizes == [16]
 
 
 def test_load_pointset_wheel_and_file(tmp_path, wheel3):

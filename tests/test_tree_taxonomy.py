@@ -4,6 +4,7 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planetrees import (GeomTree, InvalidParameter, NotATree, NotWheelConfig,
                         Partition, PointSet, analyze_wheel_partition, boundary_edges,
@@ -15,9 +16,9 @@ from planetrees import geom_core
 from planetrees.geom_core import cyclic_order
 from planetrees.presets import builtin_tree, figure_pointset
 from planetrees.tree_taxonomy import (TreeIndex, adjacency, as_edges,
-                                      crossing_pair, is_caterpillar_edges,
-                                      is_w_caterpillar, p4_witness_paths,
-                                      preferred_p4_witness)
+                                      cover_defect, crossing_pair,
+                                      is_caterpillar_edges, is_w_caterpillar,
+                                      p4_witness_paths, preferred_p4_witness)
 
 from conftest import random_convex, random_plane_convex_tree, regular_gon
 
@@ -450,3 +451,72 @@ def test_classify_on_a_long_path():
     assert rep.p4_symmetric is None and not rep.w_caterpillar
     assert rep.symmetric is not None and rep.symmetric.edge == (1499, 1500)
     assert rep.symmetric.iso_witness[0] == 2999
+
+
+# ---------------------------------------------------------------------------
+# the partition model: one cover check, one spine walker
+
+def sorted_multiset_defect(npts, trees):
+    """Coverage defect by sorting the edge multiset against all pairs."""
+    want = sorted(combinations(range(npts), 2))
+    got = sorted(e for t in trees for e in t.edges)
+    return {"missing": sorted(set(want) - set(got)),
+            "extra": sorted(set(got) - set(want)),
+            "duplicated": sorted(e for e in set(got) if got.count(e) > 1)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cover_defect_matches_sorted_multiset(data):
+    npts = data.draw(st.integers(min_value=2, max_value=10))
+    ps = regular_gon(npts)
+    edges = list(combinations(range(npts), 2))
+    data.draw(st.randoms(use_true_random=False)).shuffle(edges)
+    drop = data.draw(st.integers(min_value=0, max_value=3))
+    edges = edges[drop:]
+    index = st.integers(min_value=0, max_value=max(len(edges) - 1, 0))
+    if edges:
+        edges += [edges[i] for i in data.draw(st.lists(index, max_size=3))]
+    end = st.integers(min_value=-2, max_value=npts + 2)
+    far = st.tuples(end, end).filter(
+        lambda e: e[0] != e[1] and not (0 <= min(e) and max(e) < npts))
+    edges += data.draw(st.lists(far, max_size=3))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(edges)), max_size=4)))
+    bounds = [0] + cuts + [len(edges)]
+    trees = [GeomTree(ps, tuple(edges[a:b])) for a, b in zip(bounds, bounds[1:])]
+    defect = cover_defect(ps, trees)
+    assert defect == sorted_multiset_defect(npts, trees)
+    assert any(defect.values()) == (sorted(e for t in trees for e in t.edges)
+                                    != list(combinations(range(npts), 2)))
+
+
+def stripped_reference(g):
+    """caterpillar, s_k and double_star of a networkx tree, read off the
+    tree minus its leaves."""
+    inner = g.subgraph([v for v in g if g.degree(v) > 1])
+    if any(d > 2 for _, d in inner.degree()):
+        return False, None, None
+    if inner.number_of_nodes() < 2:
+        return True, None, None
+    ends = [v for v, d in inner.degree() if d == 1]
+    if any(g.degree(v) != 2 for v in inner if v not in ends):
+        return True, None, None
+    m, n = sorted(g.degree(v) - 1 for v in ends)
+    k = inner.number_of_nodes() - 2
+    return True, (k, m, n), (m, n) if k == 0 else None
+
+
+def test_spine_matches_leaf_stripping_on_all_small_trees():
+    rng = random.Random(6)
+    for k in range(2, 13):
+        for g in nx.nonisomorphic_trees(k):
+            g = nx.relabel_nodes(g, dict(zip(g, rng.sample(range(3 * k), k))))
+            rep = classify(tuple(g.edges))
+            assert (rep.caterpillar, rep.s_k, rep.double_star) == stripped_reference(g)
+
+
+def test_unique_path_takes_an_index_and_rejects_non_trees(wheel3):
+    red = build_wheel_partition(builtin_tree("fig2i", 3), 3).trees[1]
+    assert unique_path(TreeIndex(red.edges), 2, 1) == unique_path(red, 2, 1) == [2, 0, 1]
+    with pytest.raises(NotATree):
+        unique_path(GeomTree(wheel3, ((0, 1), (1, 2), (0, 2))), 0, 2)

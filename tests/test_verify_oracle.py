@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+from planetrees import halving_partition, verify_oracle
 from planetrees import (GeomTree, OddPointCount, Partition, TooLarge,
                         brute_force_partitions, build_wheel_partition,
                         check_observation1, classify, make_wheel,
@@ -209,3 +213,19 @@ def test_size_guards():
         brute_force_partitions(make_wheel(4), limit=None)
     with pytest.raises(OddPointCount):
         brute_force_partitions(regular_gon(5))
+
+
+# ---------------------------------------------------------------------------
+# independence from the builders
+
+def test_verifier_and_halving_builder_import_no_wheel_builder():
+    for module in (verify_oracle, halving_partition):
+        tree = ast.parse(Path(module.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert not any("wheel_partition" in name for name in imported), module.__name__

@@ -274,3 +274,27 @@ def test_note1_instances():
     assert check_note1(build_wheel_partition(CHAIR, 3))
     assert check_note1(build_wheel_partition(builtin_tree("doublestar", 3), 3))
     assert check_note1(build_wheel_partition(builtin_tree("doublestar", 5), 5))
+
+
+def test_analyze_raises_for_each_verify_failure():
+    p = build_wheel_partition(builtin_tree("doublestar", 4), 4)
+    trees = [list(t.edges) for t in p.trees]
+    dropped = [trees[0][1:]] + trees[1:]
+    moved = [trees[0][1:], trees[1] + trees[0][:1]] + trees[2:]
+    pts = list(p.ps.points)
+    pts[0], pts[3] = pts[3], pts[0]
+    swapped = PointSet(tuple(pts), "wheel4")
+    seen = set()
+    for ps, bad in ((p.ps, trees[:3]), (p.ps, dropped), (p.ps, moved), (swapped, trees)):
+        claim = Partition(ps, tuple(GeomTree(ps, t) for t in bad))
+        rep = verify_partition(claim)
+        assert not rep
+        seen.add(rep.reason)
+        with pytest.raises(NotAPartition, match=f"tree {rep.witness[0]} is not plane"
+                           if rep.reason == "plane" else
+                           f"tree {rep.witness} is not a spanning tree"
+                           if rep.reason == "spanning" else
+                           "3 trees, expected 4" if rep.witness["trees"] == 3 else
+                           "edge multiset"):
+            analyze_wheel_partition(claim)
+    assert seen == {"coverage", "spanning", "plane"}
