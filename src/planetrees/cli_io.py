@@ -25,7 +25,7 @@ from . import presets
 from .errors import (HypothesisViolated, InvalidParameter, InvariantViolation,
                      NoHLabeling, NotAHalvingLine, NoWLabeling, ParseError,
                      PlaneTreesError, SideViolation, StructureViolation)
-from .geom_core import PointSet, collinear_triple, cyclic_order, make_wheel
+from .geom_core import PointSet, collinear_triple, make_wheel, wheel_labels, wheel_tag
 from .halving import h_labeling, k_halving_lines, w_labeling
 from .halving_partition import (ConstructionChoices, theorem2_partition,
                                 theorem3_partition, theorem4_partition)
@@ -33,7 +33,6 @@ from .tree_taxonomy import GeomTree, Partition, classify
 from .verify_oracle import brute_force_partitions, verify_partition
 from .wheel_partition import analyze_wheel_partition, build_wheel_partition
 
-_WHEEL_ARG = re.compile(r"^wheel([0-9]+)$")
 _GON_ARG = re.compile(r"^gon([0-9]+)$")
 _RANDOM_ARG = re.compile(r"^random([0-9]+)$")
 
@@ -84,21 +83,17 @@ def parse_pointset(text: str) -> PointSet:
     if len(set(pts)) != len(pts):
         dup = next(p for i, p in enumerate(pts) if p in pts[:i])
         raise InvariantViolation(f"duplicate point {dup}")
-    labels = None
-    wheel = _WHEEL_ARG.match(tag)
-    if wheel:
-        n = int(wheel.group(1))
-        if count != 2 * n:
-            raise InvariantViolation(f"tag wheel{n} needs {2 * n} points, file has {count}")
-        labels = tuple(f"v{i}" for i in range(2 * n - 1)) + ("x",)
-    elif tag not in ("general", "convex"):
+    n = wheel_tag(tag)
+    if n is None and tag not in ("general", "convex"):
         raise ParseError(f"unknown config tag {tag!r}")
-    ps = PointSet(tuple(pts), tag, labels)
-    # a strict-hull order, built once and kept on ps, rules out a collinear triple
-    if not wheel and cyclic_order(ps) is None:
-        triple = collinear_triple(pts)
-        if triple is not None:
-            raise InvariantViolation(f"collinear triple {triple} under tag {tag!r}")
+    if n is not None and count != 2 * n:
+        raise InvariantViolation(f"tag wheel{n} needs {2 * n} points, file has {count}")
+    ps = PointSet(tuple(pts), tag, None if n is None else wheel_labels(n))
+    # collinear_triple reads the order kept on ps; a wheel tag is left to
+    # cyclic_order, which checks it before anything relies on it
+    triple = None if n is not None else collinear_triple(ps)
+    if triple is not None:
+        raise InvariantViolation(f"collinear triple {triple} under tag {tag!r}")
     return ps
 
 
@@ -243,16 +238,23 @@ def render_svg(p: Partition | GeomTree, style: RenderStyle | None = None) -> str
 # ---------------------------------------------------------------------------
 # input resolution
 
+def _read(value: str, flag: str) -> str:
+    """Text of the file an option names; ParseError when it cannot be read."""
+    try:
+        return Path(value).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{flag} {value!r}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def load_pointset(value: str) -> PointSet:
     """File path, packaged preset name, or wheel<n> tag."""
-    path = Path(value)
-    if path.is_file():
-        return parse_pointset(path.read_text())
+    if Path(value).is_file():
+        return parse_pointset(_read(value, "--input"))
     if value in presets.POINT_PRESETS:
         return presets.figure_pointset(value)
-    wheel = _WHEEL_ARG.match(value)
-    if wheel:
-        return make_wheel(int(wheel.group(1)))
+    n = wheel_tag(value)
+    if n is not None:
+        return make_wheel(n)
     raise ParseError(f"--input {value!r} is neither a file, a preset, nor wheel<n>")
 
 
@@ -261,25 +263,22 @@ def _load_choices(value: str | None) -> ConstructionChoices | None:
         return None
     if value in presets.CHOICES_PRESETS:
         return presets.CHOICES_PRESETS[value]
-    if value.lstrip().startswith("{"):
-        text = value
-    else:
-        path = Path(value)
-        if not path.is_file():
-            raise ParseError(f"--choices {value!r} is neither a preset nor a file")
-        text = path.read_text()
+    text = value if value.lstrip().startswith("{") else _read(value, "--choices")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad choices JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ParseError(f"choices JSON must be an object, got {type(raw).__name__}")
     allowed = {"star_side", "extend_side", "type4", "line"}
     unknown = set(raw) - allowed
     if unknown:
         raise ParseError(f"unknown choices keys {sorted(unknown)}")
-    if "extend_side" in raw and raw["extend_side"] is not None:
-        raw["extend_side"] = tuple(raw["extend_side"])
-    if "line" in raw and raw["line"] is not None:
-        raw["line"] = tuple(raw["line"])
+    for key in ("extend_side", "line"):
+        if raw.get(key) is not None:
+            if not isinstance(raw[key], list):
+                raise ParseError(f"choices key {key!r} must be a list, got {raw[key]!r}")
+            raw[key] = tuple(raw[key])
     return ConstructionChoices(**raw)
 
 
@@ -317,8 +316,10 @@ def _cmd_generate(args) -> int:
         value = args.config
         if value is None:
             raise InvalidParameter("generate needs --config or --preset")
-        if (m := _WHEEL_ARG.match(value)):
-            ps = make_wheel(int(m.group(1)), radius=args.radius)
+        if not 0 < args.radius < math.inf:
+            raise InvalidParameter(f"--radius must be finite and positive, got {args.radius}")
+        if (n := wheel_tag(value)) is not None:
+            ps = make_wheel(n, radius=args.radius)
         elif (m := _GON_ARG.match(value)):
             count = int(m.group(1))
             if count % 2 or count < 4:
@@ -338,7 +339,8 @@ def _cmd_generate(args) -> int:
                 gaps.append(2 * math.pi - angles[-1] + angles[0])
                 if min(gaps) > 1e-3:
                     break
-            pts = tuple((math.cos(a), math.sin(a)) for a in angles)
+            pts = tuple((args.radius * math.cos(a), args.radius * math.sin(a))
+                        for a in angles)
             ps = PointSet(pts, "convex")
         else:
             raise InvalidParameter(
@@ -371,7 +373,7 @@ def _cmd_halving(args) -> int:
 
 def _cmd_classify(args) -> int:
     ps = load_pointset(args.input)
-    edges = parse_edgelist(Path(args.tree).read_text())
+    edges = parse_edgelist(_read(args.tree, "--tree"))
     rep = classify(GeomTree(ps, edges))
     payload = {
         "is_path": rep.is_path,
@@ -409,13 +411,13 @@ def _cmd_wheel_partition(args) -> int:
     if args.tree.startswith("builtin:"):
         edges = presets.builtin_tree(args.tree.removeprefix("builtin:"), args.n)
     else:
-        edges = parse_edgelist(Path(args.tree).read_text())
+        edges = parse_edgelist(_read(args.tree, "--tree"))
     p = build_wheel_partition(edges, args.n)
+    # analyze_wheel_partition runs verify_partition and raises unless it passes
     analysis = analyze_wheel_partition(p)
-    report = verify_partition(p)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    lines = [f"verify: {'pass' if report.ok else 'fail'}",
+    lines = ["verify: pass",
              f"one_boundary_tree: {analysis.one_boundary_tree}",
              f"radial_run: {' '.join(f'{a}-{b}' for a, b in analysis.radial_run)}"]
     for i, st in enumerate(analysis.per_tree):
@@ -423,10 +425,10 @@ def _cmd_wheel_partition(args) -> int:
                      f" four_path={st.four_path}")
     (out / "analysis.txt").write_text("\n".join(lines) + "\n")
     _write_partition_dir(args, p, {
-        "verify": report.ok,
+        "verify": True,
         "one_boundary_tree": analysis.one_boundary_tree,
     })
-    return 0 if report.ok else 1
+    return 0
 
 
 def _cmd_halving_partition(args) -> int:
@@ -449,7 +451,7 @@ def _cmd_halving_partition(args) -> int:
 
 def _cmd_verify(args) -> int:
     ps = load_pointset(args.input)
-    p = parse_partition(Path(args.partition).read_text(), ps)
+    p = parse_partition(_read(args.partition, "--partition"), ps)
     report = verify_partition(p)
     payload = {"ok": report.ok, "reason": report.reason, "witness": report.witness,
                "predicate": report.predicate}
@@ -478,9 +480,9 @@ def _cmd_render(args) -> int:
     ps = load_pointset(args.input)
     if args.partition:
         target: Partition | GeomTree = parse_partition(
-            Path(args.partition).read_text(), ps)
+            _read(args.partition, "--partition"), ps)
     elif args.tree:
-        target = GeomTree(ps, parse_edgelist(Path(args.tree).read_text()))
+        target = GeomTree(ps, parse_edgelist(_read(args.tree, "--tree")))
     else:
         raise InvalidParameter("render needs --partition or --tree")
     svg = render_svg(target)

@@ -9,15 +9,15 @@ evaluation via float.as_integer_ratio. There is no tolerance: COLLINEAR
 means exactly collinear, and the callers that require general position
 raise DegenerateInput instead of guessing.
 
-A configuration tag is a claim, not a fact. cyclic_order checks it
-once per PointSet with O(n) orientation calls: a wheel<n> tag earns
-the exact integer index arithmetic of wheel_crossing only when the
-coordinates confirm it (make_wheel's sets are wheels by construction),
-and a set without a wheel tag gets a cyclic order when a strict hull
-pass finds every point on the hull. On such an order CyclicOrder.plane
-decides whether an edge set is crossing-free in O(E log E); a set with
-no order is left to the pairwise predicates. The same hull pass settles
-collinear_triple in O(n log n) on a set in strictly convex position.
+A configuration tag is a claim, not a fact, and cyclic_order alone
+decides it, once per PointSet with O(n) orientation calls: a wheel<n>
+tag earns exact index arithmetic only when the coordinates confirm it
+(make_wheel checks the points it computes the same way), and a set
+without a wheel tag gets a cyclic order when a strict hull pass finds
+every point on the hull. On such an order CyclicOrder.plane decides
+whether an edge set is crossing-free in O(E log E); a set with no order
+is left to the pairwise predicates. The order also settles
+collinear_triple. Only this module knows the tag syntax and wheel labels.
 """
 from __future__ import annotations
 
@@ -39,8 +39,6 @@ GeomEdge = tuple[int, int]
 # smallest subnormal) covers the absolute error of subnormal products.
 _ERRBOUND = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53
 _UNDERFLOW = 2.0 ** -1070
-
-_WHEEL_TAG = re.compile(r"^wheel([0-9]+)$")
 
 # PointSet.__dict__ key of the cached cyclic order (as halving's profile)
 _ORDER_ATTR = "_cyclic_order"
@@ -182,11 +180,12 @@ def make_wheel(n: int, radius: float = 1.0, seed_angle: float | None = None) -> 
     The center always gets the last index 2n-1, so circle labels
     v_0..v_{2n-2} coincide with indices. seed_angle defaults to
     -pi/2 + pi/(2n-1), which roughly matches the usual drawn orientation.
+    Raises InvalidParameter when the rounded points form no wheel.
     """
     if n < 2:
         raise InvalidParameter(f"n must be >= 2, got {n}")
-    if not radius > 0:
-        raise InvalidParameter(f"radius must be positive, got {radius}")
+    if not 0 < radius < math.inf:
+        raise InvalidParameter(f"radius must be finite and positive, got {radius}")
     m = 2 * n - 1
     if seed_angle is None:
         seed_angle = -math.pi / 2 + math.pi / m
@@ -195,38 +194,45 @@ def make_wheel(n: int, radius: float = 1.0, seed_angle: float | None = None) -> 
          radius * math.sin(seed_angle + 2 * math.pi * i / m))
         for i in range(m)
     ) + ((0.0, 0.0),)
-    labels = tuple(f"v{i}" for i in range(m)) + ("x",)
-    ps = PointSet(points=pts, config_tag=f"wheel{n}", labels=labels)
-    # a wheel by construction: storing its order spares the O(n) check
-    # that cyclic_order makes on a parsed or copied wheel
+    if not _is_wheel(pts, n):
+        raise InvalidParameter(f"radius {radius}, seed angle {seed_angle}: no wheel{n} in floats")
+    ps = PointSet(points=pts, config_tag=f"wheel{n}", labels=wheel_labels(n))
+    # checked above: storing the order spares cyclic_order the same check
     ps.__dict__[_ORDER_ATTR] = _wheel_order(n)
     return ps
 
 
+def wheel_tag(tag: str) -> int | None:
+    """The n of a wheel<n> tag (or CLI argument), else None."""
+    m = re.fullmatch(r"wheel([0-9]+)", tag)
+    return int(m.group(1)) if m else None
+
+
+def wheel_labels(n: int) -> tuple[str, ...]:
+    """Display names of a wheel's points: v0..v_{2n-2}, then the centre x."""
+    return tuple(f"v{i}" for i in range(2 * n - 1)) + ("x",)
+
+
 def wheel_n(ps: PointSet) -> int | None:
     """Wheel parameter n if ps carries a wheel tag of matching size, else None."""
-    m = _WHEEL_TAG.match(ps.config_tag)
-    if not m:
-        return None
-    n = int(m.group(1))
-    if len(ps) != 2 * n:
+    n = wheel_tag(ps.config_tag)
+    if n is not None and len(ps) != 2 * n:
         raise InvalidParameter(
             f"config tag {ps.config_tag} disagrees with point count {len(ps)}")
     return n
 
 
-def collinear_triple(points: Iterable[Point]) -> tuple[int, int, int] | None:
+def collinear_triple(points: Iterable[Point] | PointSet) -> tuple[int, int, int] | None:
     """First collinear index triple (lexicographically), or None when in
     general position. A repeated point is collinear with any third point.
 
-    A set whose strict hull keeps every point is in strictly convex
-    position and has no collinear triple: that costs one O(n log n) hull
-    pass. Other sets are scanned triple by triple, O(n^3).
+    A set with a cyclic order (a verified wheel, or strictly convex
+    position) has no collinear triple: a PointSet takes its order's
+    verdict, bare points cost one O(n log n) hull pass. Other sets are
+    scanned triple by triple, O(n^3).
     """
-    pts = tuple(points)
-    if len(_strict_hull(pts)) == len(pts):
-        return None
-    return _scan_triples(pts)
+    ps = points if isinstance(points, PointSet) else PointSet(tuple(points))
+    return None if cyclic_order(ps) is not None else _scan_triples(ps.points)
 
 
 def _scan_triples(pts: tuple[Point, ...]) -> tuple[int, int, int] | None:
@@ -351,9 +357,9 @@ def cyclic_order(ps: PointSet) -> CyclicOrder | None:
     """The verified cyclic order of ps, built on first use and kept on ps.
 
     A wheel<n> tag yields a "wheel-index" order only when the coordinates
-    confirm it (make_wheel's sets are wheels by construction and carry
-    their order from the start); a set without a wheel tag yields a "convex-order" order
-    when every point is a strict hull vertex. Otherwise (a wheel tag the
+    confirm it (make_wheel checks its points and stores their order); a
+    set without a wheel tag yields a "convex-order" order when every
+    point is a strict hull vertex. Otherwise (a wheel tag the
     coordinates refute included) None. Raises InvalidParameter when a
     wheel tag disagrees with the point count.
     """

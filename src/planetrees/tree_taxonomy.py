@@ -9,12 +9,12 @@ verifier needs nothing from the builders it checks.
 Tree recognizers and witnesses: paths, stars, double stars, S_k(m,n),
 caterpillars, P4-symmetric trees, w-caterpillars, and symmetric trees.
 All classification is purely combinatorial; geometry enters only through
-crossing_pair / is_plane / boundary_edges / radial_edges. The first
-three read the point set's verified cyclic order (geom_core.cyclic_order):
+crossing_pair / is_plane / boundary_edges / radial_edges, and all four
+read the point set's verified cyclic order (geom_core.cyclic_order):
 wheel index arithmetic runs only after the coordinates have confirmed
-the wheel<n> tag, and a set without an order falls back to coordinate
-predicates. radial_edges reads the tag (wheel_tag_n), as it names the
-centre by index. Functions accepting a tree take a GeomTree, a bare
+the wheel<n> tag (wheel_tag_n raises NotWheelConfig on a tag they
+refute), and a set without an order falls back to coordinate
+predicates. Functions accepting a tree take a GeomTree, a bare
 iterable of index pairs (the wheel builder works on abstract trees) or,
 to ask several questions of one tree, its TreeIndex.
 
@@ -39,7 +39,7 @@ from typing import Collection, Iterable, Union
 
 from .errors import InvalidParameter, NotATree, NotWheelConfig
 from .geom_core import (GeomEdge, PointSet, convex_hull, cyclic_order, edge,
-                        segments_cross, wheel_crossing, wheel_n)
+                        segments_cross, wheel_n)
 
 
 @dataclass(frozen=True)
@@ -417,20 +417,16 @@ def crossing_pair(ps: PointSet, edges) -> tuple[GeomEdge, GeomEdge] | None:
     """The first two edges, in combinations order, that cross; None if none do.
 
     On a PointSet with a cyclic order (geom_core.cyclic_order) a
-    crossing-free edge set is recognised in O(E log E). The pairwise scan
-    runs only without an order, or to name the first crossing pair, with
-    wheel_crossing's index arithmetic on a verified wheel and coordinates
-    otherwise.
+    crossing-free edge set is recognised in O(E log E). The pairwise
+    segments_cross scan, exact on every set, runs only without an order
+    or to name the first crossing pair.
     """
     edges = tuple(edges)
     order = cyclic_order(ps)
     if order is not None and order.plane(edges):
         return None
-    n = order.wheel if order is not None else None
-    for e1, e2 in combinations(edges, 2):
-        if wheel_crossing(e1, e2, n) if n is not None else segments_cross(e1, e2, ps):
-            return (e1, e2)
-    return None
+    return next(((e1, e2) for e1, e2 in combinations(edges, 2)
+                 if segments_cross(e1, e2, ps)), None)
 
 
 def is_plane(t: GeomTree) -> bool:
@@ -492,11 +488,13 @@ def boundary_edges(t: GeomTree) -> list[GeomEdge]:
 
 
 def wheel_tag_n(ps: PointSet) -> int:
-    """The n of ps's wheel<n> tag; NotWheelConfig without one."""
-    n = wheel_n(ps)
-    if n is None:
-        raise NotWheelConfig(f"config tag {ps.config_tag!r} is not a wheel")
-    return n
+    """The n of ps's wheel<n> tag once its cyclic order confirms it;
+    NotWheelConfig without a tag or on one the coordinates refute."""
+    order = cyclic_order(ps)
+    if order is None or order.wheel is None:
+        claim = "not a wheel" if wheel_n(ps) is None else "refuted by the coordinates"
+        raise NotWheelConfig(f"config tag {ps.config_tag!r} is {claim}")
+    return order.wheel
 
 
 def radial_edges(t: GeomTree) -> list[GeomEdge]:

@@ -9,10 +9,11 @@ a report naming the first failed check (coverage, then spanning, then
 plane) with a concrete witness, and which planarity predicate ran:
 "wheel-index" on a verified wheel, "convex-order" on a set in convex
 position (both through the point set's cyclic order), or "pairwise"
-coordinate tests. The enumerator fills its crossing table through the
-same crossing_pair and assigns edges of K_2n to tree slots in
-lexicographic order with first-free-slot symmetry breaking, so each
-unordered partition appears exactly once.
+coordinate tests; segments_cross names a crossing pair on every set.
+The enumerator fills its crossing table through the same crossing_pair
+and assigns edges of K_2n to tree slots in lexicographic order with
+first-free-slot symmetry breaking, so each unordered partition appears
+exactly once. Observation 1 holds only on a verified wheel.
 """
 from __future__ import annotations
 

@@ -22,8 +22,8 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import (InvalidParameter, NotAPartition, NotWCaterpillar,
-                     SizeMismatch, StructureViolation)
-from .geom_core import GeomEdge, PointSet, edge, make_wheel
+                     NotWheelConfig, SizeMismatch, StructureViolation)
+from .geom_core import GeomEdge, PointSet, edge, make_wheel, wheel_n
 from .tree_taxonomy import (GeomTree, Partition, TreeIndex, TreeLike,
                             as_edges, boundary_edges, classify,
                             is_caterpillar_edges, is_plane, is_spanning_tree,
@@ -124,11 +124,8 @@ def place_caterpillar_on_chain(c: TreeLike, ps: PointSet, chain: list[int],
 
 def rotate_tree(t: GeomTree, steps: int) -> GeomTree:
     """Rotate every circle index by steps (mod 2n-1); the center stays put."""
-    n = wheel_tag_n(t.ps)
-    m = 2 * n - 1
-    center = 2 * n - 1
-    rot = tuple(
-        tuple(v if v == center else (v + steps) % m for v in e) for e in t.edges)
+    m = 2 * wheel_tag_n(t.ps) - 1  # also the centre's index
+    rot = tuple(tuple(v if v == m else (v + steps) % m for v in e) for e in t.edges)
     return GeomTree(t.ps, rot)
 
 
@@ -223,9 +220,11 @@ def analyze_wheel_partition(p: Partition) -> WheelAnalysis:
     mirrored). Any deviation raises StructureViolation, which on a
     genuinely valid partition would contradict the structural results.
     Raises NotWheelConfig without a wheel tag, then NotAPartition for the
-    first check verify_partition fails.
+    first check verify_partition fails, then NotWheelConfig on a refuted tag.
     """
-    n = wheel_tag_n(p.ps)
+    n = wheel_n(p.ps)
+    if n is None:
+        raise NotWheelConfig(f"config tag {p.ps.config_tag!r} is not a wheel")
     report = verify_partition(p)
     if not report:
         w = report.witness
@@ -235,7 +234,7 @@ def analyze_wheel_partition(p: Partition) -> WheelAnalysis:
         if report.reason == "spanning":
             raise NotAPartition(f"tree {w} is not a spanning tree")
         raise NotAPartition(f"tree {w[0]} is not plane: {w[1]} crosses {w[2]}")
-    m = 2 * n - 1
+    m = 2 * wheel_tag_n(p.ps) - 1  # NotWheelConfig on a refuted tag
     stats: list[TreeStats] = []
     one_boundary: list[int] = []
     for idx, t in enumerate(p.trees):

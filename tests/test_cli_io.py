@@ -1,13 +1,16 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from planetrees import (InvariantViolation, ParseError, PointSet,
-                        build_wheel_partition, convex_hull, geom_core,
-                        make_wheel, theorem2_partition, verify_partition)
+                        build_wheel_partition, cli_io, convex_hull, geom_core,
+                        make_wheel, theorem2_partition, verify_partition,
+                        wheel_partition)
 from planetrees.cli_io import (RenderStyle, emit_edgelist, emit_partition,
                                emit_pointset, load_pointset, main,
                                parse_edgelist, parse_partition, parse_pointset,
@@ -134,6 +137,27 @@ def test_parsed_convex_file_runs_one_hull_pass(monkeypatch):
     sizes.clear()
     assert len(convex_hull(regular_gon(16))) == 16
     assert sizes == [16]
+
+
+def test_parsed_general_file_runs_one_hull_pass(monkeypatch):
+    sizes = []
+    strict_hull = geom_core._strict_hull
+
+    def counted(points):
+        sizes.append(len(points))
+        return strict_hull(points)
+
+    monkeypatch.setattr(geom_core, "_strict_hull", counted)
+    ps = parse_pointset(emit_pointset(figure_pointset("fig5")))
+    assert ps.config_tag == "general"
+    assert sizes == [8]
+
+
+def test_wheel_tag_syntax_lives_in_geom_core():
+    for path in Path(geom_core.__file__).parent.glob("*.py"):
+        if path.name != "geom_core.py":
+            text = path.read_text()
+            assert "wheel([0-9]+)" not in text and '("x",)' not in text, path.name
 
 
 def test_load_pointset_wheel_and_file(tmp_path, wheel3):
@@ -276,6 +300,21 @@ def test_cli_wheel_partition_rejects_path(tmp_path, capsys):
     assert "NotWCaterpillar" in capsys.readouterr().err
 
 
+def test_cli_wheel_partition_verifies_once(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return verify_partition(p)
+
+    monkeypatch.setattr(wheel_partition, "verify_partition", counted)
+    monkeypatch.setattr(cli_io, "verify_partition", counted)
+    assert run_cli("wheel-partition", "--n", "4", "--tree", "builtin:doublestar",
+                   "--out", str(tmp_path / "parts"), "--json") == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["verify"] is True
+
+
 def test_cli_halving_partition(tmp_path, capsys):
     out = tmp_path / "t2"
     assert run_cli("halving-partition", "--input", "fig5", "--theorem", "2",
@@ -360,6 +399,36 @@ def test_cli_verify_refutes_unearned_wheel_tag(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["reason"] == "plane" and payload["witness"] == [0, [0, 1], [2, 5]]
     assert payload["predicate"] == "pairwise"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--input", "wheel4", "--partition", "{tmp}/missing.txt"],
+    ["classify", "--input", "wheel4", "--tree", "{tmp}/missing.edges"],
+    ["render", "--input", "wheel4", "--tree", "{tmp}"],
+    ["halving-partition", "--input", "wheel4", "--theorem", "4", "--r", "2",
+     "--choices", '{{"extend_side": 5}}', "--out", "{tmp}/t4"],
+    ["halving-partition", "--input", "wheel4", "--theorem", "4", "--r", "2",
+     "--choices", '{{"line": 5}}', "--out", "{tmp}/t4"],
+    ["halving-partition", "--input", "wheel4", "--theorem", "4", "--r", "2",
+     "--choices", "{tmp}/number.json", "--out", "{tmp}/t4"],
+    ["generate", "--config", "gon8", "--radius", "inf"],
+    ["generate", "--config", "random8", "--radius", "0"],
+])
+def test_cli_bad_input_exits_2_without_traceback(tmp_path, argv):
+    (tmp_path / "number.json").write_text("5\n")
+    res = subprocess.run(
+        [sys.executable, "-m", "planetrees.cli_io", *(a.format(tmp=tmp_path) for a in argv)],
+        capture_output=True, text=True)
+    assert res.returncode == 2, res.stderr
+    assert len(res.stderr.splitlines()) == 1, res.stderr
+    assert res.stderr.startswith(("ParseError: ", "InvalidParameter: ")), res.stderr
+    assert res.stdout == ""
+
+
+def test_cli_generate_random_applies_radius(capsys):
+    assert run_cli("generate", "--config", "random8", "--seed", "3", "--radius", "2.5") == 0
+    ps = parse_pointset(capsys.readouterr().out)
+    assert all(abs(math.hypot(x, y) - 2.5) < 1e-12 for x, y in ps.points)
 
 
 def test_cli_oracle(tmp_path, capsys):

@@ -149,6 +149,37 @@ def test_make_wheel_rejects_bad_parameters():
         make_wheel(3, radius=0.0)
 
 
+def test_make_wheel_checks_its_coordinates():
+    # make_wheel's own formula at radius 1e-322: every coordinate is a
+    # small multiple of the least subnormal, and v0 v1 v2 round onto a line
+    m, radius = 39, 1e-322
+    seed = -math.pi / 2 + math.pi / m
+    pts = tuple((radius * math.cos(seed + 2 * math.pi * i / m),
+                 radius * math.sin(seed + 2 * math.pi * i / m)) for i in range(m))
+    assert collinear_triple(pts + ((0.0, 0.0),)) == (0, 1, 2)
+    with pytest.raises(InvalidParameter, match="no wheel20"):
+        make_wheel(20, radius=1e-322)
+    for radius in (math.inf, math.nan, -1.0):
+        with pytest.raises(InvalidParameter, match="finite and positive"):
+            make_wheel(3, radius=radius)
+
+
+def test_collinear_triple_takes_the_order_verdict(monkeypatch):
+    scans = []
+    scan = geom_core._scan_triples
+
+    def counted(pts):
+        scans.append(len(pts))
+        return scan(pts)
+
+    monkeypatch.setattr(geom_core, "_scan_triples", counted)
+    wheel = make_wheel(5)
+    assert collinear_triple(wheel) is None and scans == []
+    # the same points untagged: the centre is off the hull, so no order
+    assert collinear_triple(PointSet(wheel.points)) is None and scans == [10]
+    assert collinear_triple(PointSet(((0, 0), (2, 1), (1, 3), (1, 1), (3, 3)))) == (0, 3, 4)
+
+
 def test_make_wheel_seed_angle():
     ps = make_wheel(4, seed_angle=0.0)
     assert ps.points[0] == (1.0, 0.0)

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from planetrees import (GeomTree, InvalidParameter, NotATree, NotWheelConfig,
                         Partition, PointSet, analyze_wheel_partition, boundary_edges,
                         build_wheel_partition, classify, is_plane,
-                        is_spanning_tree, make_wheel, radial_edges,
-                        segments_cross, theorem2_partition, tree_canon,
-                        unique_path, verify_partition, wheel_crossing)
+                        is_spanning_tree, make_wheel, observation1_splits,
+                        radial_edges, rotate_tree, segments_cross,
+                        theorem2_partition, tree_canon, unique_path,
+                        verify_partition, wheel_crossing)
 from planetrees import geom_core
 from planetrees.geom_core import cyclic_order
 from planetrees.presets import builtin_tree, figure_pointset
@@ -19,6 +20,7 @@ from planetrees.tree_taxonomy import (TreeIndex, adjacency, as_edges,
                                       cover_defect, crossing_pair,
                                       is_caterpillar_edges, is_w_caterpillar,
                                       p4_witness_paths, preferred_p4_witness)
+from planetrees.verify_oracle import observation1_violation
 
 from conftest import random_convex, random_plane_convex_tree, regular_gon
 
@@ -150,6 +152,15 @@ def test_boundary_edges_ignore_unearned_wheel_tag():
     # index 0 now sits between 2 and 4 on the hull, index 3 between 6 and 1
     t = GeomTree(ps, ((0, 1), (0, 2), (1, 3), (3, 4)))
     assert boundary_edges(t) == [(0, 2), (1, 3)]
+
+
+@pytest.mark.parametrize("fact", [observation1_splits, observation1_violation,
+                                  radial_edges, lambda t: rotate_tree(t, 1)])
+def test_wheel_facts_refute_unearned_wheel_tag(fact):
+    t = GeomTree(swapped_wheel4(), ((0, 1), (0, 7), (1, 5)))
+    with pytest.raises(NotWheelConfig, match="refuted by the coordinates"):
+        fact(t)
+    fact(GeomTree(make_wheel(4), t.edges))  # the same tree on the wheel itself
 
 
 def test_boundary_edges_convex_order():

@@ -265,6 +265,22 @@ def test_analyze_refutes_unearned_wheel_tag():
         analyze_wheel_partition(Partition(ps, tuple(GeomTree(ps, t.edges) for t in p.trees)))
 
 
+def test_analyze_refutes_tag_of_relabelled_valid_partition():
+    # circle points 0 and 3 swapped and the edges relabelled to match: the
+    # drawing and so the partition are unchanged, but the wheel4 tag no
+    # longer describes the indices, so Lemmas 3-5 must not be checked
+    p = build_wheel_partition(builtin_tree("doublestar", 4), 4)
+    swap = {0: 3, 3: 0}
+    pts = list(p.ps.points)
+    pts[0], pts[3] = pts[3], pts[0]
+    ps = PointSet(tuple(pts), "wheel4")
+    q = Partition(ps, tuple(GeomTree(ps, tuple((swap.get(a, a), swap.get(b, b))
+                                               for a, b in t.edges)) for t in p.trees))
+    assert verify_partition(q).ok
+    with pytest.raises(NotWheelConfig, match="refuted"):
+        analyze_wheel_partition(q)
+
+
 def test_observation1_requires_wheel():
     with pytest.raises(NotWheelConfig):
         observation1_splits(GeomTree(figure_pointset("fig5"), ((0, 1),)))
