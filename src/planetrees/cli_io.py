@@ -25,8 +25,9 @@ from . import presets
 from .errors import (HypothesisViolated, InvalidParameter, InvariantViolation,
                      NoHLabeling, NotAHalvingLine, NoWLabeling, ParseError,
                      PlaneTreesError, SideViolation, StructureViolation)
-from .geom_core import PointSet, collinear_triple, make_wheel, wheel_labels, wheel_tag
-from .halving import h_labeling, k_halving_lines, w_labeling
+from .geom_core import (PointSet, _strict_hull, collinear_triple, cyclic_order,
+                        make_wheel, wheel_labels, wheel_tag)
+from .halving import h_labeling, halving_profile, k_halving_lines, w_labeling
 from .halving_partition import (ConstructionChoices, theorem2_partition,
                                 theorem3_partition, theorem4_partition)
 from .tree_taxonomy import GeomTree, Partition, classify
@@ -94,6 +95,12 @@ def parse_pointset(text: str) -> PointSet:
     triple = None if n is not None else collinear_triple(ps)
     if triple is not None:
         raise InvariantViolation(f"collinear triple {triple} under tag {tag!r}")
+    if tag == "convex" and cyclic_order(ps) is None:
+        if count < 3:
+            raise InvariantViolation(f"tag 'convex' needs at least 3 points, file has {count}")
+        hull = set(_strict_hull(ps.points))
+        off = next(i for i in range(count) if i not in hull)
+        raise InvariantViolation(f"point {off} is not a strict hull vertex under tag 'convex'")
     return ps
 
 
@@ -345,6 +352,10 @@ def _cmd_generate(args) -> int:
         else:
             raise InvalidParameter(
                 f"--config {value!r}: want wheel<n>, gon<m>, or random<m>")
+        # make_wheel checks its own points; the convex tag is checked here
+        if ps.config_tag == "convex" and cyclic_order(ps) is None:
+            raise InvalidParameter(f"--config {value} --radius {args.radius}:"
+                                   " the points are not in strictly convex position in floats")
     text = emit_pointset(ps)
     _write(args.out, text)
     if args.json:
@@ -367,6 +378,7 @@ def _cmd_halving(args) -> int:
         lines = k_halving_lines(ps, args.k)
         payload = {"k": args.k, "lines": [[l.i, l.j] for l in lines]}
         human = "\n".join(f"{l.i} {l.j} {l.k}" for l in lines)
+    payload["path"] = halving_profile(ps).path
     _emit_report(args, payload, human)
     return 0
 

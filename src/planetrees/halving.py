@@ -3,13 +3,17 @@
 A line through two points of a 2m-point set is k-halving when it splits
 the remaining 2m-2 points into sizes m-1-k and m-1+k (0-halving lines
 are called halving lines). The k of every pair comes from one
-HalvingProfile per PointSet, built by the k-edge sweep (Edelsbrunner,
-Algorithms in Combinatorial Geometry, 1987): about each point, sort the
-others by angle and rotate a directed line through it, O(n^2 log n) in
-all. The profile is cached on the PointSet, so the labelings, the
-hypothesis checks and the constructions share one sweep. balance()
-counts one pair by brute force and is the oracle the sweep is tested
-against.
+HalvingProfile per PointSet. On a set with a verified cyclic order
+(geom_core.cyclic_order: a regular wheel, or a set in convex position)
+every k is circle arithmetic, O(n^2) with no orientation call. Any other
+set goes through the k-edge sweep (Edelsbrunner, Algorithms in
+Combinatorial Geometry, 1987): about each point, sort the others by
+angle and rotate a directed line through it, O(n^2 log n) in all. The
+profile is cached on the PointSet, so the labelings, the hypothesis
+checks and the constructions share one profile; HalvingProfile.path
+says which way it was built. The same order spares the labelings their
+orientation calls on wheels and convex sets. balance() counts one pair
+by brute force and is the oracle both paths are tested against.
 """
 from __future__ import annotations
 
@@ -19,7 +23,8 @@ from functools import cmp_to_key
 
 from .errors import (DegenerateInput, InvalidParameter, NoHLabeling,
                      NoWLabeling, OddPointCount)
-from .geom_core import Orientation, Point, PointSet, orientation
+from .geom_core import (CyclicOrder, Orientation, Point, PointSet, cyclic_order,
+                        orientation)
 
 # PointSet.__dict__ key of the cached HalvingProfile (as functools.cached_property does)
 _PROFILE_ATTR = "_halving_profile"
@@ -85,11 +90,14 @@ class HalvingProfile:
 
     ks[i * npts + j] == ks[j * npts + i] is the k of the line through
     points i and j, as balance(ps, min(i, j), max(i, j)) counts it; the
-    diagonal holds -1. Build it with halving_profile, which caches it.
+    diagonal holds -1. path is "wheel-index" or "convex-order" when the
+    ks were read off the set's cyclic order, "sweep" when they were swept.
+    Build it with halving_profile, which caches it.
     """
 
     npts: int
     ks: array
+    path: str
 
     def k(self, i: int, j: int) -> int:
         return self.ks[i * self.npts + j]
@@ -101,19 +109,53 @@ class HalvingProfile:
 
 
 def halving_profile(ps: PointSet) -> HalvingProfile:
-    """The HalvingProfile of ps, swept on first use and kept on ps itself.
+    """The HalvingProfile of ps, built on first use and kept on ps itself.
 
     Raises DegenerateInput, naming a collinear triple, when some point
     lies on the line through two others.
     """
     profile = ps.__dict__.get(_PROFILE_ATTR)
     if profile is None:
-        profile = HalvingProfile(len(ps), _sweep(ps))
+        profile = _sweep(ps)
         ps.__dict__[_PROFILE_ATTR] = profile
     return profile
 
 
-def _sweep(ps: PointSet) -> array:
+def _sweep(ps: PointSet) -> HalvingProfile:
+    """The profile of ps: read off its cyclic order when it has one, else
+    swept by _angular_sweep.
+
+    On a strictly convex polygon the sides of a chord whose ends are d
+    apart the short way round hold d - 1 and N - d - 1 of the N points,
+    so k = |N - 2d| // 2, the floor balance takes, for odd N too. A
+    verified wheel puts its centre strictly on the long side of every
+    chord, which keeps the formula, and strictly between v_{i+n-1} and
+    v_{i+n} as seen from v_i, so every spoke splits the rest n - 1 /
+    n - 1 and has k = 0.
+    """
+    order = cyclic_order(ps)
+    if order is None:
+        return HalvingProfile(len(ps), _angular_sweep(ps), "sweep")
+    return HalvingProfile(len(ps), _order_ks(order), order.kind)
+
+
+def _order_ks(order: CyclicOrder) -> array:
+    """HalvingProfile.ks from circle positions (a wheel's centre has pos -1)."""
+    pos, size = order.pos, order.size
+    npts = len(pos)
+    # by_gap[g] == by_gap[-g]: the k of a chord g positions round the circle
+    by_gap = [abs(npts - 2 * min(g, size - g)) // 2 for g in range(size)]
+    by_gap[0] = -1
+    ks = array("i")
+    for pa in pos:
+        if pa < 0:
+            ks.extend([-1 if pb < 0 else 0 for pb in pos])
+        else:
+            ks.extend([0 if pb < 0 else by_gap[pb - pa] for pb in pos])
+    return ks
+
+
+def _angular_sweep(ps: PointSet) -> array:
     """HalvingProfile.ks: per pivot, sort the others by angle, then rotate
     a directed line through the pivot over them.
 
@@ -178,13 +220,16 @@ def _ccw_order(ps: PointSet, pivot: Point, indices: list[int],
             return (dx > 0) - (dx < 0) if upper else (dx < 0) - (dx > 0)
         return cmp_to_key(cmp)
 
-    px, py = pivot
     upper: list[int] = []
     lower: list[int] = []
     for t in indices:
-        x, y = pts[t]
-        (upper if y > py or (y == py and x > px) else lower).append(t)
+        (upper if _upper(pts[t], pivot) else lower).append(t)
     return sorted(upper, key=by_angle(True)) + sorted(lower, key=by_angle(False))
+
+
+def _upper(p: Point, pivot: Point) -> bool:
+    """p is at an angle in [0, pi) about pivot."""
+    return p[1] > pivot[1] or (p[1] == pivot[1] and p[0] > pivot[0])
 
 
 def k_halving_lines(ps: PointSet, k: int) -> list[HalvingLine]:
@@ -227,17 +272,30 @@ def h_labeling(ps: PointSet) -> HLabeling:
         if profile.k(order[i], order[i + m]) != 0:
             raise NoHLabeling(
                 f"halving lines do not pair angular antipodes (v{i} vs v{i + m})")
-    # each side of h_i must be exactly one contiguous label range
-    for i in range(m):
-        left, right = _side_split(ps, order[i], order[i + m])
-        want_one = {(i + 1 + t) % npts for t in range(m - 1)}
-        got_one = {pos[x] for x in left}
-        if got_one != want_one:
-            got_one = {pos[x] for x in right}
-        if got_one != want_one:
-            raise NoHLabeling(f"side of h_{i} is not the label range v{i + 1}..v{i + m - 1}")
+    # each side of h_i must be exactly one contiguous label range; on a
+    # convex order that is so when the labels walk the circle
+    if not _walks_circle(cyclic_order(ps), order):
+        for i in range(m):
+            left, right = _side_split(ps, order[i], order[i + m])
+            want_one = {(i + 1 + t) % npts for t in range(m - 1)}
+            got_one = {pos[x] for x in left}
+            if got_one != want_one:
+                got_one = {pos[x] for x in right}
+            if got_one != want_one:
+                raise NoHLabeling(
+                    f"side of h_{i} is not the label range v{i + 1}..v{i + m - 1}")
     pairs = tuple((order[i], order[i + m]) for i in range(m))
     return HLabeling(pairs=pairs, relabeling=tuple(order))
+
+
+def _walks_circle(co: CyclicOrder | None, ring: list[int]) -> bool:
+    """ring steps one position anticlockwise at a time round a convex
+    order: then the sides of each chord ring[i] ring[j] are the label
+    ranges i+1..j-1 and j+1..i-1."""
+    if co is None or co.wheel is not None:
+        return False
+    pos, size = co.pos, co.size
+    return all((pos[b] - pos[a]) % size == 1 for a, b in zip(ring, ring[1:] + ring[:1]))
 
 
 def w_labeling(ps: PointSet) -> WLabeling:
@@ -253,6 +311,14 @@ def w_labeling(ps: PointSet) -> WLabeling:
     if not candidates:
         raise NoWLabeling("no point is incident to all halving lines")
     w = candidates[0]
+    co = cyclic_order(ps)
+    if co is not None and co.wheel is not None:
+        # w is the centre, about which the circle order is the angular one:
+        # _ccw_order's ring is the circle rotated to its first point at an
+        # angle in [0, pi)
+        up = [_upper(p, ps.points[w]) for p in ps.points[:w]]
+        start = next(i for i in range(w) if up[i] and not up[i - 1])
+        return WLabeling(w=w, order=tuple(range(start, w)) + tuple(range(start)))
     order = _ccw_order(ps, ps.points[w], [i for i in range(npts) if i != w], pivot_index=w)
     return WLabeling(w=w, order=tuple(order))
 
@@ -281,6 +347,12 @@ def check_theorem3_hypothesis(ps: PointSet, r: int) -> HypothesisReport:
 def check_theorem4_hypothesis(ps: PointSet, r: int) -> HypothesisReport:
     """A w on all 2n-1 halving lines; every other point on exactly two
     k-halving lines for k = 1..r, none of which pass through w."""
+    return _theorem4_hypothesis(ps, r)[0]
+
+
+def _theorem4_hypothesis(ps: PointSet, r: int) -> tuple[HypothesisReport, WLabeling | None]:
+    """check_theorem4_hypothesis's report and the w-labeling it read,
+    None when the set has none."""
     npts = len(ps)
     if npts % 2:
         raise OddPointCount(f"{npts} points")
@@ -290,19 +362,19 @@ def check_theorem4_hypothesis(ps: PointSet, r: int) -> HypothesisReport:
     try:
         wl = w_labeling(ps)
     except NoWLabeling as exc:
-        return HypothesisReport(ok=False, witness=None, reason=str(exc))
+        return HypothesisReport(ok=False, witness=None, reason=str(exc)), None
     profile = halving_profile(ps)
     for k in range(1, r + 1):
         counts = profile.incidence(k)
         if counts[wl.w] != 0:
             return HypothesisReport(
                 ok=False, witness=(wl.w, k),
-                reason=f"w lies on {counts[wl.w]} {k}-halving lines, want 0")
+                reason=f"w lies on {counts[wl.w]} {k}-halving lines, want 0"), wl
         for i in range(npts):
             if i == wl.w:
                 continue
             if counts[i] != 2:
                 return HypothesisReport(
                     ok=False, witness=(i, k),
-                    reason=f"point {i} on {counts[i]} {k}-halving lines, want 2")
-    return HypothesisReport(ok=True)
+                    reason=f"point {i} on {counts[i]} {k}-halving lines, want 2"), wl
+    return HypothesisReport(ok=True), wl

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from .errors import (HypothesisViolated, InvalidChoices, InvalidParameter,
                      NotAHalvingLine, SideViolation, StructureViolation)
 from .geom_core import PointSet, edge
-from .halving import (_side_split, check_theorem3_hypothesis,
-                      check_theorem4_hypothesis, h_labeling, halving_profile,
-                      w_labeling)
+from .halving import (_side_split, _theorem4_hypothesis,
+                      check_theorem3_hypothesis, h_labeling, halving_profile)
 from .tree_taxonomy import GeomTree, Partition, cover_defect
 
 
@@ -202,10 +201,9 @@ def theorem4_partition(ps: PointSet, r: int, choices: ConstructionChoices | None
     if choices.type4 not in ("Type1", "Type2"):
         raise InvalidChoices(f"type4 must be 'Type1' or 'Type2', got {choices.type4!r}")
     n = len(ps) // 2
-    hyp = check_theorem4_hypothesis(ps, r)
+    hyp, lab = _theorem4_hypothesis(ps, r)
     if not hyp:
         raise HypothesisViolated(hyp.reason)
-    lab = w_labeling(ps)
     order = lab.order
     m = 2 * n - 1
 

@@ -462,3 +462,35 @@ def test_cli_module_entrypoint(tmp_path):
         capture_output=True, text=True)
     assert res.returncode == 0
     assert res.stdout.strip().splitlines() == [f"{i} 3 0" for i in range(3)]
+
+
+def test_convex_tag_is_checked():
+    with pytest.raises(InvariantViolation,
+                       match=r"^point 3 is not a strict hull vertex under tag 'convex'$"):
+        parse_pointset("pointset 4 convex\n0 0\n4 0\n0 4\n1 1\n")
+    # the collinear triple is named first
+    with pytest.raises(InvariantViolation, match=r"^collinear triple \(0, 1, 2\)"):
+        parse_pointset("pointset 4 convex\n0 0\n1 1\n2 2\n0 3\n")
+    assert parse_pointset("pointset 4 general\n0 0\n4 0\n0 4\n1 1\n").config_tag == "general"
+
+
+def test_cli_generate_checks_its_convex_points(tmp_path):
+    out = tmp_path / "r40.points"
+    res = subprocess.run(
+        [sys.executable, "-m", "planetrees.cli_io", "generate", "--config", "random40",
+         "--seed", "1", "--radius", "1e-321", "--out", str(out)],
+        capture_output=True, text=True)
+    assert res.returncode == 2, res.stderr
+    assert len(res.stderr.splitlines()) == 1, res.stderr
+    assert res.stderr.startswith("InvalidParameter: "), res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source, path", [
+    ("wheel4", "wheel-index"), ("gon8", "convex-order"), ("fig5", "sweep")])
+def test_cli_halving_json_reports_the_profile_path(tmp_path, capsys, source, path):
+    if source.startswith("gon"):
+        assert run_cli("generate", "--config", source, "--out", str(tmp_path / "p")) == 0
+        source = str(tmp_path / "p")
+    assert run_cli("halving", "--input", source, "--json") == 0
+    assert json.loads(capsys.readouterr().out)["path"] == path

@@ -248,3 +248,112 @@ def test_h_labeling_antipodes_collinear_with_centroid():
             lab = h_labeling(PointSet(tuple(base[p] for p in perm), "convex"))
             polygon_order = [perm[v] for v in lab.relabeling]
             assert polygon_order == [(polygon_order[0] + i) % m for i in range(m)]
+
+
+# ---------------------------------------------------------------------------
+# halving structure read off a verified cyclic order
+
+def wheels_at_seed_angles():
+    rng = random.Random(11)
+    for n in range(2, 17):
+        yield make_wheel(n, seed_angle=rng.uniform(0, 2 * math.pi))
+        yield make_wheel(n, seed_angle=0.0)  # v0 on the +x ray from the centre
+
+
+def shuffled_convex_sets():
+    rng = random.Random(17)
+    for m in range(3, 21):
+        base = random_convex(m, rng).points
+        perm = list(range(m))
+        rng.shuffle(perm)
+        yield PointSet(tuple(base[p] for p in perm), "convex")
+
+
+def balances(ps):
+    return {(i, j): balance(ps, i, j) for i, j in combinations(range(len(ps)), 2)}
+
+
+def refuse_orientation(monkeypatch):
+    def refused(*args):
+        raise AssertionError("halving.orientation called")
+    monkeypatch.setattr(halving, "orientation", refused)
+
+
+def test_ordered_profile_matches_balance_without_orientation(monkeypatch):
+    cases = ([(ps, "wheel-index") for ps in wheels_at_seed_angles()]
+             + [(ps, "convex-order") for ps in shuffled_convex_sets()])
+    for ps, path in cases:
+        want = balances(ps)
+        with monkeypatch.context() as mp:
+            refuse_orientation(mp)
+            profile = halving_profile(ps)
+        assert profile.path == path
+        assert {pair: profile.k(*pair) for pair in want} == want
+        assert all(profile.k(j, i) == k for (i, j), k in want.items())
+
+
+def without_order(ps):
+    """The same points with no cyclic order: an interior point added to a
+    convex set; a wheel's circle points 0 and 1 swapped under its tag."""
+    pts = ps.points
+    if ps.config_tag == "convex":
+        a, b, c = pts[:3]
+        inner = tuple(0.31 * a[t] + 0.29 * b[t] + 0.4 * c[t] for t in range(2))
+        return PointSet(pts + (inner,), "convex")
+    return PointSet((pts[1], pts[0]) + pts[2:], ps.config_tag)
+
+
+def test_sets_without_order_take_the_sweep():
+    sets = [*wheels_at_seed_angles(), *shuffled_convex_sets()]
+    sets = [without_order(ps) for ps in sets] + [
+        PointSet(ps.points, "general") for ps in wheels_at_seed_angles()]
+    for ps in sets:
+        want = balances(ps)
+        profile = halving_profile(ps)
+        assert profile.path == "sweep"
+        assert {pair: profile.k(*pair) for pair in want} == want
+
+
+def test_w_labeling_on_wheels_reads_the_circle(monkeypatch):
+    for ps in wheels_at_seed_angles():
+        w = len(ps) - 1
+        want = halving._ccw_order(ps, ps.points[w], list(range(w)), pivot_index=w)
+        with monkeypatch.context() as mp:
+            refuse_orientation(mp)
+            lab = w_labeling(ps)
+        assert lab == halving.WLabeling(w=w, order=tuple(want))
+
+
+def test_h_labeling_on_a_convex_order_splits_no_sides(monkeypatch):
+    calls = []
+    side_split = halving._side_split
+
+    def counted(ps, i, j):
+        calls.append((i, j))
+        return side_split(ps, i, j)
+
+    monkeypatch.setattr(halving, "_side_split", counted)
+    rng = random.Random(3)
+    sets = (regular_gon(10), random_convex(12, rng), random_convex(16, rng))
+    labelings = [h_labeling(ps) for ps in sets]
+    assert calls == []
+    h_labeling(figure_pointset("fig5"))  # no cyclic order: every side is split
+    assert len(calls) == 4
+    for ps, lab in zip(sets, labelings):
+        assert all(balance(ps, a, b) == 0 for a, b in lab.pairs)
+
+
+def test_theorem4_partition_reads_the_w_labeling_once(monkeypatch):
+    from planetrees import halving_partition
+    calls = []
+    original = halving.w_labeling
+
+    def counted(ps):
+        calls.append(ps)
+        return original(ps)
+
+    monkeypatch.setattr(halving, "w_labeling", counted)
+    monkeypatch.setattr(halving_partition, "w_labeling", counted, raising=False)
+    ps = make_wheel(5)
+    theorem4_partition(ps, 2)
+    assert calls == [ps]
