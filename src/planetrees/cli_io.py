@@ -134,7 +134,7 @@ def parse_partition(text: str, ps: PointSet) -> Partition:
     for lineno, line in lines[1:]:
         fields = line.split()
         if fields[0] == "tree":
-            if len(fields) != 2 or not fields[1].isdigit():
+            if len(fields) != 2 or not (fields[1].isascii() and fields[1].isdigit()):
                 raise ParseError(f"bad tree header {line!r}", line=lineno)
             if current is not None:
                 trees.append(tuple(current))
@@ -152,7 +152,7 @@ def parse_partition(text: str, ps: PointSet) -> Partition:
             raise ParseError(f"bad edge {line!r}", line=lineno) from None
         if not (0 <= a < npts and 0 <= b < npts) or a == b:
             raise ParseError(f"edge ({a}, {b}) invalid on {npts} points", line=lineno)
-        current.append((min(a, b), max(a, b)))
+        current.append((a, b) if a < b else (b, a))
     if current is not None:
         trees.append(tuple(current))
     if len(trees) != ntrees:
@@ -164,7 +164,7 @@ def emit_partition(p: Partition) -> str:
     out = [f"partition {len(p.ps)} {len(p.trees)}"]
     for i, t in enumerate(p.trees):
         out.append(f"tree {i}")
-        out += [f"{a} {b}" for a, b in sorted(t.edges)]
+        out += [f"{a} {b}" for a, b in t.edges]  # GeomTree keeps them sorted
     return "\n".join(out) + "\n"
 
 

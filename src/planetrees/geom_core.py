@@ -298,12 +298,13 @@ class CyclicOrder:
     def kind(self) -> str:
         return "convex-order" if self.wheel is None else "wheel-index"
 
-    def neighbours(self, a: int, b: int) -> bool:
-        """a and b are consecutive on the circle (a hull edge)."""
-        if not (0 <= a < len(self.pos) and 0 <= b < len(self.pos)):
-            return False
-        pa, pb = self.pos[a], self.pos[b]
-        return pa >= 0 and pb >= 0 and (pb - pa) % self.size in (1, self.size - 1)
+    def hull_edges(self, edges: Iterable[GeomEdge]) -> list[GeomEdge]:
+        """The given edges whose ends are consecutive on the circle, in order."""
+        pos, m, npts = self.pos, self.size, len(self.pos)
+        steps = (1, m - 1)
+        return [(a, b) for a, b in edges
+                if 0 <= a < npts and 0 <= b < npts and pos[a] >= 0 and pos[b] >= 0
+                and (pos[b] - pos[a]) % m in steps]
 
     def plane(self, edges: Iterable[GeomEdge]) -> bool:
         """True iff no two of the edges cross.

@@ -34,7 +34,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from operator import itemgetter
 from typing import Collection, Iterable, Union
 
 from .errors import InvalidParameter, NotATree, NotWheelConfig
@@ -49,9 +50,10 @@ class GeomTree:
     ps: PointSet
     edges: tuple[GeomEdge, ...]
 
-    def __post_init__(self):
-        norm = tuple(sorted(edge(a, b) for a, b in self.edges))
-        object.__setattr__(self, "edges", norm)
+    def __post_init__(self):  # edge() runs only to raise on a loop
+        norm = sorted([(a, b) if a < b else (b, a) if a > b else edge(a, b)
+                       for a, b in self.edges])
+        object.__setattr__(self, "edges", tuple(norm))
 
 
 @dataclass(frozen=True)
@@ -68,11 +70,22 @@ def cover_defect(ps: PointSet, trees: Iterable[GeomTree]) -> dict[str, list[Geom
     "missing": point pairs no tree holds, in combinations order; "extra":
     edges that join no two points of ps; "duplicated": edges held more
     than once. Every list is sorted, and all are empty exactly when the
-    trees cover E(K) once. One count over the edges, O(E) before sorting
-    the defects.
+    trees cover E(K) once.
+
+    A cover is accepted by its size: GeomTree edges are int pairs a < b,
+    so with the least a >= 0 and the greatest b < N = len(ps) they lie in
+    E(K), and C(N, 2) distinct ones, as many as the trees hold, are E(K)
+    once each. Only when that test (a set, a min, a max, all in C) fails
+    are the edges counted and the defects listed, O(E log E).
     """
-    count = Counter(e for t in trees for e in t.edges)
     npts = len(ps)
+    held = list(chain.from_iterable(t.edges for t in trees))
+    distinct = set(held)
+    if (len(distinct) == len(held) == npts * (npts - 1) // 2
+            and (not held or (min(distinct)[0] >= 0
+                              and max(map(itemgetter(1), distinct)) < npts))):
+        return {"missing": [], "extra": [], "duplicated": []}
+    count = Counter(held)
     return {"missing": [e for e in combinations(range(npts), 2) if e not in count],
             "extra": sorted(e for e in count if not 0 <= e[0] < e[1] < npts),
             "duplicated": sorted(e for e, c in count.items() if c > 1)}
@@ -396,20 +409,16 @@ def is_spanning_tree(t: GeomTree) -> bool:
     if len(t.edges) != npts - 1:
         return False
     parent = list(range(npts))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in t.edges:
-        if not (0 <= a < npts and 0 <= b < npts):
+    for a, b in t.edges:  # a < b, as GeomTree keeps them
+        if a < 0 or b >= npts:
             return False
-        ra, rb = find(a), find(b)
-        if ra == rb:
+        while a != parent[a]:  # path halving
+            parent[a] = a = parent[parent[a]]
+        while b != parent[b]:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
             return False
-        parent[ra] = rb
+        parent[a] = b
     return True
 
 
@@ -481,7 +490,7 @@ def boundary_edges(t: GeomTree) -> list[GeomEdge]:
     """Edges of t joining consecutive hull vertices of t's point set."""
     order = cyclic_order(t.ps)
     if order is not None:
-        return [e for e in t.edges if order.neighbours(*e)]
+        return order.hull_edges(t.edges)
     hull = convex_hull(t.ps)
     hull_pairs = {edge(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))}
     return [e for e in t.edges if e in hull_pairs]
@@ -498,9 +507,10 @@ def wheel_tag_n(ps: PointSet) -> int:
 
 
 def radial_edges(t: GeomTree) -> list[GeomEdge]:
-    """Center-incident edges, ordered by circle endpoint index."""
+    """Center-incident edges, ordered by circle endpoint index: the
+    centre is the greatest index, so t's sorted edges hold them in order."""
     center = 2 * wheel_tag_n(t.ps) - 1
-    return sorted((e for e in t.edges if center in e), key=lambda e: e[0])
+    return [e for e in t.edges if center in e]
 
 
 def unique_path(t: GeomTree | TreeIndex, u: int, v: int) -> list[int]:

@@ -13,7 +13,8 @@ assumed.
 
 analyze_wheel_partition is no builder: it takes any claimed partition,
 has verify_partition decide that it is one, then checks Lemmas 3-5 on
-it. Partition lives in tree_taxonomy and is re-exported here.
+it. Partition (from tree_taxonomy) and observation1_violation (from
+verify_oracle) are re-exported here.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .tree_taxonomy import (GeomTree, Partition, TreeIndex, TreeLike,
                             is_caterpillar_edges, is_plane, is_spanning_tree,
                             preferred_p4_witness, radial_edges, spine_walk,
                             tree_canon, wheel_tag_n)
-from .verify_oracle import observation1_violation, verify_partition
+from .verify_oracle import observation1_violation, verify_partition  # noqa: F401
 
 
 class TreeStats(NamedTuple):
@@ -125,8 +126,12 @@ def place_caterpillar_on_chain(c: TreeLike, ps: PointSet, chain: list[int],
 def rotate_tree(t: GeomTree, steps: int) -> GeomTree:
     """Rotate every circle index by steps (mod 2n-1); the center stays put."""
     m = 2 * wheel_tag_n(t.ps) - 1  # also the centre's index
-    rot = tuple(tuple(v if v == m else (v + steps) % m for v in e) for e in t.edges)
-    return GeomTree(t.ps, rot)
+    rot = []
+    for a, b in t.edges:
+        a = m if a == m else (a + steps) % m
+        b = m if b == m else (b + steps) % m
+        rot.append((a, b) if a < b else (b, a))
+    return GeomTree(t.ps, tuple(rot))
 
 
 def build_wheel_partition(t: TreeLike, n: int,
@@ -221,6 +226,12 @@ def analyze_wheel_partition(p: Partition) -> WheelAnalysis:
     genuinely valid partition would contradict the structural results.
     Raises NotWheelConfig without a wheel tag, then NotAPartition for the
     first check verify_partition fails, then NotWheelConfig on a refuted tag.
+
+    Each tree's boundary and radial edges are read once. Observation 1
+    needs no check: a verified partition's chords join two of the 2n - 1
+    circle points and leave ccw + cw = 2n - 3 of them on their two sides,
+    so the small side has at most n - 2, the big one with the centre at
+    least n (check_observation1 spells the splits out for any tree).
     """
     n = wheel_n(p.ps)
     if n is None:
@@ -236,6 +247,7 @@ def analyze_wheel_partition(p: Partition) -> WheelAnalysis:
         raise NotAPartition(f"tree {w[0]} is not plane: {w[1]} crosses {w[2]}")
     m = 2 * wheel_tag_n(p.ps) - 1  # NotWheelConfig on a refuted tag
     stats: list[TreeStats] = []
+    radials: list[list[GeomEdge]] = []
     one_boundary: list[int] = []
     for idx, t in enumerate(p.trees):
         b = boundary_edges(t)
@@ -244,16 +256,13 @@ def analyze_wheel_partition(p: Partition) -> WheelAnalysis:
             raise StructureViolation("lemma3", (idx, t.edges))
         if len(r) < n and len(b) < 2:
             raise StructureViolation("proposition3", (idx, len(r), len(b)))
-        viol = observation1_violation(t)
-        if viol is not None:
-            raise StructureViolation("observation1", (idx, *viol))
-        four = None
         if len(b) == 1:
             one_boundary.append(idx)
             run = [e[0] for e in r]
             if len(r) < n or not _has_run(run, m, n):
                 raise StructureViolation("proposition2", (idx, r))
-        stats.append(TreeStats(len(b), len(r), four))
+        stats.append(TreeStats(len(b), len(r), None))
+        radials.append(r)
     if len(one_boundary) != 1:
         raise StructureViolation("lemma4", tuple(one_boundary))
     keeper = one_boundary[0]
@@ -263,7 +272,7 @@ def analyze_wheel_partition(p: Partition) -> WheelAnalysis:
         b, r, _ = stats[idx]
         if b != 2 or r != 1:
             raise StructureViolation("lemma4", (idx, b, r))
-        spoke = radial_edges(t)[0][0]
+        spoke = radials[idx][0][0]
         four = _lemma5_four_path(set(t.edges), spoke, n)
         if four is None:
             raise StructureViolation("lemma5", (idx, spoke))
@@ -272,7 +281,7 @@ def analyze_wheel_partition(p: Partition) -> WheelAnalysis:
         raise StructureViolation("lemma4", (keeper, stats[keeper].radial_count))
     return WheelAnalysis(
         one_boundary_tree=keeper,
-        radial_run=tuple(radial_edges(p.trees[keeper])),
+        radial_run=tuple(radials[keeper]),
         per_tree=tuple(stats),
     )
 

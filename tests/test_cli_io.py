@@ -97,6 +97,28 @@ def test_partition_parse_errors(wheel3):
         parse_partition("partition 6 3\ntree 0\n0 1\n", wheel3)
 
 
+@pytest.mark.parametrize("index", ["\u00b2", "\u0663", "+0"])
+def test_partition_tree_index_takes_ascii_digits(index):
+    # "\u00b2" (superscript two) passes str.isdigit but not int
+    text = f"partition 4 2\ntree {index}\n0 1\n"
+    with pytest.raises(ParseError, match="bad tree header") as info:
+        parse_partition(text, make_wheel(2))
+    assert info.value.line == 2
+
+
+@pytest.mark.parametrize("command", [["verify"], ["render", "--out", "{tmp}/out.svg"]])
+def test_cli_bad_tree_index_exits_2_without_traceback(tmp_path, command):
+    part = tmp_path / "partition.txt"
+    part.write_text("partition 4 2\ntree \u00b2\n0 1\n", encoding="utf-8")
+    res = subprocess.run(
+        [sys.executable, "-m", "planetrees.cli_io", *(a.format(tmp=tmp_path) for a in command),
+         "--input", "wheel2", "--partition", str(part)],
+        capture_output=True, text=True, encoding="utf-8")
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.splitlines() == ["ParseError: line 2: bad tree header 'tree \u00b2'"]
+    assert res.stdout == ""
+
+
 def test_edgelist_round_trip():
     edges = ((2, 3), (0, 5), (1, 4))
     assert parse_edgelist(emit_edgelist(edges)) == ((0, 5), (1, 4), (2, 3))

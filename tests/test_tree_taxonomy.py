@@ -115,6 +115,13 @@ def test_geomtree_normalizes_edges(wheel3):
     assert t.edges == ((0, 4), (1, 5))
 
 
+def test_geomtree_rejects_loop_edge(wheel3):
+    for edges in (((3, 3),), ((0, 1), (3, 3), (2, 1))):
+        with pytest.raises(InvalidParameter) as info:
+            GeomTree(wheel3, edges)
+        assert str(info.value) == "degenerate edge (3, 3)"
+
+
 def test_spanning_and_plane_on_wheel(wheel3):
     t = GeomTree(wheel3, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5)))
     assert is_spanning_tree(t)

@@ -1,0 +1,130 @@
+"""verify_partition and is_spanning_tree against test-local references.
+
+The references share nothing with the library's fast paths: coverage is
+a Counter over every held edge, spanning is networkx's is_tree over all
+N points, planarity is the first pair of edges, in combinations order,
+that segments_cross reports. Partitions start valid (wheel, convex and
+fig5 constructions) and are corrupted by moving, duplicating, dropping
+or swapping edges, or by adding a pair that joins no two points.
+"""
+from collections import Counter
+from functools import cache
+from itertools import combinations
+
+import networkx as nx
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from planetrees import (GeomTree, Partition, build_wheel_partition,
+                        is_spanning_tree, segments_cross, theorem2_partition,
+                        verify_partition)
+from planetrees.presets import builtin_tree, figure_pointset
+
+from conftest import regular_gon
+
+
+@cache
+def bases() -> tuple[tuple[Partition, str], ...]:
+    """(valid partition, the planarity predicate it should report)."""
+    out = []
+    for n in range(2, 11):
+        out.append((build_wheel_partition(builtin_tree("doublestar", n), n), "wheel-index"))
+        out.append((theorem2_partition(regular_gon(2 * n), n % 2), "convex-order"))
+    fig5 = figure_pointset("fig5")
+    out += [(theorem2_partition(fig5, t), "pairwise") for t in (0, 1)]
+    return tuple(out)
+
+
+def reference(p: Partition, predicate: str):
+    """(ok, reason, witness, predicate), as verify_partition should report."""
+    npts = len(p.ps)
+    count = Counter(e for t in p.trees for e in t.edges)
+    defect = {"missing": [e for e in combinations(range(npts), 2) if e not in count],
+              "extra": sorted(e for e in count if not 0 <= e[0] < e[1] < npts),
+              "duplicated": sorted(e for e, c in count.items() if c > 1)}
+    if len(p.trees) != npts // 2 or any(defect.values()):
+        return False, "coverage", {"trees": len(p.trees), **defect}, None
+    for i, t in enumerate(p.trees):
+        if not spans(t.edges, npts):
+            return False, "spanning", i, None
+    for i, t in enumerate(p.trees):
+        for e1, e2 in combinations(t.edges, 2):
+            if segments_cross(e1, e2, p.ps):
+                return False, "plane", (i, e1, e2), predicate
+    return True, None, None, predicate
+
+
+def spans(edges, npts: int) -> bool:
+    g = nx.Graph()
+    g.add_nodes_from(range(npts))
+    g.add_edges_from(edges)
+    return nx.is_tree(g)
+
+
+def corrupt(data, trees: list[list[tuple[int, int]]], npts: int) -> None:
+    """One random corruption of the edge lists, in place."""
+    kind = data.draw(st.sampled_from(
+        ["move", "duplicate", "drop", "swap", "exchange", "out-of-range"]))
+    j = data.draw(st.integers(0, len(trees) - 1))
+    if kind == "out-of-range":
+        a = data.draw(st.integers(-2, npts + 2))
+        b = data.draw(st.integers(npts, npts + 3) | st.integers(-3, -1))
+        trees[j].append((a, b) if a != b else (a, b + 1))
+        return
+    i = data.draw(st.sampled_from([k for k, t in enumerate(trees) if t]))
+    k = data.draw(st.integers(0, len(trees[i]) - 1))
+    e = trees[i][k]
+    if kind == "move":
+        del trees[i][k]
+        trees[j].append(e)
+    elif kind == "duplicate":
+        trees[j].append(e)
+    elif kind == "drop":
+        del trees[i][k]
+    elif kind == "swap" and trees[j]:
+        k2 = data.draw(st.integers(0, len(trees[j]) - 1))
+        trees[i][k], trees[j][k2] = trees[j][k2], e
+    elif kind == "exchange" and i != j:
+        # the first swap, in a drawn order, that leaves both trees spanning:
+        # such a partition fails on planarity if at all
+        for k2 in data.draw(st.permutations(range(len(trees[j])))):
+            ti = trees[i][:k] + trees[i][k + 1:] + [trees[j][k2]]
+            tj = trees[j][:k2] + trees[j][k2 + 1:] + [e]
+            if spans(ti, npts) and spans(tj, npts):
+                trees[i], trees[j] = ti, tj
+                return
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_verify_partition_matches_reference(data):
+    base, predicate = data.draw(st.sampled_from(bases()))
+    trees = [list(t.edges) for t in base.trees]
+    for _ in range(data.draw(st.integers(0, 3))):
+        corrupt(data, trees, len(base.ps))
+    p = Partition(base.ps, tuple(GeomTree(base.ps, t) for t in trees))
+    rep = verify_partition(p)
+    assert (rep.ok, rep.reason, rep.witness, rep.predicate) == reference(p, predicate)
+
+
+def test_verify_partition_matches_reference_on_valid_bases():
+    for p, predicate in bases():
+        rep = verify_partition(p)
+        assert (rep.ok, rep.reason, rep.witness, rep.predicate) == reference(p, predicate)
+        assert rep.ok and rep.predicate == predicate
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 12), st.data())
+def test_is_spanning_tree_matches_networkx(npts, data):
+    index = st.integers(-1, npts)  # one step past either end
+    pairs = st.tuples(index, index).filter(lambda e: e[0] != e[1])
+    size = data.draw(st.sampled_from([npts - 2, npts - 1, npts - 1, npts]))
+    edges = data.draw(st.lists(pairs, min_size=size, max_size=size))
+    if data.draw(st.booleans()) and edges:  # a repeated edge
+        edges[-1] = edges[0][::-1]
+    t = GeomTree(regular_gon(npts), edges)
+    want = (len(t.edges) == npts - 1
+            and all(0 <= v < npts for e in t.edges for v in e)
+            and spans(t.edges, npts))
+    assert is_spanning_tree(t) is want

@@ -256,6 +256,28 @@ def test_observation1_holds_on_built_partitions():
             assert listed_violation(t) is None
 
 
+def test_observation1_holds_for_every_in_range_edge():
+    # why analyze_wheel_partition need not check it: a verified partition
+    # has only edges between two of the 2n points
+    for n in range(2, 65):
+        ps = make_wheel(n)
+        every = tuple((a, b) for a in range(2 * n) for b in range(a + 1, 2 * n))
+        assert observation1_violation(GeomTree(ps, every)) is None, n
+
+
+def test_rotate_tree_equals_per_vertex_formula():
+    trees = [t for n in (2, 3, 5, 8)
+             for t in build_wheel_partition(builtin_tree("doublestar", n), n).trees]
+    trees += theorem4_partition(make_wheel(6), 3).trees
+    # indices past the centre (5) rotate as the formula says, the centre stays
+    trees.append(GeomTree(make_wheel(3), ((0, 1), (1, 7), (5, 7), (3, 9))))
+    for t in trees:
+        m = len(t.ps) - 1
+        for steps in range(-m, 2 * m + 1):
+            want = norm(tuple(v if v == m else (v + steps) % m for v in e) for e in t.edges)
+            assert rotate_tree(t, steps).edges == want, (t.edges, steps)
+
+
 def test_analyze_refutes_unearned_wheel_tag():
     p = build_wheel_partition(builtin_tree("doublestar", 4), 4)
     pts = list(p.ps.points)
