@@ -1,8 +1,8 @@
 """Exhaustive ground truth for the smallest configurations.
 
 Enumerate every partition of the complete graph into plane spanning
-trees for 4 convex points and the 4- and 6-point wheels, then poke at
-the structure the larger constructions rely on.
+trees for 4 convex points and the 4-, 6- and 8-point wheels, then poke
+at the structure the larger constructions rely on.
 """
 from collections import Counter
 
@@ -19,7 +19,7 @@ print(f"square: {len(res)} partitions into 2 plane spanning trees")
 for part in res:
     print("  ", part)
 
-for n in (2, 3):
+for n in (2, 3, 4):
     wheel = make_wheel(n)
     res = brute_force_partitions(wheel, limit=None)
     print(f"\nwheel n={n}: {len(res)} partitions")
@@ -34,6 +34,6 @@ for n in (2, 3):
             assert check_observation1(t).ok
             assert len(boundary_edges(t)) >= 1
     if n >= 3:
-        # 4 points cannot avoid a path tree; 6 points always do
+        # 4 points cannot avoid a path tree; 6 and 8 points always do
         assert paths == 0
     print(f"  tree shapes used: {len(shapes)} | path trees: {paths}")

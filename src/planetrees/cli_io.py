@@ -19,6 +19,7 @@ import random
 import re
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 from . import presets
@@ -45,25 +46,29 @@ _CHECK_FAILURES = (NoHLabeling, NoWLabeling, HypothesisViolated,
 # ---------------------------------------------------------------------------
 # pointset format
 
-def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, text) of every line left non-empty once its comment is cut."""
+    return [(lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
+            if (line := raw.partition("#")[0].strip())]
+
+
+def _digits(field: str) -> bool:
+    """The one form of an integer field: ASCII digits only (int() alone
+    also takes a sign, underscores and other scripts' digits)."""
+    return field.isascii() and field.isdigit()
 
 
 def parse_pointset(text: str) -> PointSet:
-    lines = list(_content_lines(text))
+    lines = _content_lines(text)
     if not lines:
         raise ParseError("empty pointset file", line=1)
     lineno, header = lines[0]
     parts = header.split()
     if len(parts) != 3 or parts[0] != "pointset":
         raise ParseError(f"bad header {header!r}, want 'pointset <count> <tag>'", line=lineno)
-    try:
-        count = int(parts[1])
-    except ValueError:
-        raise ParseError(f"bad point count {parts[1]!r}", line=lineno) from None
+    if not _digits(parts[1]):
+        raise ParseError(f"bad point count {parts[1]!r}", line=lineno)
+    count = int(parts[1])
     tag = parts[2]
     rows = lines[1:]
     if len(rows) != count:
@@ -114,7 +119,7 @@ def emit_pointset(ps: PointSet) -> str:
 # partition and edge-list formats
 
 def parse_partition(text: str, ps: PointSet) -> Partition:
-    lines = list(_content_lines(text))
+    lines = _content_lines(text)
     if not lines:
         raise ParseError("empty partition file", line=1)
     lineno, header = lines[0]
@@ -122,39 +127,25 @@ def parse_partition(text: str, ps: PointSet) -> Partition:
     if len(parts) != 3 or parts[0] != "partition":
         raise ParseError(f"bad header {header!r}, want 'partition <points> <trees>'",
                          line=lineno)
-    try:
-        npts, ntrees = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise ParseError(f"bad counts in {header!r}", line=lineno) from None
+    if not (_digits(parts[1]) and _digits(parts[2])):
+        raise ParseError(f"bad counts in {header!r}", line=lineno)
+    npts, ntrees = int(parts[1]), int(parts[2])
     if npts != len(ps):
         raise ParseError(f"partition is on {npts} points, point set has {len(ps)}",
                          line=lineno)
-    trees: list[tuple[tuple[int, int], ...]] = []
-    current: list[tuple[int, int]] | None = None
-    for lineno, line in lines[1:]:
+    trees: list[list[tuple[int, int]]] = []
+    k = 1
+    while k < len(lines):
+        lineno, line = lines[k]
         fields = line.split()
-        if fields[0] == "tree":
-            if len(fields) != 2 or not (fields[1].isascii() and fields[1].isdigit()):
-                raise ParseError(f"bad tree header {line!r}", line=lineno)
-            if current is not None:
-                trees.append(tuple(current))
-            if int(fields[1]) != len(trees):
-                raise ParseError(f"expected 'tree {len(trees)}', got {line!r}", line=lineno)
-            current = []
-            continue
-        if current is None:
+        if fields[0] != "tree":  # _edges stops only at a 'tree' line, so k == 1
             raise ParseError(f"edge line {line!r} before any 'tree' header", line=lineno)
-        if len(fields) != 2:
-            raise ParseError(f"want 'a b', got {line!r}", line=lineno)
-        try:
-            a, b = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ParseError(f"bad edge {line!r}", line=lineno) from None
-        if not (0 <= a < npts and 0 <= b < npts) or a == b:
-            raise ParseError(f"edge ({a}, {b}) invalid on {npts} points", line=lineno)
-        current.append((a, b) if a < b else (b, a))
-    if current is not None:
-        trees.append(tuple(current))
+        if len(fields) != 2 or not _digits(fields[1]):
+            raise ParseError(f"bad tree header {line!r}", line=lineno)
+        if int(fields[1]) != len(trees):
+            raise ParseError(f"expected 'tree {len(trees)}', got {line!r}", line=lineno)
+        edges, k = _edges(lines, k + 1, npts)
+        trees.append(edges)
     if len(trees) != ntrees:
         raise ParseError(f"header promises {ntrees} trees, file has {len(trees)}")
     return Partition(ps=ps, trees=tuple(GeomTree(ps, t) for t in trees))
@@ -168,18 +159,41 @@ def emit_partition(p: Partition) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_edgelist(text: str) -> tuple[tuple[int, int], ...]:
+def parse_edgelist(text: str, npts: int | None = None) -> tuple[tuple[int, int], ...]:
+    """Normalized edges of an edge-list file; with npts, each line must
+    name two distinct indices of an npts-point set."""
+    lines = _content_lines(text)
+    edges, k = _edges(lines, 0, npts)
+    if k < len(lines):
+        raise ParseError(f"bad edge {lines[k][1]!r}", line=lines[k][0])
+    return tuple((a, b) if a < b else (b, a) for a, b in edges)
+
+
+def _edges(lines: list[tuple[int, str]], k: int,
+           npts: int | None) -> tuple[list[tuple[int, int]], int]:
+    """The edges of the 'a b' lines from lines[k] on, up to the first
+    'tree' line, and that line's index (len(lines) if there is none): the
+    one reader of edge lines, for partition and edge-list files alike.
+    Both indices must pass _digits and, with npts, be distinct and below
+    npts. An edge keeps its line's order of a and b (GeomTree normalizes).
+    """
     edges = []
-    for lineno, line in _content_lines(text):
-        fields = line.split()
-        if len(fields) != 2:
-            raise ParseError(f"want 'a b', got {line!r}", line=lineno)
+    for lineno, line in islice(lines, k, None):
         try:
-            a, b = int(fields[0]), int(fields[1])
+            x, y = line.split()
         except ValueError:
-            raise ParseError(f"bad edge {line!r}", line=lineno) from None
-        edges.append((min(a, b), max(a, b)))
-    return tuple(edges)
+            x = y = ""  # not two fields
+        xy = x + y
+        if not (xy.isascii() and xy.isdigit()):  # _digits(x + y), inlined per line
+            if line.split()[0] == "tree":
+                break
+            raise ParseError(f"bad edge {line!r}" if y else f"want 'a b', got {line!r}",
+                             line=lineno)
+        a, b = int(x), int(y)
+        if npts is not None and (a == b or a >= npts or b >= npts):
+            raise ParseError(f"edge ({a}, {b}) invalid on {npts} points", line=lineno)
+        edges.append((a, b))
+    return edges, k + len(edges)
 
 
 def emit_edgelist(edges) -> str:
@@ -385,7 +399,7 @@ def _cmd_halving(args) -> int:
 
 def _cmd_classify(args) -> int:
     ps = load_pointset(args.input)
-    edges = parse_edgelist(_read(args.tree, "--tree"))
+    edges = parse_edgelist(_read(args.tree, "--tree"), len(ps))
     rep = classify(GeomTree(ps, edges))
     payload = {
         "is_path": rep.is_path,
@@ -494,7 +508,7 @@ def _cmd_render(args) -> int:
         target: Partition | GeomTree = parse_partition(
             _read(args.partition, "--partition"), ps)
     elif args.tree:
-        target = GeomTree(ps, parse_edgelist(_read(args.tree, "--tree")))
+        target = GeomTree(ps, parse_edgelist(_read(args.tree, "--tree"), len(ps)))
     else:
         raise InvalidParameter("render needs --partition or --tree")
     svg = render_svg(target)

@@ -10,10 +10,12 @@ plane) with a concrete witness, and which planarity predicate ran:
 "wheel-index" on a verified wheel, "convex-order" on a set in convex
 position (both through the point set's cyclic order), or "pairwise"
 coordinate tests; segments_cross names a crossing pair on every set.
-The enumerator fills its crossing table through the same crossing_pair
-and assigns edges of K_2n to tree slots in lexicographic order with
-first-free-slot symmetry breaking, so each unordered partition appears
-exactly once. Observation 1 holds only on a verified wheel.
+The enumerator, exhaustive up to n = 4, fills its crossing table (one
+int bitmask per edge) through the same crossing_pair and places the
+edges of K_2n in lexicographic order into tree slots held as edge
+bitmasks, with first-free-slot symmetry breaking, so each unordered
+partition appears exactly once. Observation 1 holds only on a verified
+wheel.
 """
 from __future__ import annotations
 
@@ -98,10 +100,17 @@ def check_observation1(t: GeomTree) -> VerifyReport:
 def brute_force_partitions(ps: PointSet, limit: int | None = 10_000) -> list[tuple[tuple, ...]]:
     """All partitions of E(K_2n) into n plane spanning trees, canonicalized.
 
-    Exhaustive for n <= 3; n == 4 demands an explicit cap because the
-    search space is already enormous; larger n is refused outright.
-    Each partition is a sorted tuple of trees, each tree a sorted tuple
-    of normalized edges.
+    Exhaustive for n <= 4; larger n raises TooLarge, with or without a
+    limit. Each partition is a sorted tuple of trees, each tree a sorted
+    tuple of normalized edges; at most `limit` are returned, in search order.
+
+    A tree slot is the bitmask of the edges it holds. It takes the next
+    edge, in lexicographic order, when that edge's crossing row misses the
+    mask and the slot's union-find finds no cycle. An acyclic slot on 2n
+    points holds at most 2n - 1 edges, so once all n(2n - 1) edges are
+    placed every slot is a spanning tree. One prune, from the definition
+    of a spanning tree alone: once (a, 2n - 1), the last edge at a, is
+    placed, every slot must hold an edge at a, for no later edge touches a.
     """
     npts = len(ps)
     if npts % 2:
@@ -109,63 +118,45 @@ def brute_force_partitions(ps: PointSet, limit: int | None = 10_000) -> list[tup
     n = npts // 2
     if n >= 5:
         raise TooLarge(f"n={n}: enumeration is not tractable beyond n=4")
-    if n == 4 and limit is None:
-        raise TooLarge("n=4 enumeration requires an explicit limit")
 
     edges = list(combinations(range(npts), 2))
-    cross = [[False] * len(edges) for _ in edges]
-    for i, e1 in enumerate(edges):
-        for j in range(i + 1, len(edges)):
-            cross[i][j] = cross[j][i] = crossing_pair(ps, (e1, edges[j])) is not None
-
-    per_tree = npts - 1
-    slots: list[list[int]] = [[] for _ in range(n)]
-    counts = [0] * n
+    # cross[i]: the earlier edges that cross edge i; star[a]: the edges at a
+    cross = [sum(1 << j for j, f in enumerate(edges[:i]) if crossing_pair(ps, (f, e)))
+             for i, e in enumerate(edges)]
+    star = [sum(1 << i for i, e in enumerate(edges) if a in e) for a in range(npts)]
+    masks = [0] * n
     parents = [list(range(npts)) for _ in range(n)]
     results: list[tuple[tuple, ...]] = []
 
-    def find(par, x):
+    def find(par: list[int], x: int) -> int:
         while par[x] != x:
             x = par[x]
         return x
 
-    def assign(ei: int, slot: int) -> int | None:
-        a, b = edges[ei]
-        par = parents[slot]
-        ra, rb = find(par, a), find(par, b)
-        if ra == rb:
-            return None
-        if any(cross[ei][other] for other in slots[slot]):
-            return None
-        par[ra] = rb
-        slots[slot].append(ei)
-        counts[slot] += 1
-        return ra
-
-    def undo(ei: int, slot: int, root: int) -> None:
-        parents[slot][root] = root
-        slots[slot].pop()
-        counts[slot] -= 1
-
-    def backtrack(ei: int) -> bool:
+    def place(ei: int) -> bool:
+        """Place edges ei, ei + 1, ...; True once `limit` results are in."""
         if limit is not None and len(results) >= limit:
             return True
         if ei == len(edges):
             results.append(tuple(sorted(
-                tuple(sorted(edges[i] for i in slot)) for slot in slots)))
+                tuple(e for i, e in enumerate(edges) if m >> i & 1) for m in masks)))
             return limit is not None and len(results) >= limit
-        opened = n - counts.count(0)
-        tryable = min(opened + 1, n)
-        for slot in range(tryable):
-            if counts[slot] == per_tree:
+        a, b = edges[ei]
+        # first-free-slot symmetry breaking: each unordered partition once
+        for slot in range(min(n - masks.count(0) + 1, n)):
+            if masks[slot] & cross[ei]:
                 continue
-            root = assign(ei, slot)
-            if root is None:
+            par = parents[slot]
+            ra, rb = find(par, a), find(par, b)
+            if ra == rb:
                 continue
-            if backtrack(ei + 1):
+            par[ra] = rb
+            masks[slot] |= 1 << ei
+            if (b < npts - 1 or all(m & star[a] for m in masks)) and place(ei + 1):
                 return True
-            undo(ei, slot, root)
+            par[ra] = ra
+            masks[slot] ^= 1 << ei
         return False
 
-    backtrack(0)
+    place(0)
     return results

@@ -126,6 +126,67 @@ def test_edgelist_round_trip():
         parse_edgelist("0 x\n")
 
 
+@pytest.mark.parametrize("fmt, text, line", [
+    # int() takes other scripts' digits, a sign and underscores
+    pytest.param("partition", "partition 4 2\ntree 0\n\u0660 1\n0 +2\n2 3\ntree 1\n", 3,
+                 id="partition-arabic-indic-zero"),
+    pytest.param("partition", "partition 4 2\ntree 0\n0 +2\n", 3, id="partition-sign"),
+    pytest.param("partition", "partition 4 2\ntree 0\n0 1_0\n", 3, id="partition-underscore"),
+    pytest.param("partition", "partition \u0664 2\ntree 0\n", 1, id="partition-count-digit"),
+    pytest.param("partition", "partition 4 +2\ntree 0\n", 1, id="partition-count-sign"),
+    pytest.param("edgelist", "0 1_0\n", 1, id="edgelist-underscore"),
+    pytest.param("edgelist", "0 1\n1 -2\n", 2, id="edgelist-sign"),
+    pytest.param("edgelist", "\u0663 1\n", 1, id="edgelist-arabic-indic-three"),
+    pytest.param("edgelist", "0 \u00b2\n", 1, id="edgelist-superscript-two"),
+    pytest.param("pointset", "pointset \u0663 general\n0 0\n1 0\n0 1\n", 1,
+                 id="pointset-count-digit"),
+    pytest.param("pointset", "pointset +3 general\n0 0\n1 0\n0 1\n", 1,
+                 id="pointset-count-sign"),
+])
+def test_integer_fields_take_ascii_digits(fmt, text, line):
+    parse = {"partition": lambda t: parse_partition(t, make_wheel(2)),
+             "edgelist": parse_edgelist, "pointset": parse_pointset}[fmt]
+    with pytest.raises(ParseError, match="bad") as info:
+        parse(text)
+    assert info.value.line == line
+
+
+def test_edgelist_checked_against_a_point_count():
+    assert parse_edgelist("5 0\n1 2\n", 6) == ((0, 5), (1, 2))
+    assert parse_edgelist("7 9\n") == ((7, 9),)  # abstract labels, no point set
+    for text, line in (("0 1\n2 9\n", 2), ("3 3\n", 1)):
+        with pytest.raises(ParseError, match="invalid on 6 points") as info:
+            parse_edgelist(text, 6)
+        assert info.value.line == line
+    with pytest.raises(ParseError, match="bad edge 'tree 0'"):
+        parse_edgelist("0 1\ntree 0\n")
+
+
+@pytest.mark.parametrize("command", [["classify"], ["render", "--out", "{tmp}/out.svg"]])
+@pytest.mark.parametrize("text, message", [
+    pytest.param("0 1\n2 9\n", "ParseError: line 2: edge (2, 9) invalid on 6 points",
+                 id="past-the-end"),
+    pytest.param("0 1\n1 -2\n", "ParseError: line 2: bad edge '1 -2'", id="negative"),
+])
+def test_cli_tree_outside_the_point_set_exits_2(tmp_path, command, text, message):
+    tree = tmp_path / "t.edges"
+    tree.write_text(text)
+    res = subprocess.run(
+        [sys.executable, "-m", "planetrees.cli_io", *(a.format(tmp=tmp_path) for a in command),
+         "--input", "wheel3", "--tree", str(tree)],
+        capture_output=True, text=True)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.splitlines() == [message]
+    assert res.stdout == "" and not (tmp_path / "out.svg").exists()
+
+
+def test_cli_wheel_partition_tree_keeps_abstract_labels(tmp_path, capsys):
+    tree = tmp_path / "chair.edges"
+    tree.write_text(emit_edgelist((a + 10, b + 10) for a, b in builtin_tree("fig2i", 3)))
+    assert run_cli("wheel-partition", "--n", "3", "--tree", str(tree),
+                   "--out", str(tmp_path / "out")) == 0
+
+
 # ---------------------------------------------------------------------------
 # packaged data and input resolution
 

@@ -1,15 +1,20 @@
 import ast
+import random
+from itertools import combinations
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 from planetrees import halving_partition, verify_oracle
 from planetrees import (GeomTree, OddPointCount, Partition, TooLarge,
                         brute_force_partitions, build_wheel_partition,
-                        check_observation1, classify, make_wheel,
+                        check_observation1, classify, collinear_triple,
+                        cyclic_order, make_wheel, segments_cross,
                         theorem2_partition, tree_canon, verify_partition)
 from planetrees.geom_core import PointSet
 from planetrees.presets import builtin_tree
+from planetrees.tree_taxonomy import p4_witness_paths
 
 from conftest import regular_gon
 
@@ -209,10 +214,93 @@ def test_limit_semantics():
 def test_size_guards():
     with pytest.raises(TooLarge, match="n=5"):
         brute_force_partitions(make_wheel(5))
-    with pytest.raises(TooLarge, match="explicit limit"):
-        brute_force_partitions(make_wheel(4), limit=None)
+    assert len(brute_force_partitions(make_wheel(4), limit=None)) == 56
     with pytest.raises(OddPointCount):
         brute_force_partitions(regular_gon(5))
+
+
+@pytest.mark.parametrize("limit", [None, 0, 1])
+def test_n5_is_refused_at_any_limit(limit):
+    with pytest.raises(TooLarge, match="n=5"):
+        brute_force_partitions(make_wheel(5), limit=limit)
+
+
+def reference_partitions(ps):
+    """Every set of n disjoint plane spanning trees that covers E(K_2n),
+    from all (2n - 1)-edge subsets: no search order, slots or pruning."""
+    npts = len(ps)
+    edges = list(combinations(range(npts), 2))
+    trees = [frozenset(t) for t in combinations(edges, npts - 1)
+             if len(g := nx.Graph(t)) == npts and nx.is_tree(g)
+             and not any(segments_cross(e, f, ps) for e, f in combinations(t, 2))]
+
+    def covers(rest):  # the tree holding the least uncovered edge, then the rest
+        if not rest:
+            yield ()
+            return
+        first = min(rest)
+        for t in trees:
+            if first in t and t <= rest:
+                yield from ((t, *more) for more in covers(rest - t))
+
+    return {tuple(sorted(tuple(sorted(t)) for t in part))
+            for part in covers(frozenset(edges))}
+
+
+def random_nonconvex(npts, seed):
+    """npts integer points in general position, not in convex position."""
+    rng = random.Random(seed)
+    while True:
+        pts = tuple((float(rng.randrange(20)), float(rng.randrange(20)))
+                    for _ in range(npts))
+        ps = PointSet(pts, "general")
+        if len(set(pts)) == npts and collinear_triple(ps) is None and cyclic_order(ps) is None:
+            return ps
+
+
+@pytest.mark.parametrize("ps", [
+    make_wheel(2), make_wheel(3), square(), regular_gon(6),
+    PointSet(make_wheel(3).points, "general"),
+    *(random_nonconvex(npts, seed) for npts in (4, 6) for seed in (1, 2)),
+], ids=["wheel2", "wheel3", "square", "hexagon", "wheel3-general",
+        "random4-1", "random4-2", "random6-1", "random6-2"])
+def test_oracle_equals_reference(ps):
+    found = brute_force_partitions(ps, limit=None)
+    assert len(set(found)) == len(found)
+    assert set(found) == reference_partitions(ps)
+    for limit in (0, 1, 2, 5):
+        assert brute_force_partitions(ps, limit=limit) == found[:limit]
+
+
+@pytest.mark.parametrize("n, count", [(2, 6), (3, 20), (4, 56)])
+def test_oracle_equals_builder_orbit(n, count):
+    """Theorem 1 on Wheel{n} as an equality: the builder's partitions from
+    every tree on 2n vertices and each of its p4_witness_paths (so every
+    w-caterpillar), closed under the 2(2n - 1) rotations and reflections
+    of the wheel (centre fixed), are exactly the oracle's partitions."""
+    m = 2 * n - 1  # circle points 0 .. m - 1; m is the centre
+    built = [build_wheel_partition(edges, n, four_path=path)
+             for edges in (tuple(g.edges()) for g in nx.nonisomorphic_trees(2 * n))
+             for _, path in p4_witness_paths(edges)]  # up to n = 4 it takes every one
+    orbit = set()
+    for p in built:
+        for shift in range(m):
+            for sign in (1, -1):
+                f = [(sign * v + shift) % m for v in range(m)] + [m]
+                moved = (sorted(tuple(sorted((f[a], f[b]))) for a, b in t.edges)
+                         for t in p.trees)
+                orbit.add(tuple(sorted(tuple(t) for t in moved)))
+    assert orbit == set(brute_force_partitions(make_wheel(n), limit=None))
+    assert len(orbit) == count
+
+
+@pytest.mark.parametrize("m, count", [(6, 4), (8, 8)])
+def test_convex_oracle_trees_are_symmetric(m, count):
+    ps = regular_gon(m)
+    found = brute_force_partitions(ps, limit=None)
+    assert len(found) == count
+    assert all(classify(GeomTree(ps, t)).symmetric is not None
+               for part in found for t in part)
 
 
 # ---------------------------------------------------------------------------
