@@ -19,7 +19,6 @@ import random
 import re
 import sys
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 from . import presets
@@ -58,6 +57,15 @@ def _digits(field: str) -> bool:
     return field.isascii() and field.isdigit()
 
 
+def _coordinate(field: str) -> float:
+    """float() of an ASCII field with no underscore: every repr of a float
+    (emit_pointset's form) passes, while other scripts' digits and digit
+    grouping, which float() alone also takes, raise ValueError."""
+    if not field.isascii() or "_" in field:
+        raise ValueError(field)
+    return float(field)
+
+
 def parse_pointset(text: str) -> PointSet:
     lines = _content_lines(text)
     if not lines:
@@ -80,7 +88,7 @@ def parse_pointset(text: str) -> PointSet:
         if len(fields) != 2:
             raise ParseError(f"want 'x y', got {line!r}", line=lineno)
         try:
-            pt = (float(fields[0]), float(fields[1]))
+            pt = (_coordinate(fields[0]), _coordinate(fields[1]))
         except ValueError:
             raise ParseError(f"bad coordinate in {line!r}", line=lineno) from None
         if not (math.isfinite(pt[0]) and math.isfinite(pt[1])):
@@ -178,7 +186,8 @@ def _edges(lines: list[tuple[int, str]], k: int,
     npts. An edge keeps its line's order of a and b (GeomTree normalizes).
     """
     edges = []
-    for lineno, line in islice(lines, k, None):
+    for i in range(k, len(lines)):
+        lineno, line = lines[i]
         try:
             x, y = line.split()
         except ValueError:
@@ -186,14 +195,14 @@ def _edges(lines: list[tuple[int, str]], k: int,
         xy = x + y
         if not (xy.isascii() and xy.isdigit()):  # _digits(x + y), inlined per line
             if line.split()[0] == "tree":
-                break
+                return edges, i
             raise ParseError(f"bad edge {line!r}" if y else f"want 'a b', got {line!r}",
                              line=lineno)
         a, b = int(x), int(y)
         if npts is not None and (a == b or a >= npts or b >= npts):
             raise ParseError(f"edge ({a}, {b}) invalid on {npts} points", line=lineno)
         edges.append((a, b))
-    return edges, k + len(edges)
+    return edges, len(lines)
 
 
 def emit_edgelist(edges) -> str:

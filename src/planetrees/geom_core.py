@@ -314,9 +314,11 @@ class CyclicOrder:
         open interval ends finds any pair that neither nests nor is
         disjoint. A spoke to circle point s (wheel only) crosses a chord
         iff s lies strictly inside the chord's short arc, the side away
-        from the centre; a difference array counts the chords over each
-        position. Also False when an index is no point of the set or an
-        edge is a loop, so that the caller's pairwise scan reports it.
+        from the centre, and the same stack pass checks spokes too: a
+        short chord lo..hi (2(hi - lo) < m) by a prefix count of spoke
+        positions, a long one by the least and greatest spoke. Also False
+        when an index is no point of the set or an edge is a loop, so
+        that the caller's pairwise scan reports it.
         """
         pos, m = self.pos, self.size
         npts = len(pos)
@@ -331,27 +333,24 @@ class CyclicOrder:
             else:
                 chords.append((pa, -pb) if pa < pb else (pb, -pa))
         chords.sort()
+        if spokes:
+            mark = [0] * m
+            for s in spokes:
+                mark[s] = 1
+            below = [0, *accumulate(mark)]  # below[i]: spoke positions < i
+            least, most = min(spokes), max(spokes)
         ends: list[int] = []
         for lo, neg_hi in chords:
+            hi = -neg_hi
             while ends and ends[-1] <= lo:
                 ends.pop()
-            if ends and ends[-1] < -neg_hi:
+            if ends and ends[-1] < hi:
                 return False
-            ends.append(-neg_hi)
-        if not spokes:
-            return True
-        diff = [0] * (m + 1)
-        for lo, neg_hi in chords:
-            hi = -neg_hi
-            if 2 * (hi - lo) < m:  # short arc lo+1 .. hi-1
-                diff[lo + 1] += 1
-                diff[hi] -= 1
-            else:  # short arc hi+1 .. m-1, 0 .. lo-1
-                diff[hi + 1] += 1
-                diff[0] += 1
-                diff[lo] -= 1
-        covered = list(accumulate(diff))
-        return not any(covered[s] for s in spokes)
+            ends.append(hi)
+            if spokes and (below[hi] > below[lo + 1] if 2 * (hi - lo) < m
+                           else least < lo or most > hi):
+                return False
+        return True
 
 
 def cyclic_order(ps: PointSet) -> CyclicOrder | None:

@@ -58,10 +58,18 @@ class GeomTree:
 
 @dataclass(frozen=True)
 class Partition:
-    """Trees claimed to split E(K_2n) on ps; verify_partition checks the claim."""
+    """Trees claimed to split E(K_2n) on ps; verify_partition checks the claim.
+
+    trees is stored as a tuple, so a Partition never changes, and
+    verify_partition keeps its report on it: one verification per
+    Partition, written only by the verifier.
+    """
 
     ps: PointSet
     trees: tuple[GeomTree, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "trees", tuple(self.trees))
 
 
 def cover_defect(ps: PointSet, trees: Iterable[GeomTree]) -> dict[str, list[GeomEdge]]:

@@ -6,10 +6,12 @@ The verifier imports no builder: Partition, cover_defect and the tree
 checks come from tree_taxonomy, the predicates from geom_core.
 verify_partition never raises on mathematically wrong input; it returns
 a report naming the first failed check (coverage, then spanning, then
-plane) with a concrete witness, and which planarity predicate ran:
-"wheel-index" on a verified wheel, "convex-order" on a set in convex
-position (both through the point set's cyclic order), or "pairwise"
-coordinate tests; segments_cross names a crossing pair on every set.
+plane) with a concrete witness, and keeps it on the frozen Partition, so
+each Partition is verified once. The report says which planarity
+predicate ran: "wheel-index" on a verified wheel, "convex-order" on a
+set in convex position (both through the point set's cyclic order), or
+"pairwise" coordinate tests; segments_cross names a crossing pair on
+every set.
 The enumerator, exhaustive up to n = 4, fills its crossing table (one
 int bitmask per edge) through the same crossing_pair and places the
 edges of K_2n in lexicographic order into tree slots held as edge
@@ -28,6 +30,10 @@ from .tree_taxonomy import (GeomTree, Partition, cover_defect, crossing_pair,
                             is_spanning_tree, wheel_tag_n)
 
 
+# Partition.__dict__ key of the kept VerifyReport (as geom_core's cyclic order)
+_REPORT_ATTR = "_verify_report"
+
+
 @dataclass(frozen=True)
 class VerifyReport:
     ok: bool
@@ -40,7 +46,18 @@ class VerifyReport:
 
 
 def verify_partition(p: Partition) -> VerifyReport:
-    """Coverage, spanning, planarity; first failure wins."""
+    """Coverage, spanning, planarity; first failure wins.
+
+    The report is built on the first call and kept on p (every input to
+    it is immutable), so later calls return that same object. Only this
+    function writes it: no builder or parser hands in a verdict.
+    """
+    if _REPORT_ATTR not in p.__dict__:
+        p.__dict__[_REPORT_ATTR] = _verify(p)
+    return p.__dict__[_REPORT_ATTR]
+
+
+def _verify(p: Partition) -> VerifyReport:
     npts = len(p.ps)
     if npts % 2:
         return VerifyReport(False, "coverage", f"odd point count {npts}")

@@ -226,6 +226,9 @@ def analyze_wheel_partition(p: Partition) -> WheelAnalysis:
     genuinely valid partition would contradict the structural results.
     Raises NotWheelConfig without a wheel tag, then NotAPartition for the
     first check verify_partition fails, then NotWheelConfig on a refuted tag.
+    The verifier keeps its report on p, so a caller that verified p
+    before or verifies it after pays for one verification in all; this
+    function only reads that report and never writes it.
 
     Each tree's boundary and radial edges are read once. Observation 1
     needs no check: a verified partition's chords join two of the 2n - 1

@@ -151,6 +151,40 @@ def test_integer_fields_take_ascii_digits(fmt, text, line):
     assert info.value.line == line
 
 
+@pytest.mark.parametrize("text, line", [
+    pytest.param("pointset 3 general\n\u0660 0\n1 0\n0 1\n", 2, id="arabic-indic-zero"),
+    pytest.param("pointset 3 general\n0 0\n1_0 0\n0 1\n", 3, id="underscore"),
+])
+def test_coordinates_take_ascii_without_underscores(text, line):
+    # float() alone reads these as 0.0 and 10.0
+    with pytest.raises(ParseError, match="bad coordinate") as info:
+        parse_pointset(text)
+    assert info.value.line == line
+
+
+def test_parse_partition_reads_each_line_once(monkeypatch):
+    visits = 0
+
+    class Counted(list):
+        def __iter__(self):
+            nonlocal visits
+            for item in super().__iter__():
+                visits += 1
+                yield item
+
+        def __getitem__(self, i):
+            nonlocal visits
+            visits += 1
+            return super().__getitem__(i)
+
+    content_lines = cli_io._content_lines
+    monkeypatch.setattr(cli_io, "_content_lines", lambda text: Counted(content_lines(text)))
+    p = build_wheel_partition(builtin_tree("doublestar", 16), 16)
+    assert parse_partition(emit_partition(p), p.ps) == p
+    nlines = 1 + 16 * 32  # header, then a 'tree' line and 31 edges per tree
+    assert visits <= 2 * nlines
+
+
 def test_edgelist_checked_against_a_point_count():
     assert parse_edgelist("5 0\n1 2\n", 6) == ((0, 5), (1, 2))
     assert parse_edgelist("7 9\n") == ((7, 9),)  # abstract labels, no point set

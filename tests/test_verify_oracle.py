@@ -8,10 +8,12 @@ import pytest
 
 from planetrees import halving_partition, verify_oracle
 from planetrees import (GeomTree, OddPointCount, Partition, TooLarge,
-                        brute_force_partitions, build_wheel_partition,
-                        check_observation1, classify, collinear_triple,
-                        cyclic_order, make_wheel, segments_cross,
-                        theorem2_partition, tree_canon, verify_partition)
+                        analyze_wheel_partition, brute_force_partitions,
+                        build_wheel_partition, check_observation1, classify,
+                        collinear_triple, cyclic_order, make_wheel,
+                        segments_cross, theorem2_partition, theorem3_partition,
+                        theorem4_partition, tree_canon, verify_partition)
+from planetrees.cli_io import emit_partition, parse_partition
 from planetrees.geom_core import PointSet
 from planetrees.presets import builtin_tree
 from planetrees.tree_taxonomy import p4_witness_paths
@@ -117,6 +119,56 @@ def test_verify_odd_point_count():
     ps = regular_gon(5)
     rep = verify_partition(Partition(ps, ()))
     assert rep.reason == "coverage" and "odd" in rep.witness
+
+
+def test_analyze_then_verify_runs_each_check_once(monkeypatch):
+    calls = {"cover": 0, "spanning": 0, "plane": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(verify_oracle, "cover_defect",
+                        counted("cover", verify_oracle.cover_defect))
+    monkeypatch.setattr(verify_oracle, "is_spanning_tree",
+                        counted("spanning", verify_oracle.is_spanning_tree))
+    monkeypatch.setattr(verify_oracle, "crossing_pair",
+                        counted("plane", verify_oracle.crossing_pair))
+    p = build_wheel_partition(builtin_tree("doublestar", 5), 5)
+    analyze_wheel_partition(p)
+    rep = verify_partition(p)
+    assert rep.ok and rep.predicate == "wheel-index"
+    assert verify_partition(p) is rep
+    assert calls == {"cover": 1, "spanning": 5, "plane": 5}
+
+
+def test_failed_report_is_kept_too():
+    p = build_wheel_partition(builtin_tree("fig2i", 3), 3)
+    bad = Partition(p.ps, (GeomTree(p.ps, p.trees[0].edges[1:]),) + p.trees[1:])
+    rep = verify_partition(bad)
+    assert rep.reason == "coverage" and verify_partition(bad) is rep
+
+
+def test_built_and_parsed_partitions_hold_no_report():
+    key = verify_oracle._REPORT_ATTR
+    wheel = build_wheel_partition(builtin_tree("doublestar", 4), 4)
+    built = [wheel,
+             theorem2_partition(regular_gon(8), 1),
+             theorem3_partition(regular_gon(8), 2),
+             theorem4_partition(make_wheel(4), 2),
+             parse_partition(emit_partition(wheel), wheel.ps)]
+    for p in built:
+        assert key not in p.__dict__
+        rep = verify_partition(p)
+        assert rep.ok and p.__dict__[key] is rep
+
+
+def test_partition_keeps_trees_as_a_tuple():
+    p = build_wheel_partition(builtin_tree("fig2i", 3), 3)
+    again = Partition(p.ps, list(p.trees))
+    assert isinstance(again.trees, tuple) and again == p
 
 
 # ---------------------------------------------------------------------------
