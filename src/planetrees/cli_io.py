@@ -8,7 +8,9 @@ Formats:
   edgelist   bare ``a b`` lines.
 
 Exit codes: 0 success, 1 a check or construction failed mathematically,
-2 malformed invocation or input. Every subcommand takes --json.
+2 malformed invocation or input. Every subcommand takes --json, under
+which stdout holds exactly one JSON object; generate and render then
+need --out for their file.
 """
 from __future__ import annotations
 
@@ -34,8 +36,7 @@ from .tree_taxonomy import GeomTree, Partition, classify
 from .verify_oracle import brute_force_partitions, verify_partition
 from .wheel_partition import analyze_wheel_partition, build_wheel_partition
 
-_GON_ARG = re.compile(r"^gon([0-9]+)$")
-_RANDOM_ARG = re.compile(r"^random([0-9]+)$")
+_DRAWN_ARG = re.compile(r"^(gon|random)([0-9]+)$")
 
 # config failures the math can legitimately report on good input
 _CHECK_FAILURES = (NoHLabeling, NoWLabeling, HypothesisViolated,
@@ -276,16 +277,41 @@ def _read(value: str, flag: str) -> str:
         raise ParseError(f"{flag} {value!r}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
-def load_pointset(value: str) -> PointSet:
-    """File path, packaged preset name, or wheel<n> tag."""
+def load_pointset(value: str, flag: str = "--input", radius: float = 1.0,
+                  seed: int | None = None) -> PointSet:
+    """The point set a name stands for: a pointset file, a packaged preset,
+    wheel<n>, gon<m> (m points evenly on a circle) or random<m> (m points
+    at random angles on a circle, drawn from seed; None draws afresh).
+    radius is the circle's; flag names the option in error messages."""
     if Path(value).is_file():
-        return parse_pointset(_read(value, "--input"))
+        return parse_pointset(_read(value, flag))
     if value in presets.POINT_PRESETS:
         return presets.figure_pointset(value)
-    n = wheel_tag(value)
-    if n is not None:
-        return make_wheel(n)
-    raise ParseError(f"--input {value!r} is neither a file, a preset, nor wheel<n>")
+    if not 0 < radius < math.inf:
+        raise InvalidParameter(f"--radius must be finite and positive, got {radius}")
+    if (n := wheel_tag(value)) is not None:
+        return make_wheel(n, radius=radius)
+    if (m := _DRAWN_ARG.match(value)) is None:
+        raise ParseError(f"{flag} {value!r} is neither a file, a preset,"
+                         " nor wheel<n>, gon<m> or random<m>")
+    kind, count = m.group(1), int(m.group(2))
+    if count % 2 or count < 4:
+        raise InvalidParameter(f"{kind}<m> needs even m >= 4, got {count}")
+    if kind == "gon":
+        angles = [0.3 + 2 * math.pi * i / count for i in range(count)]
+    else:
+        rng = random.Random(seed)
+        while True:
+            angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(count))
+            gaps = [b - a for a, b in zip(angles, angles[1:])]
+            gaps.append(2 * math.pi - angles[-1] + angles[0])
+            if min(gaps) > 1e-3:
+                break
+    ps = PointSet(tuple((radius * math.cos(a), radius * math.sin(a)) for a in angles), "convex")
+    if cyclic_order(ps) is None:
+        raise InvalidParameter(f"{flag} {value} --radius {radius}:"
+                               " the points are not in strictly convex position in floats")
+    return ps
 
 
 def _load_choices(value: str | None) -> ConstructionChoices | None:
@@ -312,78 +338,36 @@ def _load_choices(value: str | None) -> ConstructionChoices | None:
     return ConstructionChoices(**raw)
 
 
-def _write(out_path: str | None, text: str) -> None:
-    if out_path is None:
+def _write(args, text: str) -> None:
+    """text into --out, else onto stdout, which --json keeps for its object."""
+    if args.out is not None:
+        Path(args.out).write_text(text)
+    elif args.json:
+        raise InvalidParameter(f"{args.command} --json needs --out:"
+                               " stdout holds only the JSON object")
+    else:
         sys.stdout.write(text)
-    else:
-        Path(out_path).write_text(text)
 
 
-def _emit_report(args, payload: dict, human: str) -> None:
+def _report(args, payload: dict, human: str | None = None) -> None:
+    """The one printer of a subcommand's result: the payload as one JSON
+    object under --json, else the human text, if any."""
     if args.json:
-        print(json.dumps(payload, default=_jsonable, sort_keys=True))
-    else:
+        print(json.dumps(payload, sort_keys=True))
+    elif human is not None:
         print(human)
-
-
-def _jsonable(obj):
-    if isinstance(obj, (set, frozenset)):
-        return sorted(obj)
-    if hasattr(obj, "_asdict"):
-        return obj._asdict()
-    if hasattr(obj, "__dict__"):
-        return obj.__dict__
-    return str(obj)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_generate(args) -> int:
-    if args.preset:
-        ps = presets.figure_pointset(args.preset)
-    else:
-        value = args.config
-        if value is None:
-            raise InvalidParameter("generate needs --config or --preset")
-        if not 0 < args.radius < math.inf:
-            raise InvalidParameter(f"--radius must be finite and positive, got {args.radius}")
-        if (n := wheel_tag(value)) is not None:
-            ps = make_wheel(n, radius=args.radius)
-        elif (m := _GON_ARG.match(value)):
-            count = int(m.group(1))
-            if count % 2 or count < 4:
-                raise InvalidParameter(f"gon<m> needs even m >= 4, got {count}")
-            pts = tuple((args.radius * math.cos(0.3 + 2 * math.pi * i / count),
-                         args.radius * math.sin(0.3 + 2 * math.pi * i / count))
-                        for i in range(count))
-            ps = PointSet(pts, "convex")
-        elif (m := _RANDOM_ARG.match(value)):
-            count = int(m.group(1))
-            if count % 2 or count < 4:
-                raise InvalidParameter(f"random<m> needs even m >= 4, got {count}")
-            rng = random.Random(args.seed)
-            while True:
-                angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(count))
-                gaps = [b - a for a, b in zip(angles, angles[1:])]
-                gaps.append(2 * math.pi - angles[-1] + angles[0])
-                if min(gaps) > 1e-3:
-                    break
-            pts = tuple((args.radius * math.cos(a), args.radius * math.sin(a))
-                        for a in angles)
-            ps = PointSet(pts, "convex")
-        else:
-            raise InvalidParameter(
-                f"--config {value!r}: want wheel<n>, gon<m>, or random<m>")
-        # make_wheel checks its own points; the convex tag is checked here
-        if ps.config_tag == "convex" and cyclic_order(ps) is None:
-            raise InvalidParameter(f"--config {value} --radius {args.radius}:"
-                                   " the points are not in strictly convex position in floats")
-    text = emit_pointset(ps)
-    _write(args.out, text)
-    if args.json:
-        print(json.dumps({"count": len(ps), "config_tag": ps.config_tag,
-                          "points": list(ps.points)}))
+    if (args.config is None) == (args.preset is None):
+        raise InvalidParameter("generate needs exactly one of --config and --preset")
+    value = args.preset if args.config is None else args.config
+    ps = load_pointset(value, "--config", args.radius, args.seed)
+    _write(args, emit_pointset(ps))
+    _report(args, {"count": len(ps), "config_tag": ps.config_tag, "points": list(ps.points)})
     return 0
 
 
@@ -402,7 +386,7 @@ def _cmd_halving(args) -> int:
         payload = {"k": args.k, "lines": [[l.i, l.j] for l in lines]}
         human = "\n".join(f"{l.i} {l.j} {l.k}" for l in lines)
     payload["path"] = halving_profile(ps).path
-    _emit_report(args, payload, human)
+    _report(args, payload, human)
     return 0
 
 
@@ -423,23 +407,23 @@ def _cmd_classify(args) -> int:
             "edge": rep.symmetric.edge},
     }
     human = "\n".join(f"{k}: {v}" for k, v in payload.items())
-    _emit_report(args, payload, human)
+    _report(args, payload, human)
     return 0
 
 
-def _write_partition_dir(args, p: Partition, extra: dict) -> None:
+def _write_partition_dir(args, p: Partition, extra: dict, files: dict[str, str]) -> None:
+    """p's files, the SVG under --svg and files (name -> text) into --out."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i, t in enumerate(p.trees):
-        (out / f"tree_{i}.edges").write_text(emit_edgelist(t.edges))
-    (out / "partition.txt").write_text(emit_partition(p))
+        files[f"tree_{i}.edges"] = emit_edgelist(t.edges)
+    files["partition.txt"] = emit_partition(p)
     if args.svg:
-        (out / "partition.svg").write_text(render_svg(p))
-    if args.json:
-        print(json.dumps({"out": str(out), "trees": len(p.trees), **extra},
-                         default=_jsonable, sort_keys=True))
-    else:
-        print(f"wrote {len(p.trees)} trees to {out}")
+        files["partition.svg"] = render_svg(p)
+    for name, text in files.items():
+        (out / name).write_text(text)
+    _report(args, {"out": str(out), "trees": len(p.trees), **extra},
+            f"wrote {len(p.trees)} trees to {out}")
 
 
 def _cmd_wheel_partition(args) -> int:
@@ -450,37 +434,31 @@ def _cmd_wheel_partition(args) -> int:
     p = build_wheel_partition(edges, args.n)
     # analyze_wheel_partition runs verify_partition and raises unless it passes
     analysis = analyze_wheel_partition(p)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     lines = ["verify: pass",
              f"one_boundary_tree: {analysis.one_boundary_tree}",
              f"radial_run: {' '.join(f'{a}-{b}' for a, b in analysis.radial_run)}"]
     for i, st in enumerate(analysis.per_tree):
         lines.append(f"tree {i}: boundary={st.boundary_count} radial={st.radial_count}"
                      f" four_path={st.four_path}")
-    (out / "analysis.txt").write_text("\n".join(lines) + "\n")
-    _write_partition_dir(args, p, {
-        "verify": True,
-        "one_boundary_tree": analysis.one_boundary_tree,
-    })
+    _write_partition_dir(args, p, {"verify": True,
+                                   "one_boundary_tree": analysis.one_boundary_tree},
+                         {"analysis.txt": "\n".join(lines) + "\n"})
     return 0
 
 
 def _cmd_halving_partition(args) -> int:
     ps = load_pointset(args.input)
-    choices = _load_choices(args.choices)
     if args.theorem == 2:
+        if args.r is not None or args.choices is not None:
+            raise InvalidParameter("--theorem 2 takes neither --r nor --choices")
         p = theorem2_partition(ps, args.t)
-    elif args.theorem == 3:
-        if args.r is None:
-            raise InvalidParameter("--theorem 3 requires --r")
-        p = theorem3_partition(ps, args.r, choices)
+    elif args.r is None:
+        raise InvalidParameter(f"--theorem {args.theorem} requires --r")
     else:
-        if args.r is None:
-            raise InvalidParameter("--theorem 4 requires --r")
-        p = theorem4_partition(ps, args.r, choices)
+        build = theorem3_partition if args.theorem == 3 else theorem4_partition
+        p = build(ps, args.r, _load_choices(args.choices))
     report = verify_partition(p)
-    _write_partition_dir(args, p, {"verify": report.ok, "theorem": args.theorem})
+    _write_partition_dir(args, p, {"verify": report.ok, "theorem": args.theorem}, {})
     return 0 if report.ok else 1
 
 
@@ -491,7 +469,7 @@ def _cmd_verify(args) -> int:
     payload = {"ok": report.ok, "reason": report.reason, "witness": report.witness,
                "predicate": report.predicate}
     human = "pass" if report.ok else f"fail: {report.reason} ({report.witness})"
-    _emit_report(args, payload, human)
+    _report(args, payload, human)
     return 0 if report.ok else 1
 
 
@@ -500,14 +478,11 @@ def _cmd_oracle(args) -> int:
     found = brute_force_partitions(ps, limit=args.limit)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    blocks = []
-    for trees in found:
-        blocks.append(emit_partition(Partition(ps, tuple(GeomTree(ps, t) for t in trees))))
-    (out / "partitions.txt").write_text("\n".join(blocks))
-    if args.json:
-        print(json.dumps({"count": len(found), "out": str(out)}))
-    else:
-        print(f"{len(found)} partitions -> {out}/partitions.txt")
+    (out / "partitions.txt").write_text("\n".join(
+        emit_partition(Partition(ps, tuple(GeomTree(ps, t) for t in trees)))
+        for trees in found))
+    _report(args, {"count": len(found), "out": str(out)},
+            f"{len(found)} partitions -> {out}/partitions.txt")
     return 0
 
 
@@ -521,9 +496,8 @@ def _cmd_render(args) -> int:
     else:
         raise InvalidParameter("render needs --partition or --tree")
     svg = render_svg(target)
-    _write(args.out, svg)
-    if args.json:
-        print(json.dumps({"bytes": len(svg.encode())}))
+    _write(args, svg)
+    _report(args, {"bytes": len(svg.encode())})
     return 0
 
 
@@ -601,12 +575,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _CHECK_FAILURES as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
     except PlaneTreesError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, _CHECK_FAILURES) else 2
 
 
 if __name__ == "__main__":

@@ -298,11 +298,11 @@ def _walks_circle(co: CyclicOrder | None, ring: list[int]) -> bool:
     return all((pos[b] - pos[a]) % size == 1 for a, b in zip(ring, ring[1:] + ring[:1]))
 
 
-def w_labeling(ps: PointSet) -> WLabeling:
-    """Point w on all halving lines, others ordered anticlockwise about it."""
+def _dominant_point(ps: PointSet) -> int:
+    """The first point on all npts - 1 halving lines of an even set: the
+    w of w_labeling and of check_theorem4_hypothesis. NoWLabeling when
+    the set has not exactly npts - 1 halving lines or no such point."""
     npts = len(ps)
-    if npts % 2:
-        raise OddPointCount(f"{npts} points; w-labeling needs an even count")
     incidence = halving_profile(ps).incidence(0)
     lines = sum(incidence) // 2
     if lines != npts - 1:
@@ -310,7 +310,15 @@ def w_labeling(ps: PointSet) -> WLabeling:
     candidates = [i for i, c in enumerate(incidence) if c == npts - 1]
     if not candidates:
         raise NoWLabeling("no point is incident to all halving lines")
-    w = candidates[0]
+    return candidates[0]
+
+
+def w_labeling(ps: PointSet) -> WLabeling:
+    """Point w on all halving lines, others ordered anticlockwise about it."""
+    npts = len(ps)
+    if npts % 2:
+        raise OddPointCount(f"{npts} points; w-labeling needs an even count")
+    w = _dominant_point(ps)
     co = cyclic_order(ps)
     if co is not None and co.wheel is not None:
         # w is the centre, about which the circle order is the angular one:
@@ -347,12 +355,6 @@ def check_theorem3_hypothesis(ps: PointSet, r: int) -> HypothesisReport:
 def check_theorem4_hypothesis(ps: PointSet, r: int) -> HypothesisReport:
     """A w on all 2n-1 halving lines; every other point on exactly two
     k-halving lines for k = 1..r, none of which pass through w."""
-    return _theorem4_hypothesis(ps, r)[0]
-
-
-def _theorem4_hypothesis(ps: PointSet, r: int) -> tuple[HypothesisReport, WLabeling | None]:
-    """check_theorem4_hypothesis's report and the w-labeling it read,
-    None when the set has none."""
     npts = len(ps)
     if npts % 2:
         raise OddPointCount(f"{npts} points")
@@ -360,21 +362,21 @@ def _theorem4_hypothesis(ps: PointSet, r: int) -> tuple[HypothesisReport, WLabel
     if not 1 <= r <= n - 1:
         raise InvalidParameter(f"r must be in 1..{n - 1}, got {r}")
     try:
-        wl = w_labeling(ps)
+        w = _dominant_point(ps)
     except NoWLabeling as exc:
-        return HypothesisReport(ok=False, witness=None, reason=str(exc)), None
+        return HypothesisReport(ok=False, witness=None, reason=str(exc))
     profile = halving_profile(ps)
     for k in range(1, r + 1):
         counts = profile.incidence(k)
-        if counts[wl.w] != 0:
+        if counts[w] != 0:
             return HypothesisReport(
-                ok=False, witness=(wl.w, k),
-                reason=f"w lies on {counts[wl.w]} {k}-halving lines, want 0"), wl
+                ok=False, witness=(w, k),
+                reason=f"w lies on {counts[w]} {k}-halving lines, want 0")
         for i in range(npts):
-            if i == wl.w:
+            if i == w:
                 continue
             if counts[i] != 2:
                 return HypothesisReport(
                     ok=False, witness=(i, k),
-                    reason=f"point {i} on {counts[i]} {k}-halving lines, want 2"), wl
-    return HypothesisReport(ok=True), wl
+                    reason=f"point {i} on {counts[i]} {k}-halving lines, want 2")
+    return HypothesisReport(ok=True)

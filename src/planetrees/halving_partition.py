@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from .errors import (HypothesisViolated, InvalidChoices, InvalidParameter,
                      NotAHalvingLine, SideViolation, StructureViolation)
 from .geom_core import PointSet, edge
-from .halving import (_side_split, _theorem4_hypothesis,
-                      check_theorem3_hypothesis, h_labeling, halving_profile)
+from .halving import (_side_split, check_theorem3_hypothesis,
+                      check_theorem4_hypothesis, h_labeling, halving_profile,
+                      w_labeling)
 from .tree_taxonomy import GeomTree, Partition, cover_defect
 
 
@@ -138,15 +139,10 @@ def theorem2_partition(ps: PointSet, t: int) -> Partition:
     """
     if t not in (0, 1):
         raise InvalidParameter(f"t must be 0 or 1, got {t}")
-    lab = h_labeling(ps)
+    relab = h_labeling(ps).relabeling
     m = len(ps) // 2
-    relab = lab.relabeling
-    trees = []
-    for i in range(m):
-        tri = [edge(relab[a], relab[b]) for a, b in _t2_label_tree(i, t, m)]
-        trees.append(GeomTree(ps, tuple(sorted(tri))))
-    _assert_disjoint_cover(ps, trees, "theorem2")
-    return Partition(ps=ps, trees=tuple(trees))
+    return _partition(ps, relab.__getitem__,
+                      [_t2_label_tree(i, t, m) for i in range(m)], "theorem2")
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +173,8 @@ def theorem3_partition(ps: PointSet, r: int, choices: ConstructionChoices | None
     label_edges += _zigzag(s, t, 0, n, r - 1, choices.extend_side)
     mirrored = [((a + n) % big, (b + n) % big) for a, b in label_edges if (a, b) != (0, n)]
     t0 = [(a % big, b % big) for a, b in label_edges] + mirrored
-    trees = []
-    for q in range(n):
-        tri = [edge(relab[(a + q) % big], relab[(b + q) % big]) for a, b in t0]
-        trees.append(GeomTree(ps, tuple(sorted(tri))))
-    _assert_disjoint_cover(ps, trees, "theorem3")
-    return Partition(ps=ps, trees=tuple(trees))
+    label_trees = [[((a + q) % big, (b + q) % big) for a, b in t0] for q in range(n)]
+    return _partition(ps, relab.__getitem__, label_trees, "theorem3")
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +193,10 @@ def theorem4_partition(ps: PointSet, r: int, choices: ConstructionChoices | None
     if choices.type4 not in ("Type1", "Type2"):
         raise InvalidChoices(f"type4 must be 'Type1' or 'Type2', got {choices.type4!r}")
     n = len(ps) // 2
-    hyp, lab = _theorem4_hypothesis(ps, r)
+    hyp = check_theorem4_hypothesis(ps, r)
     if not hyp:
         raise HypothesisViolated(hyp.reason)
+    lab = w_labeling(ps)
     order = lab.order
     m = 2 * n - 1
 
@@ -232,15 +225,18 @@ def theorem4_partition(ps: PointSet, r: int, choices: ConstructionChoices | None
     last = [(m, 2 * n - 2)] + [(m, z) for z in range(n - 1)]
     small = [(a, b) for a, b in t0 if m not in (a, b) and a <= n - 1 and b <= n - 1]
     last += [((a + n - 1) % m, (b + n - 1) % m) for a, b in small]
-    # the cover check below also makes last the complement of the others
+    # the cover check in _partition also makes last the complement of the others
     label_trees.append(last)
-    trees = [GeomTree(ps, tuple(sorted(edge(orig(a), orig(b)) for a, b in tr)))
-             for tr in label_trees]
-    _assert_disjoint_cover(ps, trees, "theorem4")
-    return Partition(ps=ps, trees=tuple(trees))
+    return _partition(ps, orig, label_trees, "theorem4")
 
 
-def _assert_disjoint_cover(ps: PointSet, trees: list[GeomTree], what: str) -> None:
+def _partition(ps: PointSet, relabel, label_trees: list[list[tuple[int, int]]],
+               what: str) -> Partition:
+    """The Partition whose trees are label_trees with each label a read as
+    point relabel(a), once the trees are checked to cover E(K) exactly
+    once. GeomTree sorts and normalizes the edges."""
+    trees = [GeomTree(ps, [(relabel(a), relabel(b)) for a, b in tr]) for tr in label_trees]
     defect = cover_defect(ps, trees)
     if any(defect.values()):
         raise StructureViolation(f"{what}-cover", defect)
+    return Partition(ps=ps, trees=tuple(trees))

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import OddPointCount, TooLarge
+from .errors import InvalidParameter, OddPointCount, TooLarge
 from .geom_core import GeomEdge, PointSet, cyclic_order
 from .tree_taxonomy import (GeomTree, Partition, cover_defect, crossing_pair,
                             is_spanning_tree, wheel_tag_n)
@@ -129,6 +129,8 @@ def brute_force_partitions(ps: PointSet, limit: int | None = 10_000) -> list[tup
     of a spanning tree alone: once (a, 2n - 1), the last edge at a, is
     placed, every slot must hold an edge at a, for no later edge touches a.
     """
+    if limit is not None and limit < 0:
+        raise InvalidParameter(f"limit must be None or >= 0, got {limit}")
     npts = len(ps)
     if npts % 2:
         raise OddPointCount(f"need an even number of points, got {npts}")

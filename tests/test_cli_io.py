@@ -611,3 +611,74 @@ def test_cli_halving_json_reports_the_profile_path(tmp_path, capsys, source, pat
         source = str(tmp_path / "p")
     assert run_cli("halving", "--input", source, "--json") == 0
     assert json.loads(capsys.readouterr().out)["path"] == path
+
+
+# ---------------------------------------------------------------------------
+# one resolver, one printer
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--config", "gon8", "--out", "{tmp}/gon8.points"],
+    ["halving", "--input", "gon8"],
+    ["classify", "--input", "wheel3", "--tree", "{tmp}/chair.edges"],
+    ["wheel-partition", "--n", "3", "--tree", "builtin:fig2i", "--out", "{tmp}/w3"],
+    ["halving-partition", "--input", "fig5", "--theorem", "2", "--out", "{tmp}/t2"],
+    ["verify", "--input", "wheel3", "--partition", "{tmp}/fig2i.txt"],
+    ["oracle", "--input", "wheel2", "--limit", "2", "--out", "{tmp}/oracle"],
+    ["render", "--input", "wheel3", "--tree", "{tmp}/chair.edges", "--out", "{tmp}/t.svg"],
+])
+def test_cli_json_stdout_is_one_object(tmp_path, capsys, argv):
+    (tmp_path / "chair.edges").write_text(emit_edgelist(builtin_tree("fig2i", 3)))
+    (tmp_path / "fig2i.txt").write_text(emit_partition(fig2i_partition()))
+    assert run_cli(*(a.format(tmp=tmp_path) for a in argv), "--json") == 0
+    assert isinstance(json.loads(capsys.readouterr().out), dict)
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--config", "gon8"],
+    ["render", "--input", "wheel3", "--tree", "{tmp}/chair.edges"],
+])
+def test_cli_json_without_out_exits_2(tmp_path, capsys, argv):
+    (tmp_path / "chair.edges").write_text(emit_edgelist(builtin_tree("fig2i", 3)))
+    assert run_cli(*(a.format(tmp=tmp_path) for a in argv), "--json") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"InvalidParameter: {argv[0]} --json needs --out"), err
+
+
+def test_cli_input_takes_every_generated_name(capsys):
+    assert run_cli("halving", "--input", "gon8", "--json") == 0
+    assert json.loads(capsys.readouterr().out)["path"] == "convex-order"
+    assert run_cli("halving", "--input", "random8", "--json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["path"] == "convex-order" and len(payload["lines"]) == 4
+    assert run_cli("generate", "--config", "gon8") == 0
+    assert load_pointset("gon8").points == parse_pointset(capsys.readouterr().out).points
+    assert run_cli("generate", "--config", "random8", "--seed", "3") == 0
+    drawn = parse_pointset(capsys.readouterr().out)
+    assert load_pointset("random8", seed=3).points == drawn.points
+    assert load_pointset("random8").config_tag == "convex"
+    with pytest.raises(ParseError, match="gon<m> or random<m>"):
+        load_pointset("gon")
+
+
+def test_cli_oracle_rejects_a_negative_limit(tmp_path, capsys):
+    out = tmp_path / "oracle"
+    assert run_cli("oracle", "--input", "wheel2", "--limit", "-5", "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("InvalidParameter: limit must be")
+    assert not (out / "partitions.txt").exists()
+    assert run_cli("oracle", "--input", "wheel2", "--limit", "0", "--out", str(out)) == 0
+    assert capsys.readouterr().out.startswith("0 partitions")
+
+
+@pytest.mark.parametrize("argv", [
+    ["halving-partition", "--input", "fig5", "--theorem", "2", "--r", "7",
+     "--out", "{tmp}/t2"],
+    ["halving-partition", "--input", "fig5", "--theorem", "2", "--choices", "fig7",
+     "--out", "{tmp}/t2"],
+    ["generate", "--config", "wheel3", "--preset", "fig5"],
+])
+def test_cli_rejects_flags_it_would_ignore(tmp_path, capsys, argv):
+    assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("InvalidParameter: "), err
+    assert not (tmp_path / "t2").exists()

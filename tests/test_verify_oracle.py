@@ -14,6 +14,7 @@ from planetrees import (GeomTree, OddPointCount, Partition, TooLarge,
                         segments_cross, theorem2_partition, theorem3_partition,
                         theorem4_partition, tree_canon, verify_partition)
 from planetrees.cli_io import emit_partition, parse_partition
+from planetrees.errors import InvalidParameter
 from planetrees.geom_core import PointSet
 from planetrees.presets import builtin_tree
 from planetrees.tree_taxonomy import p4_witness_paths
@@ -369,3 +370,9 @@ def test_verifier_and_halving_builder_import_no_wheel_builder():
             elif isinstance(node, ast.Import):
                 imported.update(alias.name for alias in node.names)
         assert not any("wheel_partition" in name for name in imported), module.__name__
+
+
+def test_brute_force_limit_must_not_be_negative():
+    with pytest.raises(InvalidParameter, match="limit must be None or >= 0, got -1"):
+        brute_force_partitions(make_wheel(2), limit=-1)
+    assert brute_force_partitions(make_wheel(2), limit=0) == []
