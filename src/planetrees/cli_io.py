@@ -20,7 +20,6 @@ import math
 import random
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import presets
@@ -215,21 +214,14 @@ def emit_edgelist(edges) -> str:
 
 PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
            "#e377c2", "#17becf", "#bcbd22", "#7f7f7f", "#aec7e8", "#98df8a")
+SVG_SIZE = 640
+STROKE_WIDTH = 1.6
+VERTEX_RADIUS = 4.0
+FONT_SIZE = 12.0
 
 
-@dataclass(frozen=True)
-class RenderStyle:
-    size: int = 640
-    stroke_width: float = 1.6
-    vertex_radius: float = 4.0
-    font_size: float = 12.0
-    palette: tuple[str, ...] = PALETTE
-    show_labels: bool = True
-
-
-def render_svg(p: Partition | GeomTree, style: RenderStyle | None = None) -> str:
+def render_svg(p: Partition | GeomTree) -> str:
     """Deterministic SVG: one color per tree, filled vertices, labels."""
-    style = style or RenderStyle()
     trees = p.trees if isinstance(p, Partition) else (p,)
     ps = p.ps
     xs = [pt[0] for pt in ps.points]
@@ -238,30 +230,29 @@ def render_svg(p: Partition | GeomTree, style: RenderStyle | None = None) -> str
     margin = 0.05 * span
     x0, y0 = min(xs) - margin, min(ys) - margin
     side = span + 2 * margin
-    scale = style.size / side
+    scale = SVG_SIZE / side
 
     def sx(x: float) -> str:
         return f"{(x - x0) * scale:.3f}"
 
     def sy(y: float) -> str:
         # flip y so the drawing matches the usual mathematical orientation
-        return f"{style.size - (y - y0) * scale:.3f}"
+        return f"{SVG_SIZE - (y - y0) * scale:.3f}"
 
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{style.size}"'
-           f' height="{style.size}" viewBox="0 0 {style.size} {style.size}">']
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}"'
+           f' height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">']
     for i, t in enumerate(trees):
-        color = style.palette[i % len(style.palette)]
+        color = PALETTE[i % len(PALETTE)]
         for a, b in sorted(t.edges):
             pa, pb = ps.points[a], ps.points[b]
             out.append(f'<line x1="{sx(pa[0])}" y1="{sy(pa[1])}" x2="{sx(pb[0])}"'
                        f' y2="{sy(pb[1])}" stroke="{color}"'
-                       f' stroke-width="{style.stroke_width}"/>')
+                       f' stroke-width="{STROKE_WIDTH}"/>')
     for i, (x, y) in enumerate(ps.points):
-        out.append(f'<circle cx="{sx(x)}" cy="{sy(y)}" r="{style.vertex_radius}"'
+        out.append(f'<circle cx="{sx(x)}" cy="{sy(y)}" r="{VERTEX_RADIUS}"'
                    f' fill="black"/>')
-        if style.show_labels:
-            out.append(f'<text x="{float(sx(x)) + 6:.3f}" y="{float(sy(y)) - 6:.3f}"'
-                       f' font-size="{style.font_size}">{ps.label(i)}</text>')
+        out.append(f'<text x="{float(sx(x)) + 6:.3f}" y="{float(sy(y)) - 6:.3f}"'
+                   f' font-size="{FONT_SIZE}">{ps.label(i)}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
@@ -372,6 +363,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_halving(args) -> int:
+    if args.labeling is not None and args.k is not None:
+        raise InvalidParameter("--labeling takes no --k")
     ps = load_pointset(args.input)
     if args.labeling == "h":
         lab = h_labeling(ps)
@@ -382,8 +375,9 @@ def _cmd_halving(args) -> int:
         payload = {"w": lab.w, "order": list(lab.order)}
         human = f"w {lab.w}\norder {' '.join(map(str, lab.order))}"
     else:
-        lines = k_halving_lines(ps, args.k)
-        payload = {"k": args.k, "lines": [[l.i, l.j] for l in lines]}
+        k = args.k or 0
+        lines = k_halving_lines(ps, k)
+        payload = {"k": k, "lines": [[l.i, l.j] for l in lines]}
         human = "\n".join(f"{l.i} {l.j} {l.k}" for l in lines)
     payload["path"] = halving_profile(ps).path
     _report(args, payload, human)
@@ -451,7 +445,9 @@ def _cmd_halving_partition(args) -> int:
     if args.theorem == 2:
         if args.r is not None or args.choices is not None:
             raise InvalidParameter("--theorem 2 takes neither --r nor --choices")
-        p = theorem2_partition(ps, args.t)
+        p = theorem2_partition(ps, args.t or 0)
+    elif args.t is not None:
+        raise InvalidParameter(f"--theorem {args.theorem} takes no --t")
     elif args.r is None:
         raise InvalidParameter(f"--theorem {args.theorem} requires --r")
     else:
@@ -520,7 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("halving", parents=[common], help="k-halving lines / labelings")
     p.add_argument("--input", required=True)
-    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--k", type=int, help="default 0; not with --labeling")
     p.add_argument("--labeling", choices=("h", "w"))
     p.set_defaults(fn=_cmd_halving)
 
@@ -543,7 +539,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--theorem", type=int, choices=(2, 3, 4), required=True)
     p.add_argument("--r", type=int)
-    p.add_argument("--t", type=int, choices=(0, 1), default=0)
+    p.add_argument("--t", type=int, choices=(0, 1), help="theorem 2 only; default 0")
     p.add_argument("--choices", help="preset name or JSON file")
     p.add_argument("--out", required=True)
     p.add_argument("--svg", action="store_true")

@@ -7,18 +7,24 @@ window is exhausted, mirror the result onto the antipodal labels, and
 rotate. The per-step choices (which candidate line, which endpoint
 carries the star, the left/right extension order) are surfaced in
 ConstructionChoices so every drawn variant is reproducible.
+
+Each theorem draws T_0 on labels, turns it with
+tree_taxonomy.rotate_labels, and hands the trees and its labeling to
+tree_taxonomy.partition_from_labels, which checks the cover; spanning
+and planarity are verify_partition's to decide.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import (HypothesisViolated, InvalidChoices, InvalidParameter,
-                     NotAHalvingLine, SideViolation, StructureViolation)
+                     NotAHalvingLine, SideViolation)
 from .geom_core import PointSet, edge
 from .halving import (_side_split, check_theorem3_hypothesis,
                       check_theorem4_hypothesis, h_labeling, halving_profile,
                       w_labeling)
-from .tree_taxonomy import GeomTree, Partition, cover_defect
+from .tree_taxonomy import (GeomTree, Partition, partition_from_labels,
+                            rotate_labels)
 
 
 @dataclass(frozen=True)
@@ -118,16 +124,16 @@ def lemma6_tree(ps: PointSet, hl: tuple[int, int], w1: int, w2: int) -> GeomTree
 # ---------------------------------------------------------------------------
 # Theorem 2: double stars (t=0) / their zigzag refinement (t=1)
 
-def _t2_label_tree(i: int, t: int, m: int) -> list[tuple[int, int]]:
-    big = 2 * m
+def _t2_label_tree(t: int, m: int) -> list[tuple[int, int]]:
+    """T_0 on labels 0..2m-1, hung off the halving line v_0 v_m."""
     if t == 0:
-        edges = [(i, (i + m) % big)]
-        edges += [(i, (i + d) % big) for d in range(1, m)]
-        edges += [((i + m) % big, (i + m + d) % big) for d in range(1, m)]
+        edges = [(0, m)]
+        edges += [(0, d) for d in range(1, m)]
+        edges += [(m, m + d) for d in range(1, m)]
     else:
-        edges = [(i, (i + m) % big), (i, (i + m + 1) % big), ((i + m) % big, (i + 1) % big)]
-        edges += [((i + 1) % big, (i + d) % big) for d in range(2, m)]
-        edges += [((i + m + 1) % big, (i + m + d) % big) for d in range(2, m)]
+        edges = [(0, m), (0, m + 1), (m, 1)]
+        edges += [(1, d) for d in range(2, m)]
+        edges += [(m + 1, m + d) for d in range(2, m)]
     return edges
 
 
@@ -141,8 +147,9 @@ def theorem2_partition(ps: PointSet, t: int) -> Partition:
         raise InvalidParameter(f"t must be 0 or 1, got {t}")
     relab = h_labeling(ps).relabeling
     m = len(ps) // 2
-    return _partition(ps, relab.__getitem__,
-                      [_t2_label_tree(i, t, m) for i in range(m)], "theorem2")
+    t0 = _t2_label_tree(t, m)
+    return partition_from_labels(ps, [rotate_labels(t0, i, 2 * m) for i in range(m)],
+                                 "theorem2", relab.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +174,11 @@ def theorem3_partition(ps: PointSet, r: int, choices: ConstructionChoices | None
     s, t = _pick_line(choices, candidates, f"theorem3 with r={r}")
     if halving_profile(ps).k(relab[s], relab[t]) != r:
         raise HypothesisViolated(f"label line ({s},{t}) is not {r}-halving on this set")
-    big = 2 * n
-    label_edges = [(0, n)]
-    label_edges += _star(s, t, choices.star_side)
-    label_edges += _zigzag(s, t, 0, n, r - 1, choices.extend_side)
-    mirrored = [((a + n) % big, (b + n) % big) for a, b in label_edges if (a, b) != (0, n)]
-    t0 = [(a % big, b % big) for a, b in label_edges] + mirrored
-    label_trees = [[((a + q) % big, (b + q) % big) for a, b in t0] for q in range(n)]
-    return _partition(ps, relab.__getitem__, label_trees, "theorem3")
+    # every label lies in the window [0, n]; the mirror skips v_0 v_n
+    side = _star(s, t, choices.star_side) + _zigzag(s, t, 0, n, r - 1, choices.extend_side)
+    t0 = [(0, n)] + side + rotate_labels(side, n, 2 * n)
+    return partition_from_labels(ps, [rotate_labels(t0, q, 2 * n) for q in range(n)],
+                                 "theorem3", relab.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -213,30 +217,15 @@ def theorem4_partition(ps: PointSet, r: int, choices: ConstructionChoices | None
     # candidate t may be the window top 2n-1, which is v_0 in disguise
     if halving_profile(ps).k(orig(s % m), orig(t % m)) != r:
         raise HypothesisViolated(f"label line ({s},{t}) is not {r}-halving on this set")
-    step2 = _star(s, t, choices.star_side)
-    step2 += _zigzag(s, t, lo_raw, hi_raw, r - 2, choices.extend_side)
-    copies = [(a - n, b - n) for a, b in step2]
-    t0 = [(m, n - 1), (n - 1, 0), (0, n)] + [(a % m, b % m) for a, b in step2 + copies]
-
-    def shift(tree: list[tuple[int, int]], q: int) -> list[tuple[int, int]]:
-        return [(a if a == m else (a + q) % m, b if b == m else (b + q) % m) for a, b in tree]
-
-    label_trees = [shift(t0, q) for q in range(n - 1)]
+    # reduced mod m before rotating: the window's top label 2n-1 is v_0,
+    # which rotate_labels would hold fixed as the centre m
+    step2 = [(a % m, b % m) for a, b in _star(s, t, choices.star_side)
+             + _zigzag(s, t, lo_raw, hi_raw, r - 2, choices.extend_side)]
+    t0 = [(m, n - 1), (n - 1, 0), (0, n)] + step2 + rotate_labels(step2, -n, m)
+    label_trees = [rotate_labels(t0, q, m) for q in range(n - 1)]
     last = [(m, 2 * n - 2)] + [(m, z) for z in range(n - 1)]
     small = [(a, b) for a, b in t0 if m not in (a, b) and a <= n - 1 and b <= n - 1]
-    last += [((a + n - 1) % m, (b + n - 1) % m) for a, b in small]
-    # the cover check in _partition also makes last the complement of the others
+    last += rotate_labels(small, n - 1, m)
+    # the cover check also makes last the complement of the others
     label_trees.append(last)
-    return _partition(ps, orig, label_trees, "theorem4")
-
-
-def _partition(ps: PointSet, relabel, label_trees: list[list[tuple[int, int]]],
-               what: str) -> Partition:
-    """The Partition whose trees are label_trees with each label a read as
-    point relabel(a), once the trees are checked to cover E(K) exactly
-    once. GeomTree sorts and normalizes the edges."""
-    trees = [GeomTree(ps, [(relabel(a), relabel(b)) for a, b in tr]) for tr in label_trees]
-    defect = cover_defect(ps, trees)
-    if any(defect.values()):
-        raise StructureViolation(f"{what}-cover", defect)
-    return Partition(ps=ps, trees=tuple(trees))
+    return partition_from_labels(ps, label_trees, "theorem4", orig)

@@ -2,7 +2,9 @@
 
 A GeomTree is an edge set drawn on a PointSet; a Partition is the trees
 claimed to split E(K_2n) on one PointSet, and cover_defect says how a
-set of trees fails to hold every edge exactly once. Builders and the
+set of trees fails to hold every edge exactly once. Every builder
+assembles its Partition in partition_from_labels, which runs that check
+on trees drawn on labels and turned by rotate_labels. Builders and the
 verifier (verify_oracle) both take these types from here, so the
 verifier needs nothing from the builders it checks.
 
@@ -36,9 +38,10 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
 from operator import itemgetter
-from typing import Collection, Iterable, Union
+from typing import Callable, Collection, Iterable, Union
 
-from .errors import InvalidParameter, NotATree, NotWheelConfig
+from .errors import (InvalidParameter, NotATree, NotWheelConfig,
+                     StructureViolation)
 from .geom_core import (GeomEdge, PointSet, convex_hull, cyclic_order, edge,
                         segments_cross, wheel_n)
 
@@ -83,20 +86,44 @@ def cover_defect(ps: PointSet, trees: Iterable[GeomTree]) -> dict[str, list[Geom
     A cover is accepted by its size: GeomTree edges are int pairs a < b,
     so with the least a >= 0 and the greatest b < N = len(ps) they lie in
     E(K), and C(N, 2) distinct ones, as many as the trees hold, are E(K)
-    once each. Only when that test (a set, a min, a max, all in C) fails
-    are the edges counted and the defects listed, O(E log E).
+    once each. A GeomTree's edges are sorted, so the least a is some
+    tree's first. Only when that test (a set, a min, a max, all in C)
+    fails are the edges counted and the defects listed, O(E log E).
     """
     npts = len(ps)
+    trees = tuple(trees)
     held = list(chain.from_iterable(t.edges for t in trees))
     distinct = set(held)
     if (len(distinct) == len(held) == npts * (npts - 1) // 2
-            and (not held or (min(distinct)[0] >= 0
+            and (not held or (min(t.edges[0][0] for t in trees if t.edges) >= 0
                               and max(map(itemgetter(1), distinct)) < npts))):
         return {"missing": [], "extra": [], "duplicated": []}
     count = Counter(held)
     return {"missing": [e for e in combinations(range(npts), 2) if e not in count],
             "extra": sorted(e for e in count if not 0 <= e[0] < e[1] < npts),
             "duplicated": sorted(e for e, c in count.items() if c > 1)}
+
+
+def rotate_labels(edges: Iterable[tuple[int, int]], q: int, m: int) -> list[tuple[int, int]]:
+    """edges with every label a < m moved to (a + q) mod m; label m, the
+    wheel's centre, stays put (on a 2n-cycle m = 2n and no label is m)."""
+    return [(a if a == m else (a + q) % m, b if b == m else (b + q) % m) for a, b in edges]
+
+
+def partition_from_labels(ps: PointSet, label_trees: Iterable[Iterable[tuple[int, int]]],
+                          what: str, relabel: Callable[[int], int] | None = None) -> Partition:
+    """The Partition whose trees are label_trees, each label a read as
+    point relabel(a) (as point a without relabel), once the trees are
+    checked to cover E(K) exactly once; else StructureViolation
+    (what + "-cover") with cover_defect's witness. Every builder makes
+    its Partition here; GeomTree sorts and normalizes the edges."""
+    if relabel is not None:
+        label_trees = [[(relabel(a), relabel(b)) for a, b in tr] for tr in label_trees]
+    trees = tuple(GeomTree(ps, tr) for tr in label_trees)
+    defect = cover_defect(ps, trees)
+    if any(defect.values()):
+        raise StructureViolation(f"{what}-cover", defect)
+    return Partition(ps=ps, trees=trees)
 
 
 TreeLike = Union[GeomTree, Iterable[tuple[int, int]]]

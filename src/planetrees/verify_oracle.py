@@ -89,29 +89,16 @@ def _split(a: int, b: int, m: int) -> tuple[GeomEdge, tuple[int, ...], tuple[int
     return ((a, b), small, big + (m,))
 
 
-def observation1_violation(t: GeomTree) -> tuple | None:
-    """The first non-radial edge whose split breaks Observation 1, as
-    observation1_splits spells it; the side lengths are (b - a) mod m
-    arithmetic, so only a violating edge's sides are listed."""
-    n = wheel_tag_n(t.ps)
-    m = 2 * n - 1  # also the centre's index
-    for a, b in t.edges:
-        if m in (a, b):
-            continue
-        ccw = max((b - a) % m - 1, 0)
-        cw = max((a - b) % m - 1, 0)
-        small, big = (ccw, cw + 1) if ccw <= cw else (cw, ccw + 1)
-        if not (small < big and small <= n - 2 and big >= n):
-            return _split(a, b, m)
-    return None
-
-
 def check_observation1(t: GeomTree) -> VerifyReport:
-    """Small-side bounds for every non-radial edge of a wheel tree."""
-    viol = observation1_violation(t)
-    if viol is not None:
-        return VerifyReport(False, "observation1", viol)
-    return VerifyReport(True, witness=observation1_splits(t))
+    """Small-side bounds for every non-radial edge of a wheel tree: the
+    first split that breaks them is the witness, else all the splits."""
+    splits = observation1_splits(t)  # NotWheelConfig on a refuted tag
+    n = len(t.ps) // 2
+    for split in splits:
+        small, big = len(split[1]), len(split[2])
+        if not (small < big and small <= n - 2 and big >= n):
+            return VerifyReport(False, "observation1", split)
+    return VerifyReport(True, witness=splits)
 
 
 def brute_force_partitions(ps: PointSet, limit: int | None = 10_000) -> list[tuple[tuple, ...]]:

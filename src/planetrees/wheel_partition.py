@@ -7,14 +7,15 @@ graceful chain placement, copies it onto the opposite arc shifted by
 n-1 steps to realize B, rotates the resulting tree n-2 times, and takes
 the complement as the final tree. The chain placement assigns A's edges
 pairwise distinct arc gaps, which is exactly what makes the rotated
-copies edge-disjoint; the complement's required shape (spanning
-caterpillar, one boundary edge, n consecutive radials) is verified, not
-assumed.
+copies edge-disjoint; tree_taxonomy's partition_from_labels verifies
+that, not assumes it, and names any edge two copies share. The builder
+checks Theorem 1's claims on the complement's shape (caterpillar, one
+boundary edge, n consecutive radials); verify_partition decides that
+every tree is plane and spanning.
 
 analyze_wheel_partition is no builder: it takes any claimed partition,
 has verify_partition decide that it is one, then checks Lemmas 3-5 on
-it. Partition (from tree_taxonomy) and observation1_violation (from
-verify_oracle) are re-exported here.
+it. Partition (from tree_taxonomy) is re-exported here.
 """
 from __future__ import annotations
 
@@ -27,10 +28,10 @@ from .errors import (InvalidParameter, NotAPartition, NotWCaterpillar,
 from .geom_core import GeomEdge, PointSet, edge, make_wheel, wheel_n
 from .tree_taxonomy import (GeomTree, Partition, TreeIndex, TreeLike,
                             as_edges, boundary_edges, classify,
-                            is_caterpillar_edges, is_plane, is_spanning_tree,
-                            preferred_p4_witness, radial_edges, spine_walk,
-                            tree_canon, wheel_tag_n)
-from .verify_oracle import observation1_violation, verify_partition  # noqa: F401
+                            is_caterpillar_edges, partition_from_labels,
+                            preferred_p4_witness, radial_edges, rotate_labels,
+                            spine_walk, tree_canon, wheel_tag_n)
+from .verify_oracle import verify_partition
 
 
 class TreeStats(NamedTuple):
@@ -125,13 +126,7 @@ def place_caterpillar_on_chain(c: TreeLike, ps: PointSet, chain: list[int],
 
 def rotate_tree(t: GeomTree, steps: int) -> GeomTree:
     """Rotate every circle index by steps (mod 2n-1); the center stays put."""
-    m = 2 * wheel_tag_n(t.ps) - 1  # also the centre's index
-    rot = []
-    for a, b in t.edges:
-        a = m if a == m else (a + steps) % m
-        b = m if b == m else (b + steps) % m
-        rot.append((a, b) if a < b else (b, a))
-    return GeomTree(t.ps, tuple(rot))
+    return GeomTree(t.ps, tuple(rotate_labels(t.edges, steps, 2 * wheel_tag_n(t.ps) - 1)))
 
 
 def build_wheel_partition(t: TreeLike, n: int,
@@ -173,26 +168,25 @@ def build_wheel_partition(t: TreeLike, n: int,
         chain = [(n + 1 + i) % m for i in range(width)]
         label = {v: chain[pos[v]] for v in comp_a}
         shift = -(n - 1)
-    a_edges = sorted({edge(label[a], label[b]) for a in comp_a for b in a_adj[a]})
-    b_edges = [edge((a + shift) % m, (b + shift) % m) for a, b in a_edges]
-    first = [edge(center, 1), edge(1, (n + 1) % m), edge(2, (n + 1) % m)]
-    first += a_edges + b_edges
+    a_edges = [(label[a], label[b]) for a in comp_a for b in a_adj[a] if a < b]
+    first = [(center, 1), (1, (n + 1) % m), (2, (n + 1) % m)]
+    first += a_edges + rotate_labels(a_edges, shift, m)
+    # sorted once, so each rotated copy comes to GeomTree in a few sorted runs
+    first = sorted(edge(a, b) for a, b in first)
 
-    ps = make_wheel(n)
-    t1 = GeomTree(ps, tuple(first))
-    family = [t1] + [rotate_tree(t1, q) for q in range(1, n - 1)]
-    # rotated copies that overlap leave more than 2n - 1 edges to the
-    # complement, which is_spanning_tree then rejects
-    used = {e for tr in family for e in tr.edges}
-    rest = tuple(e for e in combinations(range(2 * n), 2) if e not in used)
-    last = GeomTree(ps, rest)
+    family = [rotate_labels(first, q, m) for q in range(n - 1)]
+    used = {e for tr in family for e in tr}  # rotation leaves some pairs b < a
+    rest = [(a, b) for a, b in combinations(range(2 * n), 2)
+            if (a, b) not in used and (b, a) not in used]
+    # rotated copies that overlap fail the cover check, which names the
+    # shared edge; verify_partition decides spanning and planarity
+    p = partition_from_labels(make_wheel(n), family + [rest], "theorem1")
+    last = p.trees[-1]
     radials = [e[0] for e in radial_edges(last)]
-    if not (is_spanning_tree(last) and is_plane(last)
-            and is_caterpillar_edges(last.edges)
-            and len(boundary_edges(last)) == 1
+    if not (is_caterpillar_edges(last.edges) and len(boundary_edges(last)) == 1
             and len(radials) == n and _has_run(radials, m, n)):
         raise StructureViolation("theorem1-complement", last.edges)
-    return Partition(ps=ps, trees=tuple(family) + (last,))
+    return p
 
 
 def _has_run(labels: list[int], m: int, want: int) -> bool:

@@ -11,8 +11,8 @@ from planetrees import (InvariantViolation, ParseError, PointSet,
                         build_wheel_partition, cli_io, convex_hull, geom_core,
                         make_wheel, theorem2_partition, verify_partition,
                         wheel_partition)
-from planetrees.cli_io import (RenderStyle, emit_edgelist, emit_partition,
-                               emit_pointset, load_pointset, main,
+from planetrees.cli_io import (emit_edgelist, emit_partition, emit_pointset,
+                               load_pointset, main,
                                parse_edgelist, parse_partition, parse_pointset,
                                render_svg)
 from planetrees.presets import POINT_PRESETS, builtin_tree, figure_pointset
@@ -302,7 +302,6 @@ def test_render_svg_deterministic_and_styled():
     p = fig2i_partition()
     assert render_svg(p) == render_svg(p)
     assert render_svg(p.trees[0]).count("<line ") == 5
-    assert render_svg(p, RenderStyle(show_labels=False)).count("<text") == 0
 
 
 # ---------------------------------------------------------------------------
@@ -676,6 +675,9 @@ def test_cli_oracle_rejects_a_negative_limit(tmp_path, capsys):
     ["halving-partition", "--input", "fig5", "--theorem", "2", "--choices", "fig7",
      "--out", "{tmp}/t2"],
     ["generate", "--config", "wheel3", "--preset", "fig5"],
+    ["halving-partition", "--input", "wheel4", "--theorem", "4", "--r", "2", "--t", "1",
+     "--out", "{tmp}/t2"],
+    ["halving", "--input", "wheel4", "--labeling", "w", "--k", "3"],
 ])
 def test_cli_rejects_flags_it_would_ignore(tmp_path, capsys, argv):
     assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == 2

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planetrees import (GeomTree, InvalidParameter, NotATree, NotWheelConfig,
-                        Partition, PointSet, analyze_wheel_partition, boundary_edges,
-                        build_wheel_partition, classify, is_plane,
-                        is_spanning_tree, make_wheel, observation1_splits,
-                        radial_edges, rotate_tree, segments_cross,
-                        theorem2_partition, tree_canon, unique_path,
+                        Partition, PointSet, StructureViolation,
+                        analyze_wheel_partition, boundary_edges,
+                        build_wheel_partition, check_observation1, classify,
+                        is_plane, is_spanning_tree, make_wheel,
+                        observation1_splits, radial_edges, rotate_tree,
+                        segments_cross, theorem2_partition, tree_canon, unique_path,
                         verify_partition, wheel_crossing)
 from planetrees import geom_core
 from planetrees.geom_core import cyclic_order
@@ -19,8 +20,8 @@ from planetrees.presets import builtin_tree, figure_pointset
 from planetrees.tree_taxonomy import (TreeIndex, adjacency, as_edges,
                                       cover_defect, crossing_pair,
                                       is_caterpillar_edges, is_w_caterpillar,
-                                      p4_witness_paths, preferred_p4_witness)
-from planetrees.verify_oracle import observation1_violation
+                                      p4_witness_paths, partition_from_labels,
+                                      preferred_p4_witness)
 
 from conftest import random_convex, random_plane_convex_tree, regular_gon
 
@@ -161,7 +162,7 @@ def test_boundary_edges_ignore_unearned_wheel_tag():
     assert boundary_edges(t) == [(0, 2), (1, 3)]
 
 
-@pytest.mark.parametrize("fact", [observation1_splits, observation1_violation,
+@pytest.mark.parametrize("fact", [observation1_splits, check_observation1,
                                   radial_edges, lambda t: rotate_tree(t, 1)])
 def test_wheel_facts_refute_unearned_wheel_tag(fact):
     t = GeomTree(swapped_wheel4(), ((0, 1), (0, 7), (1, 5)))
@@ -506,6 +507,21 @@ def test_cover_defect_matches_sorted_multiset(data):
     assert defect == sorted_multiset_defect(npts, trees)
     assert any(defect.values()) == (sorted(e for t in trees for e in t.edges)
                                     != list(combinations(range(npts), 2)))
+
+
+def test_partition_from_labels_names_a_shared_edge():
+    # two label trees share 0-1, so the pair 0-2 is left to no tree;
+    # the relabelling reverses the labels onto points 3..0
+    trees = [[(0, 1), (1, 2), (2, 3)], [(0, 1), (0, 3), (1, 3)]]
+    ps = make_wheel(2)
+    with pytest.raises(StructureViolation, match="^demo-cover: ") as exc:
+        partition_from_labels(ps, trees, "demo")
+    assert exc.value.witness == {"missing": [(0, 2)], "extra": [], "duplicated": [(0, 1)]}
+    with pytest.raises(StructureViolation) as exc:
+        partition_from_labels(ps, trees, "demo", lambda a: 3 - a)
+    assert exc.value.witness == {"missing": [(1, 3)], "extra": [], "duplicated": [(2, 3)]}
+    p = partition_from_labels(ps, [trees[0], [(0, 2), (0, 3), (1, 3)]], "demo")
+    assert verify_partition(p).ok
 
 
 def stripped_reference(g):

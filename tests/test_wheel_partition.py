@@ -3,14 +3,14 @@ import pytest
 
 from planetrees import (GeomTree, InvalidParameter, NotAPartition, NotATree,
                         NotWCaterpillar, NotWheelConfig, Partition, PointSet,
-                        SizeMismatch, analyze_wheel_partition,
-                        build_wheel_partition, check_note1, classify,
-                        make_wheel, observation1_splits,
-                        place_caterpillar_on_chain, rotate_tree,
-                        theorem4_partition, verify_partition)
+                        SizeMismatch, StructureViolation,
+                        analyze_wheel_partition, build_wheel_partition,
+                        check_note1, check_observation1, classify, make_wheel,
+                        observation1_splits, place_caterpillar_on_chain,
+                        rotate_tree, theorem4_partition, verify_partition,
+                        wheel_partition)
 from planetrees.presets import builtin_tree, figure_pointset
 from planetrees.tree_taxonomy import TreeIndex
-from planetrees.wheel_partition import observation1_violation
 
 from conftest import regular_gon
 
@@ -163,6 +163,16 @@ def test_builder_errors():
         build_wheel_partition(((0, 1), (1, 2), (2, 3), (3, 0)), 2)
 
 
+def test_builder_names_an_edge_two_copies_share(monkeypatch):
+    # with every rotation the identity, the n - 1 copies coincide, and the
+    # cover check names their edges before any complement check runs
+    monkeypatch.setattr(wheel_partition, "rotate_labels", lambda edges, q, m: list(edges))
+    with pytest.raises(StructureViolation, match="^theorem1-cover: ") as exc:
+        build_wheel_partition(builtin_tree("doublestar", 4), 4)
+    assert (1, 7) in exc.value.witness["duplicated"]
+    assert exc.value.witness["missing"] == exc.value.witness["extra"] == []
+
+
 def test_n2_path_partition():
     p = build_wheel_partition(tuple((i, i + 1) for i in range(3)), 2)
     assert len(p.trees) == 2
@@ -241,7 +251,9 @@ def test_observation1_violation_witness():
     # only an index past the centre (here 6 = 1 + 5 on the 5-cycle) can
     # break the bound; the witness spells both sides as the splits do
     t = GeomTree(make_wheel(3), ((0, 1), (1, 6), (2, 3), (3, 8)))
-    assert observation1_violation(t) == listed_violation(t) == ((1, 6), (), (5,))
+    rep = check_observation1(t)
+    assert not rep.ok and rep.reason == "observation1"
+    assert rep.witness == listed_violation(t) == ((1, 6), (), (5,))
 
 
 def test_observation1_holds_on_built_partitions():
@@ -252,7 +264,7 @@ def test_observation1_holds_on_built_partitions():
     parts += [theorem4_partition(make_wheel(n), 2) for n in (4, 8, 12)]
     for p in parts:
         for t in p.trees:
-            assert observation1_violation(t) is None
+            assert check_observation1(t).ok
             assert listed_violation(t) is None
 
 
@@ -262,7 +274,7 @@ def test_observation1_holds_for_every_in_range_edge():
     for n in range(2, 65):
         ps = make_wheel(n)
         every = tuple((a, b) for a in range(2 * n) for b in range(a + 1, 2 * n))
-        assert observation1_violation(GeomTree(ps, every)) is None, n
+        assert check_observation1(GeomTree(ps, every)).ok, n
 
 
 def test_rotate_tree_equals_per_vertex_formula():
