@@ -100,6 +100,10 @@ def parse_pointset(text: str) -> PointSet:
     n = wheel_tag(tag)
     if n is None and tag not in ("general", "convex"):
         raise ParseError(f"unknown config tag {tag!r}")
+    if count == 0:
+        raise InvariantViolation("a point set needs at least one point")
+    if n is not None and n < 2:
+        raise InvariantViolation(f"tag wheel{n}: a wheel needs n >= 2")
     if n is not None and count != 2 * n:
         raise InvariantViolation(f"tag wheel{n} needs {2 * n} points, file has {count}")
     ps = PointSet(tuple(pts), tag, None if n is None else wheel_labels(n))
@@ -224,6 +228,8 @@ def render_svg(p: Partition | GeomTree) -> str:
     """Deterministic SVG: one color per tree, filled vertices, labels."""
     trees = p.trees if isinstance(p, Partition) else (p,)
     ps = p.ps
+    if not ps.points:
+        raise InvalidParameter("nothing to render: the point set is empty")
     xs = [pt[0] for pt in ps.points]
     ys = [pt[1] for pt in ps.points]
     span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)

@@ -37,10 +37,6 @@ class OddPointCount(PlaneTreesError):
 class NoHLabeling(PlaneTreesError):
     """The point set admits no h-labeling; the message states why."""
 
-    def __init__(self, reason: str):
-        self.reason = reason
-        super().__init__(reason)
-
 
 class NoWLabeling(PlaneTreesError):
     """No point is incident to all halving lines."""

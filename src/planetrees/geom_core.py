@@ -214,8 +214,12 @@ def wheel_labels(n: int) -> tuple[str, ...]:
 
 
 def wheel_n(ps: PointSet) -> int | None:
-    """Wheel parameter n if ps carries a wheel tag of matching size, else None."""
+    """Wheel parameter n if ps carries a wheel tag of matching size, else None.
+
+    Raises InvalidParameter on a wheel tag with n < 2, as make_wheel does."""
     n = wheel_tag(ps.config_tag)
+    if n is not None and n < 2:
+        raise InvalidParameter(f"config tag {ps.config_tag}: a wheel needs n >= 2")
     if n is not None and len(ps) != 2 * n:
         raise InvalidParameter(
             f"config tag {ps.config_tag} disagrees with point count {len(ps)}")

@@ -255,6 +255,8 @@ def h_labeling(ps: PointSet) -> HLabeling:
     npts = len(ps)
     if npts % 2:
         raise OddPointCount(f"{npts} points; h-labeling needs an even count")
+    if not npts:
+        raise NoHLabeling("an empty set has no halving lines")
     m = npts // 2
     profile = halving_profile(ps)
     incidence = profile.incidence(0)
@@ -303,6 +305,8 @@ def _dominant_point(ps: PointSet) -> int:
     w of w_labeling and of check_theorem4_hypothesis. NoWLabeling when
     the set has not exactly npts - 1 halving lines or no such point."""
     npts = len(ps)
+    if not npts:
+        raise NoWLabeling("an empty set has no halving lines")
     incidence = halving_profile(ps).incidence(0)
     lines = sum(incidence) // 2
     if lines != npts - 1:
@@ -331,52 +335,49 @@ def w_labeling(ps: PointSet) -> WLabeling:
     return WLabeling(w=w, order=tuple(order))
 
 
-def check_theorem3_hypothesis(ps: PointSet, r: int) -> HypothesisReport:
-    """Each point on exactly one halving line and exactly two k-halving
-    lines for every k = 1..r; witness is the first violating (point, k)."""
+def _hypothesis_args(ps: PointSet, r: int) -> int:
+    """The point count, once it is even and 1 <= r <= n - 1."""
     npts = len(ps)
     if npts % 2:
         raise OddPointCount(f"{npts} points")
-    n = npts // 2
-    if not 1 <= r <= n - 1:
-        raise InvalidParameter(f"r must be in 1..{n - 1}, got {r}")
+    if not 1 <= r <= npts // 2 - 1:
+        raise InvalidParameter(f"r must be in 1..{npts // 2 - 1}, got {r}")
+    return npts
+
+
+def _incidence_scan(ps: PointSet, r: int, want: list[int],
+                    want0: list[int] | None = None) -> HypothesisReport:
+    """Each point i on want[i] k-halving lines for k = 1..r, and with
+    want0 on want0[i] halving lines first; witness is the first (point, k)
+    off its count. Whole lists are compared; only a mismatch is walked."""
     profile = halving_profile(ps)
-    for k in range(r + 1):
+    for k in range(1 if want0 is None else 0, r + 1):
+        wanted = want0 if k == 0 else want
         counts = profile.incidence(k)
-        want = 1 if k == 0 else 2
-        for i in range(npts):
-            if counts[i] != want:
-                return HypothesisReport(
-                    ok=False, witness=(i, k),
-                    reason=f"point {i} on {counts[i]} {k}-halving lines, want {want}")
+        if counts != wanted:
+            i = next(i for i, (c, w) in enumerate(zip(counts, wanted)) if c != w)
+            return HypothesisReport(
+                ok=False, witness=(i, k),
+                reason=f"point {i} on {counts[i]} {k}-halving lines, want {wanted[i]}")
     return HypothesisReport(ok=True)
+
+
+def check_theorem3_hypothesis(ps: PointSet, r: int) -> HypothesisReport:
+    """Each point on exactly one halving line and exactly two k-halving
+    lines for every k = 1..r; witness is the first violating (point, k)."""
+    npts = _hypothesis_args(ps, r)
+    return _incidence_scan(ps, r, [2] * npts, want0=[1] * npts)
 
 
 def check_theorem4_hypothesis(ps: PointSet, r: int) -> HypothesisReport:
     """A w on all 2n-1 halving lines; every other point on exactly two
-    k-halving lines for k = 1..r, none of which pass through w."""
-    npts = len(ps)
-    if npts % 2:
-        raise OddPointCount(f"{npts} points")
-    n = npts // 2
-    if not 1 <= r <= n - 1:
-        raise InvalidParameter(f"r must be in 1..{n - 1}, got {r}")
+    k-halving lines for k = 1..r. Those lines miss w: every line through
+    it is halving, so w lies on no k-halving line for k >= 1."""
+    npts = _hypothesis_args(ps, r)
     try:
         w = _dominant_point(ps)
     except NoWLabeling as exc:
         return HypothesisReport(ok=False, witness=None, reason=str(exc))
-    profile = halving_profile(ps)
-    for k in range(1, r + 1):
-        counts = profile.incidence(k)
-        if counts[w] != 0:
-            return HypothesisReport(
-                ok=False, witness=(w, k),
-                reason=f"w lies on {counts[w]} {k}-halving lines, want 0")
-        for i in range(npts):
-            if i == w:
-                continue
-            if counts[i] != 2:
-                return HypothesisReport(
-                    ok=False, witness=(i, k),
-                    reason=f"point {i} on {counts[i]} {k}-halving lines, want 2")
-    return HypothesisReport(ok=True)
+    want = [2] * npts
+    want[w] = 0
+    return _incidence_scan(ps, r, want)

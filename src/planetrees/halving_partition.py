@@ -1,10 +1,12 @@
 """Partitions of K_2n driven by halving-line structure.
 
-Three constructions share a pattern: pick a k-halving line, star one of
-its endpoints over the points between them, extend by a zigzag that
-alternately swallows one more point on the left or right until the
-window is exhausted, mirror the result onto the antipodal labels, and
-rotate. The per-step choices (which candidate line, which endpoint
+Theorems 3 and 4 start alike, in one step: pick a starting line among
+the theorem's candidates, check that it is r-halving on the set, star
+one of its endpoints over the labels between them, and extend by a
+zigzag that swallows one more label on the left or right at a time
+inside the theorem's window. Each theorem keeps only its candidates,
+window and label map, mirrors the result onto the antipodal labels and
+rotates. The per-step choices (which candidate line, which endpoint
 carries the star, the left/right extension order) are surfaced in
 ConstructionChoices so every drawn variant is reproducible.
 
@@ -16,6 +18,7 @@ and planarity are verify_partition's to decide.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import (HypothesisViolated, InvalidChoices, InvalidParameter,
                      NotAHalvingLine, SideViolation)
@@ -49,21 +52,31 @@ def _check_star_side(choices: ConstructionChoices) -> None:
         raise InvalidChoices(f"star_side must be 'low' or 'high', got {choices.star_side!r}")
 
 
-def _pick_line(choices: ConstructionChoices, candidates: list[tuple[int, int]],
-               what: str) -> tuple[int, int]:
+def _start(ps: PointSet, r: int, choices: ConstructionChoices,
+           candidates: list[tuple[int, int]], what: str, point: Callable[[int], int],
+           lo: int, hi: int, steps: int) -> list[tuple[int, int]]:
+    """The start of T_0 shared by theorems 3 and 4: the chosen line (s, t)
+    of the candidates (the last by default), checked to be r-halving once
+    point reads its labels as points, then the star over s..t from the
+    end star_side names and the zigzag of steps steps inside [lo, hi]."""
     if not candidates:
         raise InvalidChoices(f"{what} has no admissible starting lines: {candidates}")
-    if choices.line is None:
-        return candidates[-1]
-    line = tuple(choices.line)
+    line = candidates[-1] if choices.line is None else tuple(choices.line)
     if line not in candidates:
         raise InvalidChoices(f"line {line} not among candidates {candidates}")
-    return line
+    s, t = line
+    if halving_profile(ps).k(point(s), point(t)) != r:
+        raise HypothesisViolated(f"label line ({s},{t}) is not {r}-halving on this set")
+    if choices.star_side == "low":
+        star = [(s, x) for x in range(s + 1, t + 1)]
+    else:
+        star = [(t, y) for y in range(s, t)]
+    return star + _zigzag(s, t, lo, hi, steps, choices.extend_side)
 
 
 def _zigzag(s: int, t: int, lo: int, hi: int, steps: int,
             extends: tuple[str, ...] | None) -> list[tuple[int, int]]:
-    """Edges appended while widening (s,t) to gap hi-lo-? one unit a step.
+    """Edges appended while widening (s, t) by one label a step, steps times.
 
     Each "left" step adds edge (q, p-1), each "right" adds (p, q+1); the
     window [lo, hi] bounds the labels the zigzag may absorb.
@@ -75,25 +88,17 @@ def _zigzag(s: int, t: int, lo: int, hi: int, steps: int,
     edges = []
     p, q = s, t
     for side in extends:
-        if side == "left":
-            if p - 1 < lo:
-                raise InvalidChoices(f"left step from ({p},{q}) leaves window [{lo},{hi}]")
-            edges.append((q, p - 1))
-            p -= 1
-        elif side == "right":
-            if q + 1 > hi:
-                raise InvalidChoices(f"right step from ({p},{q}) leaves window [{lo},{hi}]")
-            edges.append((p, q + 1))
-            q += 1
-        else:
+        if side not in ("left", "right"):
             raise InvalidChoices(f"extension steps must be 'left' or 'right', got {side!r}")
+        if p - 1 < lo if side == "left" else q + 1 > hi:
+            raise InvalidChoices(f"{side} step from ({p},{q}) leaves window [{lo},{hi}]")
+        if side == "left":
+            p -= 1
+            edges.append((q, p))
+        else:
+            q += 1
+            edges.append((p, q))
     return edges
-
-
-def _star(s: int, t: int, star_side: str) -> list[tuple[int, int]]:
-    if star_side == "low":
-        return [(s, x) for x in range(s + 1, t + 1)]
-    return [(t, y) for y in range(s, t)]
 
 
 def lemma6_tree(ps: PointSet, hl: tuple[int, int], w1: int, w2: int) -> GeomTree:
@@ -168,14 +173,10 @@ def theorem3_partition(ps: PointSet, r: int, choices: ConstructionChoices | None
     hyp = check_theorem3_hypothesis(ps, r)
     if not hyp:
         raise HypothesisViolated(hyp.reason)
-    lab = h_labeling(ps)
-    relab = lab.relabeling
-    candidates = [(i, i + n - r) for i in range(r)]
-    s, t = _pick_line(choices, candidates, f"theorem3 with r={r}")
-    if halving_profile(ps).k(relab[s], relab[t]) != r:
-        raise HypothesisViolated(f"label line ({s},{t}) is not {r}-halving on this set")
+    relab = h_labeling(ps).relabeling
     # every label lies in the window [0, n]; the mirror skips v_0 v_n
-    side = _star(s, t, choices.star_side) + _zigzag(s, t, 0, n, r - 1, choices.extend_side)
+    side = _start(ps, r, choices, [(i, i + n - r) for i in range(r)], f"theorem3 with r={r}",
+                  relab.__getitem__, 0, n, r - 1)
     t0 = [(0, n)] + side + rotate_labels(side, n, 2 * n)
     return partition_from_labels(ps, [rotate_labels(t0, q, 2 * n) for q in range(n)],
                                  "theorem3", relab.__getitem__)
@@ -201,26 +202,16 @@ def theorem4_partition(ps: PointSet, r: int, choices: ConstructionChoices | None
     if not hyp:
         raise HypothesisViolated(hyp.reason)
     lab = w_labeling(ps)
-    order = lab.order
     m = 2 * n - 1
-
-    def orig(label: int) -> int:
-        return lab.w if label == m else order[label % m]
-
-    if choices.type4 == "Type1":
-        lo_raw, hi_raw = n + 1, 2 * n - 1
-        candidates = [(i, i + n - r) for i in range(n + 1, n + r)]
-    else:
-        lo_raw, hi_raw = n, 2 * n - 2
-        candidates = [(i, i + n - r) for i in range(n, n + r - 1)]
-    s, t = _pick_line(choices, candidates, f"theorem4 {choices.type4} with r={r}")
-    # candidate t may be the window top 2n-1, which is v_0 in disguise
-    if halving_profile(ps).k(orig(s % m), orig(t % m)) != r:
-        raise HypothesisViolated(f"label line ({s},{t}) is not {r}-halving on this set")
-    # reduced mod m before rotating: the window's top label 2n-1 is v_0,
-    # which rotate_labels would hold fixed as the centre m
-    step2 = [(a % m, b % m) for a, b in _star(s, t, choices.star_side)
-             + _zigzag(s, t, lo_raw, hi_raw, r - 2, choices.extend_side)]
+    orig = (*lab.order, lab.w).__getitem__  # labels 0..m-1, then w as m
+    # the window is [lo, lo + n - 2]: [n+1, 2n-1] for Type1, [n, 2n-2] for Type2
+    lo = n + 1 if choices.type4 == "Type1" else n
+    candidates = [(i, i + n - r) for i in range(lo, lo + r - 1)]
+    # Type1's window top 2n-1 is v_0 in disguise, so labels are reduced
+    # mod m: rotate_labels would hold 2n-1 = m fixed as w
+    step2 = [(a % m, b % m) for a, b in _start(
+        ps, r, choices, candidates, f"theorem4 {choices.type4} with r={r}",
+        lambda label: orig(label % m), lo, lo + n - 2, r - 2)]
     t0 = [(m, n - 1), (n - 1, 0), (0, n)] + step2 + rotate_labels(step2, -n, m)
     label_trees = [rotate_labels(t0, q, m) for q in range(n - 1)]
     last = [(m, 2 * n - 2)] + [(m, z) for z in range(n - 1)]

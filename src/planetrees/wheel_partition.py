@@ -2,12 +2,14 @@
 and analyze arbitrary claimed partitions against the structural lemmas.
 
 The builder places the designated 4-path u1u2u3u4 as x, v_1, v_{n+1}, v_2
-(indices mod 2n-1), lays the component A of u3 on one circle arc with a
-graceful chain placement, copies it onto the opposite arc shifted by
-n-1 steps to realize B, rotates the resulting tree n-2 times, and takes
-the complement as the final tree. The chain placement assigns A's edges
-pairwise distinct arc gaps, which is exactly what makes the rotated
-copies edge-disjoint; tree_taxonomy's partition_from_labels verifies
+(indices mod 2n-1), lays the component A of u3 on the arc that runs from
+v_{n+1} down (Type 1) or up (Type 2), copies it onto the opposite arc
+shifted by n-1 steps to realize B, rotates the resulting tree n-2 times,
+and takes the complement as the final tree. A is laid by _place_slots,
+the one graceful placement, which place_caterpillar_on_chain also uses
+(anchor "last" reads its chain reversed): it gives A's edges pairwise
+distinct arc gaps, which is exactly what makes the rotated copies
+edge-disjoint; tree_taxonomy's partition_from_labels verifies
 that, not assumes it, and names any edge two copies share. The builder
 checks Theorem 1's claims on the complement's shape (caterpillar, one
 boundary edge, n consecutive radials); verify_partition decides that
@@ -19,7 +21,9 @@ it. Partition (from tree_taxonomy) is re-exported here.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -55,38 +59,21 @@ def _place_slots(adj, head) -> dict[int, int]:
 
     Walk the spine from head; put each spine vertex's legs as a contiguous
     fan (outermost first) and then the next spine vertex innermost, at the
-    high and low ends alternately. Edge slot-distances come out pairwise
-    distinct ({1..N-1}), so arc gaps are distinct after embedding.
+    high and low ends of the free slots alternately. Edge slot-distances
+    come out pairwise distinct ({1..N-1}), so arc gaps are distinct after
+    embedding.
     """
-    if len(adj) == 1:
-        return {head: 0}
     seq = spine_walk(adj, head)
     if seq is None:
         raise InvalidParameter(f"vertex {head} does not start a spine walk")
-    total = len(adj)
-    lo, hi = 0, total - 1
-    pos = {seq[0]: lo}
-    lo += 1
-    at_high = True
+    free = deque(range(1, len(adj)))
+    take = (free.pop, free.popleft)  # the high end first
+    pos = {head: 0}
     for j, s in enumerate(seq):
-        nxt = seq[j + 1] if j + 1 < len(seq) else None
-        legs = sorted(v for v in adj[s] if v not in pos and v != nxt)
-        if at_high:
-            for v in legs:
-                pos[v] = hi
-                hi -= 1
-            if nxt is not None:
-                pos[nxt] = hi
-                hi -= 1
-        else:
-            for v in legs:
-                pos[v] = lo
-                lo += 1
-            if nxt is not None:
-                pos[nxt] = lo
-                lo += 1
-        at_high = not at_high
-    if len(pos) != total:
+        nxt = seq[j + 1:j + 2]
+        for v in sorted(v for v in adj[s] if v not in pos and v not in nxt) + nxt:
+            pos[v] = take[j % 2]()
+    if len(pos) != len(adj):
         raise InvalidParameter("placement did not cover the tree")
     return pos
 
@@ -114,15 +101,19 @@ def place_caterpillar_on_chain(c: TreeLike, ps: PointSet, chain: list[int],
         raise InvalidParameter("input is not a caterpillar")
     if head is None:
         head = next(v for v in sorted(adj) if spine_walk(adj, v) is not None)
-    pos = _place_slots(adj, head)
-    last = len(chain) - 1
     if anchor == "last":
-        pos = {v: last - s for v, s in pos.items()}
+        chain = chain[::-1]
+    pos = _place_slots(adj, head)
     return GeomTree(ps, tuple((chain[pos[a]], chain[pos[b]]) for a, b in edges))
 
 
 # ---------------------------------------------------------------------------
 # Theorem 1 converse
+
+# the wheel of the last build: its points are immutable and all that is
+# kept on them (cyclic order, halving profile) is derived from them
+_wheel = lru_cache(maxsize=1)(make_wheel)
+
 
 def rotate_tree(t: GeomTree, steps: int) -> GeomTree:
     """Rotate every circle index by steps (mod 2n-1); the center stays put."""
@@ -152,25 +143,17 @@ def build_wheel_partition(t: TreeLike, n: int,
     u3 = witness.path[2]
     typ = witness.type or 1  # 4-vertex path: Type-1 geometry
 
-    m = 2 * n - 1
-    center = 2 * n - 1
+    m = 2 * n - 1  # also the centre's index
     comp_a = set(witness.iso_witness)  # the component A of u3
     a_adj = {v: index.adj[v] & comp_a for v in comp_a}
+    # A on the arc from v_{n+1} (u3) down to v_3 (Type 1) or up to v_0
+    # (Type 2); B = A turned n-1 steps the other way
+    d = -1 if typ == 1 else 1
+    chain = [(n + 1 + d * i) % m for i in range(n - 1)]
     pos = _place_slots(a_adj, u3)
-    width = n - 1
-    if typ == 1:
-        # A on the arc v_3..v_{n+1} with u3 at v_{n+1}; B = A shifted by n-1
-        chain = [(3 + i) % m for i in range(width)]
-        label = {v: chain[width - 1 - pos[v]] for v in comp_a}
-        shift = n - 1
-    else:
-        # A on the arc v_{n+1}..v_0 with u3 at v_{n+1}; B = A shifted by -(n-1)
-        chain = [(n + 1 + i) % m for i in range(width)]
-        label = {v: chain[pos[v]] for v in comp_a}
-        shift = -(n - 1)
-    a_edges = [(label[a], label[b]) for a in comp_a for b in a_adj[a] if a < b]
-    first = [(center, 1), (1, (n + 1) % m), (2, (n + 1) % m)]
-    first += a_edges + rotate_labels(a_edges, shift, m)
+    a_edges = [(chain[pos[a]], chain[pos[b]]) for a in comp_a for b in a_adj[a] if a < b]
+    first = [(m, 1), (1, (n + 1) % m), (2, (n + 1) % m)]
+    first += a_edges + rotate_labels(a_edges, -d * (n - 1), m)
     # sorted once, so each rotated copy comes to GeomTree in a few sorted runs
     first = sorted(edge(a, b) for a, b in first)
 
@@ -180,7 +163,7 @@ def build_wheel_partition(t: TreeLike, n: int,
             if (a, b) not in used and (b, a) not in used]
     # rotated copies that overlap fail the cover check, which names the
     # shared edge; verify_partition decides spanning and planarity
-    p = partition_from_labels(make_wheel(n), family + [rest], "theorem1")
+    p = partition_from_labels(_wheel(n), family + [rest], "theorem1")
     last = p.trees[-1]
     radials = [e[0] for e in radial_edges(last)]
     if not (is_caterpillar_edges(last.edges) and len(boundary_edges(last)) == 1
@@ -199,10 +182,9 @@ def _has_run(labels: list[int], m: int, want: int) -> bool:
 # analysis of claimed partitions
 
 def _lemma5_four_path(edges: set[GeomEdge], i: int, n: int) -> tuple[int, int, int, int] | None:
-    m = 2 * n - 1
-    center = 2 * n - 1
-    straight = (center, i, (i + n) % m, (i + 1) % m)
-    mirrored = (center, i, (i + n - 1) % m, (i - 1) % m)
+    m = 2 * n - 1  # also the centre's index
+    straight = (m, i, (i + n) % m, (i + 1) % m)
+    mirrored = (m, i, (i + n - 1) % m, (i - 1) % m)
     for cand in (straight, mirrored):
         path_edges = {edge(cand[0], cand[1]), edge(cand[1], cand[2]), edge(cand[2], cand[3])}
         if path_edges <= edges:

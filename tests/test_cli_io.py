@@ -7,10 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from planetrees import (InvariantViolation, ParseError, PointSet,
-                        build_wheel_partition, cli_io, convex_hull, geom_core,
-                        make_wheel, theorem2_partition, verify_partition,
-                        wheel_partition)
+import planetrees
+from planetrees import (InvalidParameter, InvariantViolation, NoHLabeling,
+                        NoWLabeling, ParseError, Partition, PlaneTreesError,
+                        PointSet, build_wheel_partition, cli_io, convex_hull,
+                        cyclic_order, geom_core, h_labeling, make_wheel,
+                        theorem2_partition, verify_partition, w_labeling,
+                        wheel_n, wheel_partition)
 from planetrees.cli_io import (emit_edgelist, emit_partition, emit_pointset,
                                load_pointset, main,
                                parse_edgelist, parse_partition, parse_pointset,
@@ -73,6 +76,32 @@ def test_pointset_invariants():
         parse_pointset("pointset 3 general\n0 0\n1 1\n2 2\n")
     with pytest.raises(InvariantViolation, match="wheel3 needs 6 points"):
         parse_pointset("pointset 2 wheel3\n0 0\n1 1\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("pointset 0 general\n", "at least one point"),
+    ("pointset 0 wheel0\n", "at least one point"),
+    ("pointset 2 wheel1\n0 0\n1 0\n", "wheel1: a wheel needs n >= 2"),
+])
+def test_pointset_rejects_empty_sets_and_small_wheels(text, message):
+    with pytest.raises(InvariantViolation, match=message):
+        parse_pointset(text)
+
+
+def test_empty_and_small_wheel_sets_raise_library_errors():
+    empty = PointSet(())
+    with pytest.raises(NoHLabeling):
+        h_labeling(empty)
+    with pytest.raises(NoHLabeling):
+        theorem2_partition(empty, 0)
+    with pytest.raises(NoWLabeling):
+        w_labeling(empty)
+    with pytest.raises(InvalidParameter, match="empty"):
+        render_svg(Partition(empty, ()))
+    with pytest.raises(InvalidParameter, match="n >= 2"):
+        cyclic_order(PointSet((), "wheel0"))
+    with pytest.raises(InvalidParameter, match="n >= 2"):
+        wheel_n(PointSet(((0.0, 0.0), (1.0, 0.0)), "wheel1"))
 
 
 def test_partition_round_trip(wheel3):
@@ -539,6 +568,31 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, argv):
     assert len(res.stderr.splitlines()) == 1, res.stderr
     assert res.stderr.startswith(("ParseError: ", "InvalidParameter: ")), res.stderr
     assert res.stdout == ""
+
+
+_EMPTY_SET_COMMANDS = [
+    ["halving", "--labeling", "h"],
+    ["halving", "--labeling", "w"],
+    ["halving-partition", "--theorem", "2", "--out", "{tmp}/t2"],
+    ["render", "--partition", "{tmp}/empty.txt", "--out", "{tmp}/out.svg"],
+]
+
+
+@pytest.mark.parametrize("tag, argv", [("general", argv) for argv in _EMPTY_SET_COMMANDS]
+                         + [("wheel0", argv) for argv in _EMPTY_SET_COMMANDS]
+                         + [("wheel0", ["verify", "--partition", "{tmp}/empty.txt"])])
+def test_cli_empty_point_set_exits_2_without_traceback(tmp_path, tag, argv):
+    points = tmp_path / "points.txt"
+    points.write_text(f"pointset 0 {tag}\n")
+    (tmp_path / "empty.txt").write_text("partition 0 0\n")
+    res = subprocess.run(
+        [sys.executable, "-m", "planetrees.cli_io", *(a.format(tmp=tmp_path) for a in argv),
+         "--input", str(points)],
+        capture_output=True, text=True)
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    name = res.stderr.partition(":")[0]
+    assert issubclass(getattr(planetrees, name, type(None)), PlaneTreesError), res.stderr
 
 
 def test_cli_generate_random_applies_radius(capsys):

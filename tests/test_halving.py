@@ -161,6 +161,65 @@ def test_theorem4_hypothesis_fails_without_w():
     assert "expected 7 halving lines" in rep.reason
 
 
+def hypothesis_sets():
+    """Seeded even sets of 4-10 points, 15 of each kind per size: uniform
+    in the unit square, on a circle, on a circle with one point inside;
+    then make_wheel(2..6)."""
+    rng = random.Random(5)
+
+    def circle(count):
+        return [(math.cos(a), math.sin(a))
+                for a in (rng.uniform(0, 2 * math.pi) for _ in range(count))]
+
+    for size in (4, 6, 8, 10):
+        for _ in range(15):
+            yield PointSet(tuple((rng.random(), rng.random()) for _ in range(size)))
+            yield PointSet(tuple(circle(size)))
+            inside = (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+            yield PointSet(tuple(circle(size - 1)) + (inside,))
+    for n in range(2, 7):
+        yield make_wheel(n)
+
+
+def brute_force_hypotheses(ps, r):
+    """(ok, witness) of theorems 3 and 4, from k-halving lines counted by
+    balance: the first failing k, then the least point off its count."""
+    npts = len(ps)
+    counts = [[0] * npts for _ in range(npts // 2)]
+    for i, j in combinations(range(npts), 2):
+        k = balance(ps, i, j)
+        counts[k][i] += 1
+        counts[k][j] += 1
+
+    def first_miss(ks, want):
+        for k in ks:
+            for i in range(npts):
+                if counts[k][i] != want(i, k):
+                    return (False, (i, k))
+        return (True, None)
+
+    theorem3 = first_miss(range(r + 1), lambda i, k: 1 if k == 0 else 2)
+    dominant = [i for i in range(npts) if counts[0][i] == npts - 1]
+    if sum(counts[0]) != 2 * (npts - 1) or not dominant:
+        theorem4 = (False, None)
+    else:
+        theorem4 = first_miss(range(1, r + 1), lambda i, k: 0 if i == dominant[0] else 2)
+    return theorem3, theorem4
+
+
+def test_hypothesis_checks_match_a_brute_force_count():
+    outcomes = set()
+    for ps in hypothesis_sets():
+        for r in range(1, len(ps) // 2):
+            want3, want4 = brute_force_hypotheses(ps, r)
+            got3 = check_theorem3_hypothesis(ps, r)
+            got4 = check_theorem4_hypothesis(ps, r)
+            assert (got3.ok, got3.witness) == want3, (ps, r)
+            assert (got4.ok, got4.witness) == want4, (ps, r)
+            outcomes |= {(3, got3.ok), (4, got4.ok)}
+    assert outcomes == {(3, True), (3, False), (4, True), (4, False)}
+
+
 def test_hypothesis_r_range_errors(wheel3):
     for checker in (check_theorem3_hypothesis, check_theorem4_hypothesis):
         with pytest.raises(InvalidParameter):
