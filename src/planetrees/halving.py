@@ -249,8 +249,10 @@ def h_labeling(ps: PointSet) -> HLabeling:
     """Labeling v_0..v_{2m-1} with halving lines exactly {v_i v_{i+m}}.
 
     Exists when the set has precisely m halving lines with every point on
-    exactly one of them. The returned labeling additionally certifies that
-    each side of h_i is the contiguous label range the constructions use.
+    exactly one of them. The count decides both: a line turned half a
+    round about any point meets a halving line through it, and m lines
+    have just 2m ends. The returned labeling also certifies that each
+    side of h_i is the contiguous label range the constructions use.
     """
     npts = len(ps)
     if npts % 2:
@@ -259,13 +261,9 @@ def h_labeling(ps: PointSet) -> HLabeling:
         raise NoHLabeling("an empty set has no halving lines")
     m = npts // 2
     profile = halving_profile(ps)
-    incidence = profile.incidence(0)
-    lines = sum(incidence) // 2
+    lines = sum(profile.incidence(0)) // 2
     if lines != m:
         raise NoHLabeling(f"expected {m} halving lines, found {lines}")
-    bad = [i for i, c in enumerate(incidence) if c != 1]
-    if bad:
-        raise NoHLabeling(f"point {bad[0]} lies on {incidence[bad[0]]} halving lines")
     cx = sum(p[0] for p in ps.points) / npts
     cy = sum(p[1] for p in ps.points) / npts
     order = _ccw_order(ps, (cx, cy), list(range(npts)))
@@ -294,7 +292,7 @@ def _walks_circle(co: CyclicOrder | None, ring: list[int]) -> bool:
     """ring steps one position anticlockwise at a time round a convex
     order: then the sides of each chord ring[i] ring[j] are the label
     ranges i+1..j-1 and j+1..i-1."""
-    if co is None or co.wheel is not None:
+    if co is None:  # no wheel comes here: it has 2n - 1 halving lines, not n
         return False
     pos, size = co.pos, co.size
     return all((pos[b] - pos[a]) % size == 1 for a, b in zip(ring, ring[1:] + ring[:1]))

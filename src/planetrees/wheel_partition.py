@@ -15,9 +15,9 @@ checks Theorem 1's claims on the complement's shape (caterpillar, one
 boundary edge, n consecutive radials); verify_partition decides that
 every tree is plane and spanning.
 
-analyze_wheel_partition is no builder: it takes any claimed partition,
-has verify_partition decide that it is one, then checks Lemmas 3-5 on
-it. Partition (from tree_taxonomy) is re-exported here.
+analyze_wheel_partition checks Lemmas 3-5, in one pass and with no
+check that an earlier one implies, on any claimed partition that
+verify_partition accepts. Partition (from tree_taxonomy) is re-exported.
 """
 from __future__ import annotations
 
@@ -63,7 +63,7 @@ def _place_slots(adj, head) -> dict[int, int]:
     come out pairwise distinct ({1..N-1}), so arc gaps are distinct after
     embedding.
     """
-    seq = spine_walk(adj, head)
+    seq = spine_walk(adj, head) if head in adj else None
     if seq is None:
         raise InvalidParameter(f"vertex {head} does not start a spine walk")
     free = deque(range(1, len(adj)))
@@ -73,8 +73,8 @@ def _place_slots(adj, head) -> dict[int, int]:
         nxt = seq[j + 1:j + 2]
         for v in sorted(v for v in adj[s] if v not in pos and v not in nxt) + nxt:
             pos[v] = take[j % 2]()
-    if len(pos) != len(adj):
-        raise InvalidParameter("placement did not cover the tree")
+    # pos covers the tree: a walk that returns a list runs from one end of
+    # the inner path to the other, and every vertex is on it or next to it
     return pos
 
 
@@ -186,8 +186,7 @@ def _lemma5_four_path(edges: set[GeomEdge], i: int, n: int) -> tuple[int, int, i
     straight = (m, i, (i + n) % m, (i + 1) % m)
     mirrored = (m, i, (i + n - 1) % m, (i - 1) % m)
     for cand in (straight, mirrored):
-        path_edges = {edge(cand[0], cand[1]), edge(cand[1], cand[2]), edge(cand[2], cand[3])}
-        if path_edges <= edges:
+        if all(edge(a, b) in edges for a, b in zip(cand, cand[1:])):
             return cand
     return None
 
@@ -206,11 +205,14 @@ def analyze_wheel_partition(p: Partition) -> WheelAnalysis:
     before or verifies it after pays for one verification in all; this
     function only reads that report and never writes it.
 
-    Each tree's boundary and radial edges are read once. Observation 1
-    needs no check: a verified partition's chords join two of the 2n - 1
-    circle points and leave ccw + cw = 2n - 3 of them on their two sides,
-    so the small side has at most n - 2, the big one with the centre at
-    least n (check_observation1 spells the splits out for any tree).
+    One pass reads each tree's boundary and radial edges once and builds
+    its TreeStats; lemma 4/5 failures wait for the count, so reports come
+    in the lemmas' order. Two facts that earlier checks imply go
+    unchecked (see the comments), and so does Observation 1: a verified
+    partition's chords join two of the 2n - 1 circle points and leave
+    ccw + cw = 2n - 3 of them on their two sides, so the small side has
+    at most n - 2, the big one with the centre at least n
+    (check_observation1 spells the splits out for any tree).
     """
     n = wheel_n(p.ps)
     if n is None:
@@ -226,43 +228,34 @@ def analyze_wheel_partition(p: Partition) -> WheelAnalysis:
         raise NotAPartition(f"tree {w[0]} is not plane: {w[1]} crosses {w[2]}")
     m = 2 * wheel_tag_n(p.ps) - 1  # NotWheelConfig on a refuted tag
     stats: list[TreeStats] = []
-    radials: list[list[GeomEdge]] = []
     one_boundary: list[int] = []
+    late = None  # a two-boundary tree's lemma 4/5 failure, raised after the count
     for idx, t in enumerate(p.trees):
-        b = boundary_edges(t)
-        r = radial_edges(t)
-        if len(b) < 1:
+        b, r = len(boundary_edges(t)), radial_edges(t)
+        if b < 1:
             raise StructureViolation("lemma3", (idx, t.edges))
-        if len(r) < n and len(b) < 2:
-            raise StructureViolation("proposition3", (idx, len(r), len(b)))
-        if len(b) == 1:
-            one_boundary.append(idx)
-            run = [e[0] for e in r]
-            if len(r) < n or not _has_run(run, m, n):
+        four = None
+        if b == 1:
+            if len(r) < n:
+                raise StructureViolation("proposition3", (idx, len(r), b))
+            # proposition 2 needs no len(r) < n: proposition 3 has raised on it
+            if not _has_run([e[0] for e in r], m, n):
                 raise StructureViolation("proposition2", (idx, r))
-        stats.append(TreeStats(len(b), len(r), None))
-        radials.append(r)
+            one_boundary.append(idx)
+            run = r
+        elif late is None:
+            if b != 2 or len(r) != 1:
+                late = StructureViolation("lemma4", (idx, b, len(r)))
+            elif (four := _lemma5_four_path(set(t.edges), r[0][0], n)) is None:
+                late = StructureViolation("lemma5", (idx, r[0][0]))
+        stats.append(TreeStats(b, len(r), four))
     if len(one_boundary) != 1:
         raise StructureViolation("lemma4", tuple(one_boundary))
-    keeper = one_boundary[0]
-    for idx, t in enumerate(p.trees):
-        if idx == keeper:
-            continue
-        b, r, _ = stats[idx]
-        if b != 2 or r != 1:
-            raise StructureViolation("lemma4", (idx, b, r))
-        spoke = radials[idx][0][0]
-        four = _lemma5_four_path(set(t.edges), spoke, n)
-        if four is None:
-            raise StructureViolation("lemma5", (idx, spoke))
-        stats[idx] = TreeStats(b, r, four)
-    if stats[keeper].radial_count != n:  # its run was checked with proposition2
-        raise StructureViolation("lemma4", (keeper, stats[keeper].radial_count))
-    return WheelAnalysis(
-        one_boundary_tree=keeper,
-        radial_run=tuple(radials[keeper]),
-        per_tree=tuple(stats),
-    )
+    if late is not None:
+        raise late
+    # the keeper's n radials need no check: a verified partition holds each
+    # of the 2n - 1 spokes once, and the other n - 1 trees one each
+    return WheelAnalysis(one_boundary[0], tuple(run), tuple(stats))
 
 
 def check_note1(p: Partition) -> bool:

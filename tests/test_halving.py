@@ -416,3 +416,29 @@ def test_theorem4_partition_reads_the_w_labeling_once(monkeypatch):
     ps = make_wheel(5)
     theorem4_partition(ps, 2)
     assert calls == [ps]
+
+
+def test_every_point_of_an_even_set_lies_on_a_halving_line():
+    """A line turned half a round about a point meets a halving line
+    through it, so h_labeling's line count decides the incidence."""
+    rng = random.Random(15)
+    sets = [make_wheel(n) for n in range(2, 9)]
+    for size in range(2, 17, 2):
+        for _ in range(30):
+            sets.append(PointSet(tuple((rng.random(), rng.random()) for _ in range(size))))
+        sets += [random_convex(size, rng) for _ in range(5) if size >= 4]
+    checked = 0
+    for ps in sets:
+        try:
+            incidence = halving_profile(ps).incidence(0)
+        except DegenerateInput:
+            continue
+        assert min(incidence) >= 1
+        checked += 1
+    assert checked > 200
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_h_labeling_refuses_a_wheel_at_the_line_count(n):
+    with pytest.raises(NoHLabeling, match=f"expected {n} halving lines, found {2 * n - 1}"):
+        h_labeling(make_wheel(n))

@@ -10,7 +10,7 @@ from planetrees import (GeomTree, InvalidParameter, NotAPartition, NotATree,
                         rotate_tree, theorem4_partition, verify_partition,
                         wheel_partition)
 from planetrees.presets import builtin_tree, figure_pointset
-from planetrees.tree_taxonomy import TreeIndex
+from planetrees.tree_taxonomy import TreeIndex, is_w_caterpillar, spine_walk
 
 from conftest import regular_gon
 
@@ -69,6 +69,26 @@ def test_placement_errors():
         place_caterpillar_on_chain(spider, regular_gon(7), list(range(7)))
     with pytest.raises(NotATree):
         place_caterpillar_on_chain(((0, 1), (1, 2), (0, 2)), ps, [0, 1, 2])
+
+
+def test_placement_head_outside_the_tree():
+    with pytest.raises(InvalidParameter, match="vertex 9 does not start a spine walk"):
+        place_caterpillar_on_chain(((0, 1), (1, 2), (2, 3)), make_wheel(4), [0, 1, 2, 3], head=9)
+
+
+def test_place_slots_covers_every_tree_gracefully():
+    """Every head a spine walk starts from places the whole tree on
+    distinct slots 0..N-1 with pairwise distinct edge gaps."""
+    for size in range(1, 11):
+        for g in nx.nonisomorphic_trees(size):
+            adj = {v: set(g[v]) for v in g}
+            for head in adj:
+                if spine_walk(adj, head) is None:
+                    continue
+                pos = wheel_partition._place_slots(adj, head)
+                assert sorted(pos) == sorted(adj) and sorted(pos.values()) == list(range(size))
+                gaps = [abs(pos[a] - pos[b]) for a, b in g.edges()]
+                assert len(set(gaps)) == len(gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -348,3 +368,14 @@ def test_analyze_raises_for_each_verify_failure():
                            "edge multiset"):
             analyze_wheel_partition(claim)
     assert seen == {"coverage", "spanning", "plane"}
+
+
+def test_analysis_keeper_holds_n_radials():
+    """The keeper's n radials follow from the other trees' one each."""
+    builds = [(builtin_tree("doublestar", n), n) for n in range(2, 21)]
+    builds += [(tuple(g.edges()), size // 2) for size in range(4, 13, 2)
+               for g in nx.nonisomorphic_trees(size) if is_w_caterpillar(tuple(g.edges()))]
+    for t, n in builds:
+        a = analyze_wheel_partition(build_wheel_partition(t, n))
+        assert [st.radial_count for st in a.per_tree] == [
+            n if i == a.one_boundary_tree else 1 for i in range(n)]
