@@ -4,7 +4,8 @@ Formats:
   pointset   header ``pointset <count> <config_tag>`` then one ``x y``
              line per point; ``#`` starts a comment.
   partition  header ``partition <points> <trees>`` then ``tree <i>``
-             blocks (0-based) of ``a b`` edge lines.
+             blocks (0-based) of ``a b`` edge lines; emit_partition's exact
+             spelling is read in bulk, others line by line, to the same result.
   edgelist   bare ``a b`` lines.
 
 Exit codes: 0 success, 1 a check or construction failed mathematically,
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import random
 import re
 import sys
@@ -70,18 +72,17 @@ def parse_pointset(text: str) -> PointSet:
     lines = _content_lines(text)
     if not lines:
         raise ParseError("empty pointset file", line=1)
-    lineno, header = lines[0]
+    head, header = lines[0]
     parts = header.split()
     if len(parts) != 3 or parts[0] != "pointset":
-        raise ParseError(f"bad header {header!r}, want 'pointset <count> <tag>'", line=lineno)
+        raise ParseError(f"bad header {header!r}, want 'pointset <count> <tag>'", line=head)
     if not _digits(parts[1]):
-        raise ParseError(f"bad point count {parts[1]!r}", line=lineno)
+        raise ParseError(f"bad point count {parts[1]!r}", line=head)
     count = int(parts[1])
     tag = parts[2]
     rows = lines[1:]
     if len(rows) != count:
-        raise ParseError(f"header promises {count} points, file has {len(rows)}",
-                         line=lineno)
+        raise ParseError(f"header promises {count} points, file has {len(rows)}", line=head)
     pts = []
     for lineno, line in rows:
         fields = line.split()
@@ -99,7 +100,7 @@ def parse_pointset(text: str) -> PointSet:
         raise InvariantViolation(f"duplicate point {dup}")
     n = wheel_tag(tag)
     if n is None and tag not in ("general", "convex"):
-        raise ParseError(f"unknown config tag {tag!r}")
+        raise ParseError(f"unknown config tag {tag!r}", line=head)
     if count == 0:
         raise InvariantViolation("a point set needs at least one point")
     if n is not None and n < 2:
@@ -130,22 +131,50 @@ def emit_pointset(ps: PointSet) -> str:
 # ---------------------------------------------------------------------------
 # partition and edge-list formats
 
+def _emitted_trees(text: str, npts: int) -> list[zip] | None:
+    """Each tree's (a, b) edges, as a zip to read once, if text is spelled
+    exactly as emit_partition writes a partition on npts points, else None
+    (never an error): a few C-level passes per tree block, no step per line."""
+    header, *blocks = text.split("tree ")
+    if header != f"partition {npts} {len(blocks)}\n":
+        return None
+    index = {str(i): i for i in range(npts)}  # no leading zero, none >= npts
+    no_digits = str.maketrans("", "", "0123456789")
+    trees = []
+    for i, block in enumerate(blocks):
+        body, nlines = block[len(str(i)) + 1:], block.count("\n") - 1
+        if (not (block.startswith(f"{i}\n") and block.endswith("\n"))
+                or body.translate(no_digits) != " \n" * nlines):
+            return None
+        try:
+            ints = list(map(index.__getitem__, body.split()))
+        except KeyError:
+            return None
+        a, b = ints[0::2], ints[1::2]
+        if len(ints) != 2 * nlines or any(map(operator.eq, a, b)):
+            return None
+        trees.append(zip(a, b))
+    return trees
+
+
 def parse_partition(text: str, ps: PointSet) -> Partition:
-    lines = _content_lines(text)
+    if (trees := _emitted_trees(text, len(ps))) is not None:
+        return Partition(ps=ps, trees=tuple(GeomTree(ps, t) for t in trees))
+    lines = _content_lines(text)  # any other spelling; every ParseError is raised here
     if not lines:
         raise ParseError("empty partition file", line=1)
-    lineno, header = lines[0]
+    head, header = lines[0]
     parts = header.split()
     if len(parts) != 3 or parts[0] != "partition":
         raise ParseError(f"bad header {header!r}, want 'partition <points> <trees>'",
-                         line=lineno)
+                         line=head)
     if not (_digits(parts[1]) and _digits(parts[2])):
-        raise ParseError(f"bad counts in {header!r}", line=lineno)
+        raise ParseError(f"bad counts in {header!r}", line=head)
     npts, ntrees = int(parts[1]), int(parts[2])
     if npts != len(ps):
         raise ParseError(f"partition is on {npts} points, point set has {len(ps)}",
-                         line=lineno)
-    trees: list[list[tuple[int, int]]] = []
+                         line=head)
+    trees = []
     k = 1
     while k < len(lines):
         lineno, line = lines[k]
@@ -159,11 +188,12 @@ def parse_partition(text: str, ps: PointSet) -> Partition:
         edges, k = _edges(lines, k + 1, npts)
         trees.append(edges)
     if len(trees) != ntrees:
-        raise ParseError(f"header promises {ntrees} trees, file has {len(trees)}")
+        raise ParseError(f"header promises {ntrees} trees, file has {len(trees)}", line=head)
     return Partition(ps=ps, trees=tuple(GeomTree(ps, t) for t in trees))
 
 
 def emit_partition(p: Partition) -> str:
+    # _emitted_trees reads exactly this spelling in bulk; change both together
     out = [f"partition {len(p.ps)} {len(p.trees)}"]
     for i, t in enumerate(p.trees):
         out.append(f"tree {i}")

@@ -4,21 +4,26 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import planetrees
 from planetrees import (InvalidParameter, InvariantViolation, NoHLabeling,
                         NoWLabeling, ParseError, Partition, PlaneTreesError,
                         PointSet, build_wheel_partition, cli_io, convex_hull,
                         cyclic_order, geom_core, h_labeling, make_wheel,
-                        theorem2_partition, verify_partition, w_labeling,
+                        theorem2_partition, theorem3_partition,
+                        theorem4_partition, verify_partition, w_labeling,
                         wheel_n, wheel_partition)
 from planetrees.cli_io import (emit_edgelist, emit_partition, emit_pointset,
                                load_pointset, main,
                                parse_edgelist, parse_partition, parse_pointset,
                                render_svg)
-from planetrees.presets import POINT_PRESETS, builtin_tree, figure_pointset
+from planetrees.presets import (CHOICES_PRESETS, POINT_PRESETS, PRESET_RUNS,
+                                builtin_tree, construction_pointset, figure_pointset)
 
 from conftest import regular_gon
 
@@ -65,8 +70,12 @@ def test_pointset_parse_errors():
     with pytest.raises(ParseError) as exc:
         parse_pointset("pointset 1 general\nzero 0\n")
     assert exc.value.line == 2
-    with pytest.raises(ParseError, match="unknown config tag"):
+    with pytest.raises(ParseError, match="unknown config tag") as exc:
         parse_pointset("pointset 2 blob\n0 0\n1 1\n")
+    assert exc.value.line == 1
+    with pytest.raises(ParseError, match="unknown config tag") as exc:
+        parse_pointset("# tagged below\npointset 2 blob\n0 0\n1 1\n")
+    assert exc.value.line == 2  # the header's line, not the last point's
 
 
 def test_pointset_invariants():
@@ -122,8 +131,12 @@ def test_partition_parse_errors(wheel3):
         parse_partition("partition 6 3\n0 1\n", wheel3)
     with pytest.raises(ParseError, match=r"edge \(0, 9\) invalid"):
         parse_partition("partition 6 1\ntree 0\n0 9\n", wheel3)
-    with pytest.raises(ParseError, match="promises 3 trees"):
+    with pytest.raises(ParseError, match="promises 3 trees") as info:
         parse_partition("partition 6 3\ntree 0\n0 1\n", wheel3)
+    assert info.value.line == 1
+    with pytest.raises(ParseError, match="promises 3 trees") as info:
+        parse_partition("\n# counted\npartition 6 3\ntree 0\n0 1\n", wheel3)
+    assert info.value.line == 3  # the header's line, not the last edge's
 
 
 @pytest.mark.parametrize("index", ["\u00b2", "\u0663", "+0"])
@@ -212,6 +225,110 @@ def test_parse_partition_reads_each_line_once(monkeypatch):
     assert parse_partition(emit_partition(p), p.ps) == p
     nlines = 1 + 16 * 32  # header, then a 'tree' line and 31 edges per tree
     assert visits <= 2 * nlines
+    assert visits == 0  # an emitted file is read in bulk
+    # a comment line and CRLF endings send the same file to the line reader
+    text = "# doublestar, n = 16\n" + emit_partition(p).replace("\n", "\r\n")
+    assert parse_partition(text, p.ps) == p
+    assert nlines <= visits <= 2 * nlines
+
+
+def _built_partitions() -> list[Partition]:
+    """Partitions from every builder on n <= 8, as the CLI writes them."""
+    built = [fig2i_partition()]
+    built += [build_wheel_partition(builtin_tree("doublestar", n), n) for n in (2, 5, 8)]
+    built += [theorem2_partition(regular_gon(2 * n), t) for n in (2, 5, 8) for t in (0, 1)]
+    for name, (theorem, r) in PRESET_RUNS.items():
+        build = theorem3_partition if theorem == 3 else theorem4_partition
+        built.append(build(construction_pointset(name), r, CHOICES_PRESETS[name]))
+    return built
+
+
+BUILT = _built_partitions()
+
+
+def test_emitted_partitions_take_the_bulk_reader():
+    for p in BUILT:
+        assert cli_io._emitted_trees(emit_partition(p), len(p.ps)) is not None
+        assert parse_partition(emit_partition(p), p.ps) == p
+
+
+def _read_both_ways(text: str, ps: PointSet) -> tuple:
+    """parse_partition's outcome (the Partition, or the error's type, text
+    and line) with and without the bulk reader."""
+    def outcome():
+        try:
+            return parse_partition(text, ps)
+        except PlaneTreesError as exc:
+            return type(exc), str(exc), getattr(exc, "line", None)
+
+    fast = outcome()
+    with mock.patch.object(cli_io, "_emitted_trees", lambda text, npts: None):
+        return fast, outcome()
+
+
+MUTATIONS = ("crlf", "comment", "blank", "tab", "leading-zero", "index-npts", "loop",
+             "swapped-trees", "header-off-by-one", "no-final-newline", "extra-field",
+             "random-byte")
+_EDGE_REWRITES = {"tab": "{a}\t{b}", "leading-zero": "0{a} {b}", "index-npts": "{a} {npts}",
+                  "loop": "{a} {a}", "extra-field": "{a} {b} {a}"}
+
+
+def _mutate(text: str, mutation: str, npts: int, rng) -> str:
+    """text (as emit_partition writes it) with one mutation applied."""
+    if mutation == "crlf":
+        return text.replace("\n", "\r\n")
+    if mutation == "no-final-newline":
+        return text[:-1]
+    if mutation == "random-byte":
+        i = rng.randrange(len(text))
+        return text[:i] + chr(rng.randrange(256)) + text[i + 1:]
+    lines = text.splitlines()
+    if mutation in ("comment", "blank"):
+        row = "# a comment" if mutation == "comment" else rng.choice(("", "  "))
+        lines.insert(rng.randrange(len(lines) + 1), row)
+    elif mutation == "swapped-trees":
+        i, j = rng.sample([k for k, line in enumerate(lines) if line.startswith("tree")], 2)
+        lines[i], lines[j] = lines[j], lines[i]
+    elif mutation == "header-off-by-one":
+        word, points, trees = lines[0].split()
+        lines[0] = f"{word} {points} {int(trees) + rng.choice((-1, 1))}"
+    else:
+        i = rng.choice([k for k, line in enumerate(lines) if line[:1].isdigit()])
+        a, b = lines[i].split()
+        lines[i] = _EDGE_REWRITES[mutation].format(a=a, b=b, npts=npts)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(BUILT), st.sampled_from(MUTATIONS), st.randoms(use_true_random=False))
+def test_bulk_reader_agrees_with_the_line_reader(p, mutation, rng):
+    text = _mutate(emit_partition(p), mutation, len(p.ps), rng)
+    fast, slow = _read_both_ways(text, p.ps)
+    assert fast == slow, (mutation, text)
+
+
+@pytest.mark.parametrize("text", [
+    # block 0 ends in a digit run glued to the next 'tree': the token count
+    # still matches, but line 3 holds one field
+    "partition 4 2\ntree 0\n 1\n2 3\n0tree 1\n0 2\n1 3\n",
+    # one field on a line: every line still has its one space
+    "partition 4 2\ntree 0\n 1\n0 2\n0 3\ntree 1\n1 2\n1 3\n2 3\n",
+    "partition 4 2\ntree 0\n0 1\n0 2\n0 \ntree 1\n1 2\n1 3\n2 3\n",
+    "partition 4 2\ntree 0\n0 1\n0 2\n0 3\ntree 1\n1 2\n1 3\n2 3",
+    "partition 4 2\ntree 0\n0 1\n0 2\n0 3\ntree 1\n1 2\n1 3\n2 3\n\n",
+    "partition 4 2\ntree 0\n0 1\n0 2\n0 3\ntree 1\n1 2\n1 3\n2\x0b3\n",
+    "partition 4 2\ntree 0\n00 1\n0 2\n0 3\ntree 1\n1 2\n1 3\n2 3\n",
+    "partition 4 2\ntree 0\ntree 1\n0 1\n",
+    "partition 4 0\n",
+    "partition 04 1\ntree 0\n0 1\n",
+    "partition 4 1\ntree 00\n0 1\n",
+    "partition 4 2\ntree 0\n0 1\ntree 1\ntree 2\n",
+    "partition 4 2\ntree 0\n0 1\n0 1 \n",
+    "",
+])
+def test_bulk_reader_near_misses(text):
+    fast, slow = _read_both_ways(text, make_wheel(2))
+    assert fast == slow
 
 
 def test_edgelist_checked_against_a_point_count():
