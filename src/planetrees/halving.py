@@ -12,12 +12,16 @@ angle and rotate a directed line through it, O(n^2 log n) in all. The
 profile is cached on the PointSet, so the labelings, the hypothesis
 checks and the constructions share one profile; HalvingProfile.path
 says which way it was built. The same order spares the labelings their
-orientation calls on wheels and convex sets. balance() counts one pair
-by brute force and is the oracle both paths are tested against.
+orientation calls on wheels and convex sets. The theorem 3 and 4
+hypothesis checks read each point's row of the profile once, sorted:
+O(n^2 log n) at any r, where counting each k = 0..r over all rows
+would be O(r n^2). balance() counts one pair by brute force and is the
+oracle both paths are tested against.
 """
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cmp_to_key
 
@@ -80,8 +84,19 @@ def _side_split(ps: PointSet, i: int, j: int) -> tuple[list[int], list[int]]:
 
 def balance(ps: PointSet, i: int, j: int) -> int:
     """The k for which the line through i, j is k-halving."""
+    _check_pair(len(ps), i, j)
     left, right = _side_split(ps, i, j)
     return abs(len(left) - len(right)) // 2
+
+
+def _check_pair(npts: int, i: int, j: int) -> None:
+    if not (0 <= i < npts and 0 <= j < npts) or i == j:
+        raise InvalidParameter(f"({i}, {j}) is not a pair of distinct points in 0..{npts - 1}")
+
+
+def _check_k(npts: int, k: int) -> None:
+    if not 0 <= k <= npts // 2 - 1:
+        raise InvalidParameter(f"k must be in 0..{npts // 2 - 1}, got {k}")
 
 
 @dataclass(frozen=True)
@@ -100,11 +115,13 @@ class HalvingProfile:
     path: str
 
     def k(self, i: int, j: int) -> int:
+        _check_pair(self.npts, i, j)
         return self.ks[i * self.npts + j]
 
     def incidence(self, k: int) -> list[int]:
         """Number of k-halving lines through each point."""
         n, ks = self.npts, self.ks
+        _check_k(n, k)
         return [ks[row:row + n].count(k) for row in range(0, n * n, n)]
 
 
@@ -237,12 +254,11 @@ def k_halving_lines(ps: PointSet, k: int) -> list[HalvingLine]:
     npts = len(ps)
     if npts % 2:
         raise OddPointCount(f"{npts} points; halving lines need an even count")
-    m = npts // 2
-    if not 0 <= k <= m - 1:
-        raise InvalidParameter(f"k must be in 0..{m - 1}, got {k}")
-    profile = halving_profile(ps)
-    return [HalvingLine(i, j, k) for i in range(npts) for j in range(i + 1, npts)
-            if profile.k(i, j) == k]
+    _check_k(npts, k)
+    ks = halving_profile(ps).ks
+    # row i's entries right of the diagonal are the pairs (i, j), j > i
+    return [HalvingLine(i, j, k) for i in range(npts)
+            for j, kj in enumerate(ks[i * npts + i + 1:(i + 1) * npts], i + 1) if kj == k]
 
 
 def h_labeling(ps: PointSet) -> HLabeling:
@@ -298,14 +314,12 @@ def _walks_circle(co: CyclicOrder | None, ring: list[int]) -> bool:
     return all((pos[b] - pos[a]) % size == 1 for a, b in zip(ring, ring[1:] + ring[:1]))
 
 
-def _dominant_point(ps: PointSet) -> int:
-    """The first point on all npts - 1 halving lines of an even set: the
-    w of w_labeling and of check_theorem4_hypothesis. NoWLabeling when
-    the set has not exactly npts - 1 halving lines or no such point."""
-    npts = len(ps)
-    if not npts:
-        raise NoWLabeling("an empty set has no halving lines")
-    incidence = halving_profile(ps).incidence(0)
+def _dominant_point(incidence: list[int]) -> int:
+    """The first point on all npts - 1 halving lines of an even set, from
+    incidence(0): the w of w_labeling and of check_theorem4_hypothesis.
+    NoWLabeling when the set has not exactly npts - 1 halving lines or no
+    such point."""
+    npts = len(incidence)
     lines = sum(incidence) // 2
     if lines != npts - 1:
         raise NoWLabeling(f"expected {npts - 1} halving lines, found {lines}")
@@ -320,7 +334,9 @@ def w_labeling(ps: PointSet) -> WLabeling:
     npts = len(ps)
     if npts % 2:
         raise OddPointCount(f"{npts} points; w-labeling needs an even count")
-    w = _dominant_point(ps)
+    if not npts:
+        raise NoWLabeling("an empty set has no halving lines")
+    w = _dominant_point(halving_profile(ps).incidence(0))
     co = cyclic_order(ps)
     if co is not None and co.wheel is not None:
         # w is the centre, about which the circle order is the angular one:
@@ -343,12 +359,27 @@ def _hypothesis_args(ps: PointSet, r: int) -> int:
     return npts
 
 
-def _incidence_scan(ps: PointSet, r: int, want: list[int],
-                    want0: list[int] | None = None) -> HypothesisReport:
-    """Each point i on want[i] k-halving lines for k = 1..r, and with
-    want0 on want0[i] halving lines first; witness is the first (point, k)
-    off its count. Whole lists are compared; only a mismatch is walked."""
-    profile = halving_profile(ps)
+def _incidence_scan(profile: HalvingProfile, r: int) -> tuple[list[int], list[bool]]:
+    """Per point, its number of halving lines and whether its k's in 1..r
+    are 1, 1, 2, 2, ..., r, r: one sort of its row of ks, then bisect and
+    one list equality. O(N^2 log N) in all, where incidence(k) for each k
+    would read every row r + 1 times, O(r N^2)."""
+    n, ks = profile.npts, profile.ks
+    two_each = [k for k in range(1, r + 1) for _ in (0, 1)]
+    on_halving: list[int] = []
+    paired: list[bool] = []
+    for row in range(0, n * n, n):
+        got = sorted(ks[row:row + n])
+        lo, hi = bisect_left(got, 0), bisect_left(got, 1)
+        on_halving.append(hi - lo)
+        paired.append(got[hi:bisect_right(got, r, hi)] == two_each)
+    return on_halving, paired
+
+
+def _first_miss(profile: HalvingProfile, r: int, want: list[int],
+                want0: list[int] | None = None) -> HypothesisReport:
+    """The report of a failed check, walked k by k (from 0 with want0):
+    the first k at which some point i is off want0[i] or want[i], and i."""
     for k in range(1 if want0 is None else 0, r + 1):
         wanted = want0 if k == 0 else want
         counts = profile.incidence(k)
@@ -364,7 +395,11 @@ def check_theorem3_hypothesis(ps: PointSet, r: int) -> HypothesisReport:
     """Each point on exactly one halving line and exactly two k-halving
     lines for every k = 1..r; witness is the first violating (point, k)."""
     npts = _hypothesis_args(ps, r)
-    return _incidence_scan(ps, r, [2] * npts, want0=[1] * npts)
+    profile = halving_profile(ps)
+    on_halving, paired = _incidence_scan(profile, r)
+    if all(paired) and on_halving == [1] * npts:
+        return HypothesisReport(ok=True)
+    return _first_miss(profile, r, [2] * npts, want0=[1] * npts)
 
 
 def check_theorem4_hypothesis(ps: PointSet, r: int) -> HypothesisReport:
@@ -372,10 +407,12 @@ def check_theorem4_hypothesis(ps: PointSet, r: int) -> HypothesisReport:
     k-halving lines for k = 1..r. Those lines miss w: every line through
     it is halving, so w lies on no k-halving line for k >= 1."""
     npts = _hypothesis_args(ps, r)
+    profile = halving_profile(ps)
+    on_halving, paired = _incidence_scan(profile, r)
     try:
-        w = _dominant_point(ps)
+        w = _dominant_point(on_halving)
     except NoWLabeling as exc:
         return HypothesisReport(ok=False, witness=None, reason=str(exc))
-    want = [2] * npts
-    want[w] = 0
-    return _incidence_scan(ps, r, want)
+    if all(p or i == w for i, p in enumerate(paired)):
+        return HypothesisReport(ok=True)
+    return _first_miss(profile, r, [0 if i == w else 2 for i in range(npts)])

@@ -1,14 +1,17 @@
 import math
 import random
 import re
+from array import array
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planetrees import (DegenerateInput, HalvingLine, InvalidParameter,
-                        NoHLabeling, NoWLabeling, OddPointCount, Orientation,
+from planetrees import (DegenerateInput, HalvingLine, HypothesisReport,
+                        InvalidParameter, NoHLabeling, NoWLabeling,
+                        OddPointCount, Orientation,
                         balance, check_theorem3_hypothesis,
                         check_theorem4_hypothesis, h_labeling, halving,
                         halving_profile, k_halving_lines, make_wheel,
@@ -226,6 +229,124 @@ def test_hypothesis_r_range_errors(wheel3):
             checker(wheel3, 0)
         with pytest.raises(InvalidParameter):
             checker(wheel3, 3)
+
+
+@pytest.mark.parametrize("i, j", [(0, 6), (6, 0), (-1, 0), (0, 0)])
+def test_balance_rejects_a_bad_pair(wheel3, i, j):
+    with pytest.raises(InvalidParameter, match=r"distinct points in 0\.\.5"):
+        balance(wheel3, i, j)
+
+
+@pytest.mark.parametrize("i, j", [(0, 6), (6, 0), (-1, 0), (0, 0)])
+def test_profile_k_rejects_a_bad_pair(wheel3, i, j):
+    with pytest.raises(InvalidParameter, match=r"distinct points in 0\.\.5"):
+        halving_profile(wheel3).k(i, j)
+
+
+@pytest.mark.parametrize("k", [-1, 3])
+def test_incidence_rejects_a_k_out_of_range(wheel3, k):
+    with pytest.raises(InvalidParameter, match=r"k must be in 0\.\.2"):
+        halving_profile(wheel3).incidence(k)
+
+
+@pytest.mark.parametrize("ps, check", [
+    (regular_gon(14), check_theorem3_hypothesis),
+    (make_wheel(7), check_theorem4_hypothesis),
+])
+def test_passing_hypothesis_checks_slice_each_row_once(ps, check):
+    slices = 0
+
+    class Counted(array):
+        def __getitem__(self, i):
+            nonlocal slices
+            slices += isinstance(i, slice)
+            return super().__getitem__(i)
+
+    profile = halving_profile(ps)
+    ps.__dict__[halving._PROFILE_ATTR] = replace(profile, ks=Counted("i", profile.ks))
+    assert check(ps, len(ps) // 2 - 1)
+    assert slices == len(ps)
+
+
+def reference_reports(ps, r):
+    """Theorem 3 and 4 reports from the k-by-k scan: each k's whole
+    incidence list against the wanted one, the first k that differs
+    naming its first point off count. O(r N^2); the checks must agree."""
+    npts = len(ps)
+    profile = halving_profile(ps)
+
+    def scan(want, want0=None):
+        for k in range(1 if want0 is None else 0, r + 1):
+            wanted = want0 if k == 0 else want
+            counts = profile.incidence(k)
+            if counts != wanted:
+                i = next(i for i, (c, w) in enumerate(zip(counts, wanted)) if c != w)
+                return HypothesisReport(
+                    ok=False, witness=(i, k),
+                    reason=f"point {i} on {counts[i]} {k}-halving lines, want {wanted[i]}")
+        return HypothesisReport(ok=True)
+
+    theorem3 = scan([2] * npts, [1] * npts)
+    incidence = profile.incidence(0)
+    lines = sum(incidence) // 2
+    dominant = [i for i, c in enumerate(incidence) if c == npts - 1]
+    if lines != npts - 1:
+        theorem4 = HypothesisReport(
+            ok=False, reason=f"expected {npts - 1} halving lines, found {lines}")
+    elif not dominant:
+        theorem4 = HypothesisReport(ok=False, reason="no point is incident to all halving lines")
+    else:
+        want = [2] * npts
+        want[dominant[0]] = 0
+        theorem4 = scan(want)
+    return theorem3, theorem4
+
+
+def elliptic(count, rng):
+    ax, ay = rng.uniform(1, 2), rng.uniform(1, 2)
+    angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(count))
+    return PointSet(tuple((ax * math.cos(a), ay * math.sin(a)) for a in angles))
+
+
+def on_grid(*xy):
+    return PointSet(tuple((float(x), float(y)) for x, y in xy))
+
+
+# theorem 3 holds at r = 1 and fails only at k = r = 2: point 4 on four
+# 2-halving lines
+FAILS_AT_R = on_grid((6, 20), (10, 1), (0, 0), (9, 19), (10, 14), (12, 10), (12, 2), (2, 10))
+# every point on two 1-halving lines, but point 5 on three halving lines
+FAILS_AT_0 = on_grid((10, 1), (2, 10), (-9, 5), (-7, -7), (4, -9), (4, -1))
+# theorem 4 with w = 7 holds at r = 1 and fails at k = r = 2
+THEOREM4_FAILS_AT_R = on_grid(
+    (8, 18), (16, 19), (10, 4), (18, 5), (13, 9), (14, 7), (15, 12), (0, 16))
+
+
+def test_fixed_sets_fail_where_they_claim():
+    assert check_theorem3_hypothesis(FAILS_AT_R, 1)
+    assert check_theorem3_hypothesis(FAILS_AT_R, 2).witness == (4, 2)
+    assert check_theorem3_hypothesis(FAILS_AT_0, 1).witness == (5, 0)
+    assert halving_profile(FAILS_AT_0).incidence(1) == [2] * 6
+    assert check_theorem4_hypothesis(THEOREM4_FAILS_AT_R, 1)
+    assert check_theorem4_hypothesis(THEOREM4_FAILS_AT_R, 2).witness == (5, 2)
+
+
+def test_hypothesis_checks_match_the_k_by_k_scan():
+    rng = random.Random(17)
+    sets = [FAILS_AT_R, FAILS_AT_0, THEOREM4_FAILS_AT_R, figure_pointset("fig7")]
+    for n in range(2, 13):
+        sets += [random_convex(2 * n, rng) for _ in range(2)]
+        sets += [elliptic(2 * n, rng) for _ in range(2)]
+        sets += [make_wheel(n), make_wheel(n, seed_angle=rng.uniform(0, 2 * math.pi))]
+    outcomes = set()
+    for ps in sets:
+        for r in range(1, len(ps) // 2):
+            want3, want4 = reference_reports(ps, r)
+            assert check_theorem3_hypothesis(ps, r) == want3, (ps, r)
+            assert check_theorem4_hypothesis(ps, r) == want4, (ps, r)
+            outcomes |= {(3, want3.ok), (4, want4.ok, want4.witness is None)}
+    assert outcomes == {(3, True), (3, False), (4, True, True), (4, False, True),
+                        (4, False, False)}
 
 
 def assert_profile_matches_balance(ps):
