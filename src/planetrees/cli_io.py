@@ -308,7 +308,8 @@ def load_pointset(value: str, flag: str = "--input", radius: float = 1.0,
                   seed: int | None = None) -> PointSet:
     """The point set a name stands for: a pointset file, a packaged preset,
     wheel<n>, gon<m> (m points evenly on a circle) or random<m> (m points
-    at random angles on a circle, drawn from seed; None draws afresh).
+    at uniform random angles on a circle, drawn once from seed; None draws
+    afresh).
     radius is the circle's; flag names the option in error messages."""
     if Path(value).is_file():
         return parse_pointset(_read(value, flag))
@@ -328,12 +329,7 @@ def load_pointset(value: str, flag: str = "--input", radius: float = 1.0,
         angles = [0.3 + 2 * math.pi * i / count for i in range(count)]
     else:
         rng = random.Random(seed)
-        while True:
-            angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(count))
-            gaps = [b - a for a, b in zip(angles, angles[1:])]
-            gaps.append(2 * math.pi - angles[-1] + angles[0])
-            if min(gaps) > 1e-3:
-                break
+        angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(count))
     ps = PointSet(tuple((radius * math.cos(a), radius * math.sin(a)) for a in angles), "convex")
     if cyclic_order(ps) is None:
         raise InvalidParameter(f"{flag} {value} --radius {radius}:"

@@ -11,8 +11,9 @@ Combinatorial Geometry, 1987): about each point, sort the others by
 angle and rotate a directed line through it, O(n^2 log n) in all. The
 profile is cached on the PointSet, so the labelings, the hypothesis
 checks and the constructions share one profile; HalvingProfile.path
-says which way it was built. The same order spares the labelings their
-orientation calls on wheels and convex sets. The theorem 3 and 4
+says which way it was built. w_labeling reads a wheel's circle with no
+orientation call; h_labeling reads each point's partner off the profile
+and sorts the m halving lines by direction. The theorem 3 and 4
 hypothesis checks read each point's row of the profile once, sorted:
 O(n^2 log n) at any r, where counting each k = 0..r over all rows
 would be O(r n^2). balance() counts one pair by brute force and is the
@@ -213,35 +214,27 @@ def _collinear(i: int, j: int, t: int) -> DegenerateInput:
 
 
 def _ccw_order(ps: PointSet, pivot: Point, indices: list[int],
-               pivot_index: int | None = None) -> list[int]:
-    """Anticlockwise about pivot, starting at minimal angle from the +x axis.
+               pivot_index: int) -> list[int]:
+    """Anticlockwise about pivot, point pivot_index of ps, starting at
+    minimal angle from the +x axis.
 
     Angles in [0, pi) come before [pi, 2pi); within one half-plane the
-    order is orientation's. When pivot is point pivot_index of ps, two
-    points on one ray from it raise DegenerateInput. Any other pivot
-    (the centroid) is no point of the set, and a pair collinear with it
-    is no degeneracy: rounding can put both points of an antipodal pair
-    in one half-plane, so such a pair is ordered by x, nearer the half's
-    starting ray (+x, then -x) first.
+    order is orientation's. Two points on one ray from the pivot raise
+    DegenerateInput.
     """
     pts = ps.points
 
-    def by_angle(upper: bool):
-        def cmp(a: int, b: int) -> int:
-            o = orientation(pivot, pts[a], pts[b])
-            if o is not Orientation.COLLINEAR:
-                return -o.value
-            if pivot_index is not None:
-                raise _collinear(pivot_index, a, b)
-            dx = pts[b][0] - pts[a][0]
-            return (dx > 0) - (dx < 0) if upper else (dx < 0) - (dx > 0)
-        return cmp_to_key(cmp)
+    def cmp(a: int, b: int) -> int:
+        o = orientation(pivot, pts[a], pts[b])
+        if o is Orientation.COLLINEAR:
+            raise _collinear(pivot_index, a, b)
+        return -o.value
 
     upper: list[int] = []
     lower: list[int] = []
     for t in indices:
         (upper if _upper(pts[t], pivot) else lower).append(t)
-    return sorted(upper, key=by_angle(True)) + sorted(lower, key=by_angle(False))
+    return sorted(upper, key=cmp_to_key(cmp)) + sorted(lower, key=cmp_to_key(cmp))
 
 
 def _upper(p: Point, pivot: Point) -> bool:
@@ -267,8 +260,19 @@ def h_labeling(ps: PointSet) -> HLabeling:
     Exists when the set has precisely m halving lines with every point on
     exactly one of them. The count decides both: a line turned half a
     round about any point meets a halving line through it, and m lines
-    have just 2m ends. The returned labeling also certifies that each
-    side of h_i is the contiguous label range the constructions use.
+    have just 2m ends. Each line is directed to its angle in [0, pi) and
+    the m lines are sorted by that angle; the labels are the sorted start
+    points, then their partners, begun at the first point at an angle in
+    [0, pi) about the centroid that follows one that is not.
+
+    Any two halving segments then cross. Were c and d on one side of ab,
+    c nearer the line ab, a line through c turned half a round from cd
+    would meet no other halving line of c, so its side away from d would
+    never hold more than m - 1 points; yet parallel to ab that side holds
+    a, b and the m - 1 points beyond ab. So line j ends left of line i
+    exactly when its direction is anticlockwise of i's, one exact
+    orientation test, and lines i+1..i+m-1 each start right of line i and
+    end left of it: each side of h_i is a contiguous label range.
     """
     npts = len(ps)
     if npts % 2:
@@ -280,38 +284,19 @@ def h_labeling(ps: PointSet) -> HLabeling:
     lines = sum(profile.incidence(0)) // 2
     if lines != m:
         raise NoHLabeling(f"expected {m} halving lines, found {lines}")
-    cx = sum(p[0] for p in ps.points) / npts
-    cy = sum(p[1] for p in ps.points) / npts
-    order = _ccw_order(ps, (cx, cy), list(range(npts)))
-    pos = {orig: new for new, orig in enumerate(order)}
-    for i in range(m):
-        if profile.k(order[i], order[i + m]) != 0:
-            raise NoHLabeling(
-                f"halving lines do not pair angular antipodes (v{i} vs v{i + m})")
-    # each side of h_i must be exactly one contiguous label range; on a
-    # convex order that is so when the labels walk the circle
-    if not _walks_circle(cyclic_order(ps), order):
-        for i in range(m):
-            left, right = _side_split(ps, order[i], order[i + m])
-            want_one = {(i + 1 + t) % npts for t in range(m - 1)}
-            got_one = {pos[x] for x in left}
-            if got_one != want_one:
-                got_one = {pos[x] for x in right}
-            if got_one != want_one:
-                raise NoHLabeling(
-                    f"side of h_{i} is not the label range v{i + 1}..v{i + m - 1}")
+    pts, ks = ps.points, profile.ks
+    # every point is on exactly one halving line: its row's one 0
+    partner = [ks[row:row + npts].index(0) for row in range(0, npts * npts, npts)]
+    starts = [a for a, b in enumerate(partner) if _upper(pts[b], pts[a])]
+    starts.sort(key=cmp_to_key(
+        lambda a, b: -orientation(pts[a], pts[partner[a]], pts[partner[b]]).value))
+    ring = starts + [partner[a] for a in starts]
+    centroid = (sum(p[0] for p in pts) / npts, sum(p[1] for p in pts) / npts)
+    up = [_upper(pts[v], centroid) for v in ring]
+    s = next((i for i in range(npts) if up[i] and not up[i - 1]), 0)
+    order = ring[s:] + ring[:s]
     pairs = tuple((order[i], order[i + m]) for i in range(m))
     return HLabeling(pairs=pairs, relabeling=tuple(order))
-
-
-def _walks_circle(co: CyclicOrder | None, ring: list[int]) -> bool:
-    """ring steps one position anticlockwise at a time round a convex
-    order: then the sides of each chord ring[i] ring[j] are the label
-    ranges i+1..j-1 and j+1..i-1."""
-    if co is None:  # no wheel comes here: it has 2n - 1 halving lines, not n
-        return False
-    pos, size = co.pos, co.size
-    return all((pos[b] - pos[a]) % size == 1 for a, b in zip(ring, ring[1:] + ring[:1]))
 
 
 def _dominant_point(incidence: list[int]) -> int:

@@ -718,6 +718,18 @@ def test_cli_generate_random_applies_radius(capsys):
     assert all(abs(math.hypot(x, y) - 2.5) < 1e-12 for x, y in ps.points)
 
 
+def test_cli_generate_random_draws_once():
+    # the angles are drawn once, with no minimum gap: 2,000 of them still
+    # come out in strictly convex position
+    res = subprocess.run(
+        [sys.executable, "-m", "planetrees.cli_io", "generate", "--config", "random2000",
+         "--seed", "1"],
+        capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    ps = parse_pointset(res.stdout)
+    assert len(ps) == 2000 and ps.config_tag == "convex"
+
+
 def test_cli_oracle(tmp_path, capsys):
     out = tmp_path / "oracle"
     assert run_cli("oracle", "--input", "wheel2", "--out", str(out), "--json") == 0

@@ -16,7 +16,7 @@ from planetrees import (DegenerateInput, HalvingLine, HypothesisReport,
                         check_theorem4_hypothesis, h_labeling, halving,
                         halving_profile, k_halving_lines, make_wheel,
                         orientation, theorem2_partition, theorem3_partition,
-                        theorem4_partition, w_labeling)
+                        theorem4_partition, verify_partition, w_labeling)
 from planetrees.geom_core import PointSet
 from planetrees.presets import figure_pointset
 
@@ -517,8 +517,8 @@ def test_h_labeling_on_a_convex_order_splits_no_sides(monkeypatch):
     sets = (regular_gon(10), random_convex(12, rng), random_convex(16, rng))
     labelings = [h_labeling(ps) for ps in sets]
     assert calls == []
-    h_labeling(figure_pointset("fig5"))  # no cyclic order: every side is split
-    assert len(calls) == 4
+    h_labeling(figure_pointset("fig5"))  # no cyclic order: no side is split either
+    assert calls == []
     for ps, lab in zip(sets, labelings):
         assert all(balance(ps, a, b) == 0 for a, b in lab.pairs)
 
@@ -563,3 +563,72 @@ def test_every_point_of_an_even_set_lies_on_a_halving_line():
 def test_h_labeling_refuses_a_wheel_at_the_line_count(n):
     with pytest.raises(NoHLabeling, match=f"expected {n} halving lines, found {2 * n - 1}"):
         h_labeling(make_wheel(n))
+
+
+# ---------------------------------------------------------------------------
+# h_labeling against its definition
+
+def is_h_labeling(ps, order):
+    """Test-local check by brute force: each v_i v_{i+m} is halving, and one
+    side of it is exactly the labels v_{i+1}..v_{i+m-1}."""
+    npts = len(ps)
+    m = npts // 2
+    if sorted(order) != list(range(npts)):
+        return False
+    pos = {v: t for t, v in enumerate(order)}
+    for i in range(m):
+        if balance(ps, order[i], order[i + m]) != 0:
+            return False
+        want = {(i + 1 + t) % npts for t in range(m - 1)}
+        left, right = halving._side_split(ps, order[i], order[i + m])
+        if {pos[x] for x in left} != want and {pos[x] for x in right} != want:
+            return False
+    return True
+
+
+def seeded_general_sets():
+    rng = random.Random(23)
+    for size in range(4, 15, 2):
+        for _ in range(25):
+            yield PointSet(tuple((rng.random(), rng.random()) for _ in range(size)))
+            yield PointSet(tuple((rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(size)))
+            grid = set()
+            while len(grid) < size:
+                grid.add((float(rng.randrange(24)), float(rng.randrange(24))))
+            yield PointSet(tuple(sorted(grid)))
+
+
+def test_h_labeling_matches_the_definition():
+    labeled = refused = 0
+    for ps in seeded_general_sets():
+        try:
+            halving_profile(ps)
+        except DegenerateInput:
+            continue
+        m = len(ps) // 2
+        halving_lines = sum(balance(ps, i, j) == 0 for i, j in combinations(range(len(ps)), 2))
+        if halving_lines != m:
+            with pytest.raises(NoHLabeling, match=f"expected {m} halving lines"):
+                h_labeling(ps)
+            refused += 1
+            continue
+        lab = h_labeling(ps)
+        assert is_h_labeling(ps, lab.relabeling), ps.points
+        assert lab.pairs == tuple((lab.relabeling[i], lab.relabeling[i + m]) for i in range(m))
+        labeled += 1
+    assert labeled >= 100 and refused >= 100
+
+
+# a centroid-angle order pairs no antipodes on the first set, and splits
+# h_0's side on the second; each has 12 h-labelings, all rotations and
+# reflections of one
+@pytest.mark.parametrize("points", [
+    ((0, 0), (1, 1), (1, 5), (2, 1), (5, 3), (5, 4)),
+    ((0, 0), (0, 6), (1, 5), (3, 4), (3, 5), (4, 4)),
+])
+def test_h_labeling_where_the_centroid_order_is_no_labeling(points):
+    ps = PointSet(tuple((float(x), float(y)) for x, y in points), "general")
+    lab = h_labeling(ps)
+    assert is_h_labeling(ps, lab.relabeling)
+    for t in (0, 1):
+        assert verify_partition(theorem2_partition(ps, t)).ok
