@@ -193,11 +193,22 @@ def parse_partition(text: str, ps: PointSet) -> Partition:
 
 
 def emit_partition(p: Partition) -> str:
-    # _emitted_trees reads exactly this spelling in bulk; change both together
-    out = [f"partition {len(p.ps)} {len(p.trees)}"]
+    # _emitted_trees reads exactly this spelling in bulk; change both together.
+    # Each line is spelled from one str(i) table per partition (heads[a] is
+    # "a "); a tree with a label outside 0..N-1 keeps the f-string spelling
+    npts = len(p.ps)
+    names = [str(i) for i in range(npts)]
+    heads = [s + " " for s in names]
+    out = [f"partition {npts} {len(p.trees)}"]
     for i, t in enumerate(p.trees):
         out.append(f"tree {i}")
-        out += [f"{a} {b}" for a, b in t.edges]  # GeomTree keeps them sorted
+        edges = t.edges  # GeomTree keeps them sorted, a < b: edges[0][0] is the least
+        try:
+            if edges and edges[0][0] < 0:
+                raise IndexError  # names[-1] would spell N - 1
+            out += [heads[a] + names[b] for a, b in edges]
+        except (IndexError, TypeError):  # a label outside 0..N-1, or not an int
+            out += [f"{a} {b}" for a, b in edges]
     return "\n".join(out) + "\n"
 
 

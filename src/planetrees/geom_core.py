@@ -25,6 +25,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable
 
@@ -303,12 +304,22 @@ class CyclicOrder:
         return "convex-order" if self.wheel is None else "wheel-index"
 
     def hull_edges(self, edges: Iterable[GeomEdge]) -> list[GeomEdge]:
-        """The given edges whose ends are consecutive on the circle, in order."""
-        pos, m, npts = self.pos, self.size, len(self.pos)
-        steps = (1, m - 1)
-        return [(a, b) for a, b in edges
-                if 0 <= a < npts and 0 <= b < npts and pos[a] >= 0 and pos[b] >= 0
-                and (pos[b] - pos[a]) % m in steps]
+        """The given edges whose ends are consecutive on the circle, in order:
+        one lookup each in _hull_pairs."""
+        pairs = self._hull_pairs
+        return [e for e in edges if e in pairs]
+
+    @cached_property
+    def _hull_pairs(self) -> frozenset[GeomEdge]:
+        """Every pair of point indices consecutive on the circle, both ways
+        round; built on first use and kept on the order, as the order is
+        kept on its PointSet."""
+        at = [0] * self.size  # at[k]: the point at circle position k
+        for i, k in enumerate(self.pos):
+            if k >= 0:
+                at[k] = i
+        steps = list(zip(at, at[1:] + at[:1]))
+        return frozenset(steps + [(b, a) for a, b in steps])
 
     def plane(self, edges: Iterable[GeomEdge]) -> bool:
         """True iff no two of the edges cross.
@@ -316,13 +327,15 @@ class CyclicOrder:
         Chords of a strictly convex polygon cross iff their position
         intervals interleave, so after sorting by (start, -end) a stack of
         open interval ends finds any pair that neither nests nor is
-        disjoint. A spoke to circle point s (wheel only) crosses a chord
-        iff s lies strictly inside the chord's short arc, the side away
-        from the centre, and the same stack pass checks spokes too: a
-        short chord lo..hi (2(hi - lo) < m) by a prefix count of spoke
-        positions, a long one by the least and greatest spoke. Also False
-        when an index is no point of the set or an edge is a loop, so
-        that the caller's pairwise scan reports it.
+        disjoint; the stack's top is kept in a local, over the sentinel
+        end m, which no chord reaches or starts past. A spoke to circle
+        point s (wheel only) crosses a chord iff s lies strictly inside
+        the chord's short arc, the side away from the centre, and the same
+        stack pass checks spokes too: a short chord lo..hi (2(hi - lo) <
+        m) by a prefix count of spoke positions, a long one by the least
+        and greatest spoke. Also False when an index is no point of the
+        set or an edge is a loop, so that the caller's pairwise scan
+        reports it.
         """
         pos, m = self.pos, self.size
         npts = len(pos)
@@ -332,8 +345,8 @@ class CyclicOrder:
             if not (0 <= a < npts and 0 <= b < npts) or a == b:
                 return False
             pa, pb = pos[a], pos[b]
-            if pa < 0 or pb < 0:
-                spokes.append(max(pa, pb))
+            if pa < 0 or pb < 0:  # one end is the centre, at position -1
+                spokes.append(pb if pa < 0 else pa)
             else:
                 chords.append((pa, -pb) if pa < pb else (pb, -pa))
         chords.sort()
@@ -343,14 +356,15 @@ class CyclicOrder:
                 mark[s] = 1
             below = [0, *accumulate(mark)]  # below[i]: spoke positions < i
             least, most = min(spokes), max(spokes)
-        ends: list[int] = []
+        top, ends = m, []  # ends: the open ends below top
         for lo, neg_hi in chords:
             hi = -neg_hi
-            while ends and ends[-1] <= lo:
-                ends.pop()
-            if ends and ends[-1] < hi:
+            while top <= lo:
+                top = ends.pop()
+            if top < hi:
                 return False
-            ends.append(hi)
+            ends.append(top)
+            top = hi
             if spokes and (below[hi] > below[lo + 1] if 2 * (hi - lo) < m
                            else least < lo or most > hi):
                 return False

@@ -205,7 +205,9 @@ class TreeIndex:
     & Ullman, 1974), equal exactly for isomorphic ones, and are private to
     the index; shapes[i] is the sorted tuple of id i's child ids, all
     smaller than i. A DFS fills the sides facing away from its root
-    bottom-up, then a rerooting pass fills the rest top-down. Raises
+    bottom-up, then a rerooting pass fills the rest top-down, both in
+    plain loops: a leaf's side gets size 1 and the leaf id 0 with no sum
+    or sort, and each distinct child id's rest of v is made once. Raises
     NotATree unless the edges form a tree.
     """
 
@@ -223,25 +225,36 @@ class TreeIndex:
             raise NotATree(f"{len(edges)} edges do not form a tree")
         order = list(parent)
         size, canon = self.size, self.canon
+        leaf = self._id([])  # the shape of a leaf, id 0
         for v in reversed(order[1:]):
-            p = parent[v]
-            size[p, v] = 1 + sum(size[v, u] for u in adj[v] if u != p)
-            canon[p, v] = self._id(sorted(canon[v, u] for u in adj[v] if u != p))
+            p, nb = parent[v], adj[v]
+            if len(nb) == 1:
+                size[p, v], canon[p, v] = 1, leaf
+                continue
+            below, kids = 1, []
+            for u in nb:
+                if u != p:
+                    below += size[v, u]
+                    kids.append(canon[v, u])
+            kids.sort()
+            size[p, v], canon[p, v] = below, self._id(kids)
         for v in order:
-            ids = sorted(canon[v, u] for u in adj[v])
+            nb = adj[v]
+            ids = sorted([canon[v, u] for u in nb])
             without: dict[int, int] = {}  # a child's id -> id of the rest of v
-            for c in adj[v]:
+            for c in nb:
                 if parent[c] != v:
                     continue
                 x = canon[v, c]
-                if x not in without:
+                rest = without.get(x)
+                if rest is None:
                     i = bisect_left(ids, x)
-                    without[x] = self._id(ids[:i] + ids[i + 1:])
-                canon[c, v] = without[x]
+                    rest = without[x] = self._id(ids[:i] + ids[i + 1:])
+                canon[c, v] = rest
                 size[c, v] = n - size[v, c]
         # vertices with more than two inner neighbours; none in a caterpillar
         self._overfull = [v for v, nb in adj.items()
-                          if sum(1 for u in nb if len(adj[u]) > 1) > 2]
+                          if len(nb) > 2 and len([u for u in nb if len(adj[u]) > 1]) > 2]
 
     def _id(self, kids: list[int]) -> int:
         key = tuple(kids)

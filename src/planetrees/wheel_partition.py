@@ -173,9 +173,18 @@ def build_wheel_partition(t: TreeLike, n: int,
 
 
 def _has_run(labels: list[int], m: int, want: int) -> bool:
-    """labels include want cyclically consecutive values mod m."""
-    s = set(labels)
-    return any(all((start + i) % m in s for i in range(want)) for start in s)
+    """labels (circle positions 0..m-1) include want cyclically
+    consecutive values mod m: the labels marked on the circle, which is
+    scanned twice around for want marks in a row, O(m)."""
+    marked = [False] * m
+    for a in labels:
+        marked[a] = True
+    run = 0
+    for seen in marked + marked:
+        run = run + 1 if seen else 0
+        if run >= want:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -29,15 +29,24 @@ def regular_gon(m: int, phase: float = 0.3, radius: float = 1.0) -> PointSet:
     return PointSet(pts, "convex")
 
 
+COCIRCULAR_DRAWS = 1000
+
+
 def random_cocircular(m: int, rng: random.Random) -> PointSet:
-    """m points on the unit circle, anticlockwise, min gap bounded away from 0."""
-    while True:
+    """m points on the unit circle, anticlockwise, min gap bounded away from 0.
+
+    Redraws until every gap exceeds 1e-3, at most COCIRCULAR_DRAWS times,
+    then raises: a draw succeeds with probability about exp(-m^2 / 6283),
+    so 300 points would almost never get one. Up to 20 points nearly
+    every first draw succeeds."""
+    for _ in range(COCIRCULAR_DRAWS):
         angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(m))
         gaps = [b - a for a, b in zip(angles, angles[1:])]
         gaps.append(2 * math.pi - angles[-1] + angles[0])
         if min(gaps) > 1e-3:
-            break
-    return PointSet(tuple((math.cos(a), math.sin(a)) for a in angles), "convex")
+            return PointSet(tuple((math.cos(a), math.sin(a)) for a in angles), "convex")
+    raise ValueError(f"random_cocircular: no draw of m = {m} points has every gap "
+                     f"above 1e-3 in {COCIRCULAR_DRAWS} draws")
 
 
 def random_convex(m: int, rng: random.Random) -> PointSet:

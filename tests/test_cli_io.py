@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import planetrees
-from planetrees import (InvalidParameter, InvariantViolation, NoHLabeling,
-                        NoWLabeling, ParseError, Partition, PlaneTreesError,
-                        PointSet, build_wheel_partition, cli_io, convex_hull,
-                        cyclic_order, geom_core, h_labeling, make_wheel,
-                        theorem2_partition, theorem3_partition,
-                        theorem4_partition, verify_partition, w_labeling,
-                        wheel_n, wheel_partition)
+from planetrees import (GeomTree, InvalidParameter, InvariantViolation,
+                        NoHLabeling, NoWLabeling, ParseError, Partition,
+                        PlaneTreesError, PointSet, build_wheel_partition,
+                        cli_io, convex_hull, cyclic_order, geom_core,
+                        h_labeling, make_wheel, theorem2_partition,
+                        theorem3_partition, theorem4_partition,
+                        verify_partition, w_labeling, wheel_n, wheel_partition)
 from planetrees.cli_io import (emit_edgelist, emit_partition, emit_pointset,
                                load_pointset, main,
                                parse_edgelist, parse_partition, parse_pointset,
@@ -250,6 +250,34 @@ def test_emitted_partitions_take_the_bulk_reader():
     for p in BUILT:
         assert cli_io._emitted_trees(emit_partition(p), len(p.ps)) is not None
         assert parse_partition(emit_partition(p), p.ps) == p
+
+
+def _emit_by_fstring(p: Partition) -> str:
+    """emit_partition's spelling, one f-string per line."""
+    out = [f"partition {len(p.ps)} {len(p.trees)}"]
+    for i, t in enumerate(p.trees):
+        out.append(f"tree {i}")
+        out += [f"{a} {b}" for a, b in t.edges]
+    return "\n".join(out) + "\n"
+
+
+def test_emit_partition_spells_each_line_as_the_fstring():
+    for p in BUILT:  # theorems 1 to 4
+        text = emit_partition(p)
+        assert text == _emit_by_fstring(p)
+        read = cli_io._emitted_trees(text, len(p.ps))
+        assert [list(edges) for edges in read] == [list(t.edges) for t in p.trees]
+    # labels below 0 and at or past N are spelled as they are, and only the
+    # line reader, which rejects them, reads the file
+    ps = make_wheel(3)
+    good = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5))
+    for bad in (((-1, 2), (0, 1)), ((0, 6), (1, 2)), ((-3, 9),), ((-2, -1), (5, 7))):
+        p = Partition(ps, (GeomTree(ps, good), GeomTree(ps, bad), GeomTree(ps, good)))
+        text = emit_partition(p)
+        assert text == _emit_by_fstring(p)
+        assert cli_io._emitted_trees(text, len(ps)) is None
+        with pytest.raises(ParseError):
+            parse_partition(text, ps)
 
 
 def _read_both_ways(text: str, ps: PointSet) -> tuple:

@@ -416,9 +416,9 @@ def test_construction_sweeps_once_per_point_set(monkeypatch, build, ps):
 
 
 def test_h_labeling_antipodes_collinear_with_centroid():
-    # regular polygons with a vertex on the +x ray, points shuffled: rounding
-    # puts both points of an antipodal pair in one half-plane about the
-    # centroid, and the sort compares them
+    # shuffled regular polygons with a vertex on the +x ray: rounding leaves
+    # antipodal pairs and the centroid not quite collinear, and h_labeling
+    # must still give a labeling that walks the polygon
     rng = random.Random(1)
     for m in (4, 6, 8, 10, 12, 16, 20):
         base = regular_gon(m, phase=0.0).points

@@ -178,6 +178,43 @@ def test_boundary_edges_convex_order():
     assert boundary_edges(t) == [(0, 6), (1, 2), (3, 4)]
 
 
+def _hull_edges_by_formula(order, edges):
+    """CyclicOrder.hull_edges by range tests and circle position arithmetic."""
+    pos, m, npts = order.pos, order.size, len(order.pos)
+    return [(a, b) for a, b in edges
+            if 0 <= a < npts and 0 <= b < npts and pos[a] >= 0 and pos[b] >= 0
+            and (pos[b] - pos[a]) % m in (1, m - 1)]
+
+
+def _random_edge_list(npts, rng):
+    """Edges in either orientation, with repeats, loops and the indices -1
+    and npts among them (on a wheel, npts - 1 is the centre)."""
+    ends = [-1, npts, npts - 1] + list(range(npts))
+    return [(rng.choice(ends), rng.choice(ends)) for _ in range(rng.randrange(3 * npts))]
+
+
+def test_hull_edges_match_the_position_formula():
+    rng = random.Random(19)
+    sets = [make_wheel(n) for n in range(2, 12)]
+    sets += [make_wheel(n, seed_angle=rng.uniform(0, 2 * math.pi)) for n in (2, 5, 9)]
+    sets += [regular_gon(m) for m in (3, 4, 7, 12)]
+    sets += [random_convex(m, rng) for m in (3, 5, 8, 13)]
+    for ps in sets:
+        order = cyclic_order(ps)
+        for _ in range(30):
+            edges = _random_edge_list(len(ps), rng)
+            assert order.hull_edges(edges) == _hull_edges_by_formula(order, edges), edges
+            tree = GeomTree(ps, [e for e in edges if e[0] != e[1]])
+            assert boundary_edges(tree) == _hull_edges_by_formula(order, tree.edges)
+    # an unearned wheel tag has no order: boundary_edges takes the hull's pairs
+    ps = swapped_wheel4()
+    hull = [3, 1, 2, 0, 4, 5, 6]  # make_wheel(4)'s circle with 0 and 3 swapped
+    pairs = {frozenset(p) for p in zip(hull, hull[1:] + hull[:1])}
+    for _ in range(30):
+        tree = GeomTree(ps, [e for e in _random_edge_list(len(ps), rng) if e[0] != e[1]])
+        assert boundary_edges(tree) == [e for e in tree.edges if frozenset(e) in pairs]
+
+
 def test_wheel_tag_needs_centre_on_long_side():
     # the centre moved next to the edge v0 v1 is still inside the circle,
     # but on the short side of the near-diameter v6 v1
@@ -448,6 +485,65 @@ def test_designated_path_must_be_a_witness():
         w = preferred_p4_witness(chair, list(path))
         assert (w.type, w.path) == (typ, path)
     assert preferred_p4_witness(chair, (0, 4, 1, 5)) is None
+
+
+def _index_by_sums(edges):
+    """size and canon id of every directed edge, as TreeIndex once built
+    them: a sum and a sort of the children at every vertex, bottom-up from
+    a DFS, then a rerooting pass with the rest of each vertex re-sorted."""
+    adj = adjacency(edges)
+    ids, size, canon = {}, {}, {}
+
+    def id_of(kids):
+        return ids.setdefault(tuple(sorted(kids)), len(ids))
+
+    root = edges[0][0]
+    parent, order = {root: root}, [root]
+    for v in order:
+        for u in adj[v]:
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    for v in reversed(order[1:]):
+        p = parent[v]
+        size[p, v] = 1 + sum(size[v, u] for u in adj[v] if u != p)
+        canon[p, v] = id_of(canon[v, u] for u in adj[v] if u != p)
+    for v in order:
+        for c in adj[v]:
+            if parent[c] == v:
+                canon[c, v] = id_of(canon[v, u] for u in adj[v] if u != c)
+                size[c, v] = len(adj) - size[v, c]
+    return size, canon
+
+
+def _classes(canon):
+    """The directed edges grouped by canon id."""
+    groups = {}
+    for e, i in canon.items():
+        groups.setdefault(i, set()).add(e)
+    return {frozenset(g) for g in groups.values()}
+
+
+def test_tree_index_matches_sums_and_sorts():
+    rng = random.Random(23)
+    trees = [path_edges(k) for k in range(2, 30)]
+    trees += [tuple((0, i) for i in range(1, k)) for k in range(3, 30)]  # stars
+    trees += [((0, 1),) + tuple((0, i) for i in range(2, 2 + a))
+              + tuple((1, i) for i in range(2 + a, 2 + a + b))
+              for a in range(6) for b in range(6)]  # double stars
+    trees += [tuple((v, rng.randrange(v)) for v in range(1, k))
+              for k in range(2, 60) for _ in range(5)]
+    for t in trees:
+        label = list(range(len(t) + 1))
+        rng.shuffle(label)
+        edges = as_edges([(label[a], label[b]) for a, b in t])
+        index = TreeIndex(edges)
+        size, canon = _index_by_sums(edges)
+        assert index.size == size, edges
+        assert _classes(index.canon) == _classes(canon), edges
+        assert all(index.shapes[i] == tuple(sorted(index.canon[v, w] for w in index.adj[v]
+                                                   if w != u))
+                   for (u, v), i in index.canon.items())
 
 
 def test_tree_index_rejects_non_trees():

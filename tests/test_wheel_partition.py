@@ -1,3 +1,5 @@
+import random
+
 import networkx as nx
 import pytest
 
@@ -379,3 +381,30 @@ def test_analysis_keeper_holds_n_radials():
         a = analyze_wheel_partition(build_wheel_partition(t, n))
         assert [st.radial_count for st in a.per_tree] == [
             n if i == a.one_boundary_tree else 1 for i in range(n)]
+
+
+def _has_run_by_definition(labels, m, want):
+    return any(all((start + i) % m in labels for i in range(want)) for start in range(m))
+
+
+def test_has_run_wrapped_and_unwrapped():
+    has_run = wheel_partition._has_run
+    for m in (3, 5, 9, 1023):
+        for want in sorted({1, 2, m // 2, m - 1, m}):
+            for start in sorted({0, 1, m - want, m - 1, (m - want // 2) % m}):
+                run = [(start + i) % m for i in range(want)]  # wraps past 0 when start + want > m
+                assert has_run(run, m, want)
+                assert has_run(run[::-1], m, want)
+                assert not has_run(run[1:], m, want)  # one short
+    # the wrapped run {m - 256, ..., 255} at n = 512 and the same run unwrapped
+    m = 1023
+    assert has_run([(m - 256 + i) % m for i in range(512)], m, 512)
+    assert has_run(list(range(512)), m, 512)
+    assert not has_run([(m - 256 + i) % m for i in range(511)], m, 512)
+    rng = random.Random(3)
+    for _ in range(300):
+        m = rng.randrange(3, 20)
+        labels = rng.sample(range(m), rng.randrange(m + 1))
+        for want in range(1, m + 1):
+            assert has_run(labels, m, want) == _has_run_by_definition(set(labels), m, want), (
+                labels, m, want)
