@@ -3,28 +3,28 @@
 A line through two points of a 2m-point set is k-halving when it splits
 the remaining 2m-2 points into sizes m-1-k and m-1+k (0-halving lines
 are called halving lines). The k of every pair comes from one
-HalvingProfile per PointSet. On a set with a verified cyclic order
-(geom_core.cyclic_order: a regular wheel, or a set in convex position)
-every k is circle arithmetic, O(n^2) with no orientation call. Any other
-set goes through the k-edge sweep (Edelsbrunner, Algorithms in
-Combinatorial Geometry, 1987): about each point, sort the others by
-angle and rotate a directed line through it, O(n^2 log n) in all. The
-profile is cached on the PointSet, so the labelings, the hypothesis
-checks and the constructions share one profile; HalvingProfile.path
-says which way it was built. w_labeling reads a wheel's circle with no
-orientation call; h_labeling reads each point's partner off the profile
-and sorts the m halving lines by direction. The theorem 3 and 4
-hypothesis checks read each point's row of the profile once, sorted:
-O(n^2 log n) at any r, where counting each k = 0..r over all rows
-would be O(r n^2). balance() counts one pair by brute force and is the
-oracle both paths are tested against.
+HalvingProfile per PointSet, cached on it and shared by the labelings,
+the hypothesis checks and the constructions; its path says how it was
+built. On a verified cyclic order (geom_core.cyclic_order: a regular
+wheel, or convex position) a pair's k depends only on how far apart its
+points are round the circle, and every circle point sees the same
+distances: k(i, j) is one lookup, and incidence, k_halving_lines, the
+theorem 3 and 4 checks and both labelings read O(N) entries (and sort
+at most O(N)), with no orientation call and no N^2 array. Any other set
+goes through the k-edge sweep (Edelsbrunner, Algorithms in Combinatorial
+Geometry, 1987): about each point, sort the others by angle and rotate
+a directed line through it, O(n^2 log n) in all; h_labeling then sorts
+the m halving lines by direction, and the hypothesis checks sort each
+point's row once, O(n^2 log n) at any r. balance() counts one pair by
+brute force and is the oracle both paths are tested against.
 """
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 
 from .errors import (DegenerateInput, InvalidParameter, NoHLabeling,
                      NoWLabeling, OddPointCount)
@@ -106,24 +106,52 @@ class HalvingProfile:
 
     ks[i * npts + j] == ks[j * npts + i] is the k of the line through
     points i and j, as balance(ps, min(i, j), max(i, j)) counts it; the
-    diagonal holds -1. path is "wheel-index" or "convex-order" when the
-    ks were read off the set's cyclic order, "sweep" when they were swept.
-    Build it with halving_profile, which caches it.
+    diagonal holds -1. On path "sweep" ks is the swept array. On path
+    "wheel-index" or "convex-order" the profile keeps the verified order
+    and by_gap (by_gap[g] == by_gap[-g]: the k of a chord g positions
+    round the circle; by_gap[0] == -1), reads every answer off them in
+    O(N), and builds ks only on its first read, which no library path
+    makes. Build it with halving_profile, which caches it.
     """
 
     npts: int
-    ks: array
     path: str
+    order: CyclicOrder | None = None
+    by_gap: tuple[int, ...] = ()
+    swept: array | None = None
+
+    @cached_property
+    def ks(self) -> array:
+        return self.swept if self.order is None else _order_ks(self.order, self.by_gap)
 
     def k(self, i: int, j: int) -> int:
         _check_pair(self.npts, i, j)
-        return self.ks[i * self.npts + j]
+        if self.order is None:
+            return self.swept[i * self.npts + j]
+        pa, pb = self.order.pos[i], self.order.pos[j]
+        # a spoke, one end the wheel's centre (position -1), has k = 0
+        return 0 if pa < 0 or pb < 0 else self.by_gap[pb - pa]
 
     def incidence(self, k: int) -> list[int]:
         """Number of k-halving lines through each point."""
-        n, ks = self.npts, self.ks
-        _check_k(n, k)
-        return [ks[row:row + n].count(k) for row in range(0, n * n, n)]
+        _check_k(self.npts, k)
+        rows, row_of = self._rows()
+        counts = [row.count(k) for row in rows]
+        return [counts[r] for r in row_of]
+
+    def _rows(self) -> tuple[Iterable[Sequence[int]], Sequence[int]]:
+        """The distinct rows of ks as multisets, and the index of each
+        point's row among them. On the sweep, each point's slice of ks.
+        On a cyclic order, two rows: each circle point sees every gap
+        once, plus on a wheel a spoke of k 0 (npts - size is 1 there, 0
+        on a convex order); a wheel's centre sees only spokes."""
+        n = self.npts
+        if self.order is None:
+            ks = self.swept
+            return (ks[row:row + n] for row in range(0, n * n, n)), range(n)
+        size = self.order.size
+        circle = self.by_gap[1:] + (0,) * (n - size)
+        return (circle, (0,) * size), [int(p < 0) for p in self.order.pos]
 
 
 def halving_profile(ps: PointSet) -> HalvingProfile:
@@ -140,8 +168,8 @@ def halving_profile(ps: PointSet) -> HalvingProfile:
 
 
 def _sweep(ps: PointSet) -> HalvingProfile:
-    """The profile of ps: read off its cyclic order when it has one, else
-    swept by _angular_sweep.
+    """The profile of ps: its cyclic order and by_gap when it has an
+    order, else swept by _angular_sweep.
 
     On a strictly convex polygon the sides of a chord whose ends are d
     apart the short way round hold d - 1 and N - d - 1 of the N points,
@@ -152,18 +180,17 @@ def _sweep(ps: PointSet) -> HalvingProfile:
     n - 1 and has k = 0.
     """
     order = cyclic_order(ps)
+    npts = len(ps)
     if order is None:
-        return HalvingProfile(len(ps), _angular_sweep(ps), "sweep")
-    return HalvingProfile(len(ps), _order_ks(order), order.kind)
+        return HalvingProfile(npts, "sweep", swept=_angular_sweep(ps))
+    size = order.size
+    by_gap = tuple(abs(npts - 2 * min(g, size - g)) // 2 if g else -1 for g in range(size))
+    return HalvingProfile(npts, order.kind, order, by_gap)
 
 
-def _order_ks(order: CyclicOrder) -> array:
+def _order_ks(order: CyclicOrder, by_gap: tuple[int, ...]) -> array:
     """HalvingProfile.ks from circle positions (a wheel's centre has pos -1)."""
-    pos, size = order.pos, order.size
-    npts = len(pos)
-    # by_gap[g] == by_gap[-g]: the k of a chord g positions round the circle
-    by_gap = [abs(npts - 2 * min(g, size - g)) // 2 for g in range(size)]
-    by_gap[0] = -1
+    pos = order.pos
     ks = array("i")
     for pa in pos:
         if pa < 0:
@@ -171,6 +198,15 @@ def _order_ks(order: CyclicOrder) -> array:
         else:
             ks.extend([0 if pb < 0 else by_gap[pb - pa] for pb in pos])
     return ks
+
+
+def _circle(order: CyclicOrder) -> list[int]:
+    """The point at each circle position of order."""
+    at = [0] * order.size
+    for i, p in enumerate(order.pos):
+        if p >= 0:
+            at[p] = i
+    return at
 
 
 def _angular_sweep(ps: PointSet) -> array:
@@ -248,10 +284,21 @@ def k_halving_lines(ps: PointSet, k: int) -> list[HalvingLine]:
     if npts % 2:
         raise OddPointCount(f"{npts} points; halving lines need an even count")
     _check_k(npts, k)
-    ks = halving_profile(ps).ks
-    # row i's entries right of the diagonal are the pairs (i, j), j > i
-    return [HalvingLine(i, j, k) for i in range(npts)
-            for j, kj in enumerate(ks[i * npts + i + 1:(i + 1) * npts], i + 1) if kj == k]
+    profile = halving_profile(ps)
+    co = profile.order
+    if co is None:
+        ks = profile.swept
+        # row i's entries right of the diagonal are the pairs (i, j), j > i
+        return [HalvingLine(i, j, k) for i in range(npts)
+                for j, kj in enumerate(ks[i * npts + i + 1:(i + 1) * npts], i + 1) if kj == k]
+    # each point's partners are the points the gaps with this k away; every
+    # chord comes up from both ends, kept from its lower index
+    at = _circle(co)
+    pairs = [(a, b) for g in range(1, co.size) if profile.by_gap[g] == k
+             for a, b in zip(at, at[g:] + at[:g]) if a < b]
+    if k == 0 and co.wheel is not None:
+        pairs += [(a, npts - 1) for a in at]  # the spokes; the centre is the last point
+    return [HalvingLine(i, j, k) for i, j in sorted(pairs)]
 
 
 def h_labeling(ps: PointSet) -> HLabeling:
@@ -263,7 +310,11 @@ def h_labeling(ps: PointSet) -> HLabeling:
     have just 2m ends. Each line is directed to its angle in [0, pi) and
     the m lines are sorted by that angle; the labels are the sorted start
     points, then their partners, begun at the first point at an angle in
-    [0, pi) about the centroid that follows one that is not.
+    [0, pi) about the centroid that follows one that is not. On a convex
+    order this reads the circle in O(N): each point's partner is its
+    antipode, m positions round, and the line directions turn
+    anticlockwise with the position, so the sorted lines are the circle
+    order from the first position whose line is directed to [0, pi).
 
     Any two halving segments then cross. Were c and d on one side of ab,
     c nearer the line ab, a line through c turned half a round from cd
@@ -284,13 +335,21 @@ def h_labeling(ps: PointSet) -> HLabeling:
     lines = sum(profile.incidence(0)) // 2
     if lines != m:
         raise NoHLabeling(f"expected {m} halving lines, found {lines}")
-    pts, ks = ps.points, profile.ks
-    # every point is on exactly one halving line: its row's one 0
-    partner = [ks[row:row + npts].index(0) for row in range(0, npts * npts, npts)]
-    starts = [a for a, b in enumerate(partner) if _upper(pts[b], pts[a])]
-    starts.sort(key=cmp_to_key(
-        lambda a, b: -orientation(pts[a], pts[partner[a]], pts[partner[b]]).value))
-    ring = starts + [partner[a] for a in starts]
+    pts = ps.points
+    if profile.order is not None:
+        # a convex order: a wheel has 2m - 1 halving lines
+        at = _circle(profile.order)
+        upward = [_upper(pts[at[p - m]], pts[at[p]]) for p in range(npts)]
+        first = next(p for p in range(npts) if upward[p] and not upward[p - 1])
+        ring = at[first:] + at[:first]
+    else:
+        ks = profile.swept
+        # every point is on exactly one halving line: its row's one 0
+        partner = [ks[row:row + npts].index(0) for row in range(0, npts * npts, npts)]
+        starts = [a for a, b in enumerate(partner) if _upper(pts[b], pts[a])]
+        starts.sort(key=cmp_to_key(
+            lambda a, b: -orientation(pts[a], pts[partner[a]], pts[partner[b]]).value))
+        ring = starts + [partner[a] for a in starts]
     centroid = (sum(p[0] for p in pts) / npts, sum(p[1] for p in pts) / npts)
     up = [_upper(pts[v], centroid) for v in ring]
     s = next((i for i in range(npts) if up[i] and not up[i - 1]), 0)
@@ -321,8 +380,9 @@ def w_labeling(ps: PointSet) -> WLabeling:
         raise OddPointCount(f"{npts} points; w-labeling needs an even count")
     if not npts:
         raise NoWLabeling("an empty set has no halving lines")
-    w = _dominant_point(halving_profile(ps).incidence(0))
-    co = cyclic_order(ps)
+    profile = halving_profile(ps)
+    w = _dominant_point(profile.incidence(0))
+    co = profile.order
     if co is not None and co.wheel is not None:
         # w is the centre, about which the circle order is the angular one:
         # _ccw_order's ring is the circle rotated to its first point at an
@@ -346,19 +406,18 @@ def _hypothesis_args(ps: PointSet, r: int) -> int:
 
 def _incidence_scan(profile: HalvingProfile, r: int) -> tuple[list[int], list[bool]]:
     """Per point, its number of halving lines and whether its k's in 1..r
-    are 1, 1, 2, 2, ..., r, r: one sort of its row of ks, then bisect and
-    one list equality. O(N^2 log N) in all, where incidence(k) for each k
-    would read every row r + 1 times, O(r N^2)."""
-    n, ks = profile.npts, profile.ks
+    are 1, 1, 2, 2, ..., r, r: one sort of each distinct row of ks, then
+    bisect and one list equality. O(N^2 log N) on the sweep, where
+    incidence(k) for each k would read every row r + 1 times, O(r N^2);
+    O(N log N) on a cyclic order, whose points share two rows."""
     two_each = [k for k in range(1, r + 1) for _ in (0, 1)]
-    on_halving: list[int] = []
-    paired: list[bool] = []
-    for row in range(0, n * n, n):
-        got = sorted(ks[row:row + n])
+    rows, row_of = profile._rows()
+    scans = []
+    for row in rows:
+        got = sorted(row)
         lo, hi = bisect_left(got, 0), bisect_left(got, 1)
-        on_halving.append(hi - lo)
-        paired.append(got[hi:bisect_right(got, r, hi)] == two_each)
-    return on_halving, paired
+        scans.append((hi - lo, got[hi:bisect_right(got, r, hi)] == two_each))
+    return [scans[i][0] for i in row_of], [scans[i][1] for i in row_of]
 
 
 def _first_miss(profile: HalvingProfile, r: int, want: list[int],

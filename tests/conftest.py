@@ -49,10 +49,20 @@ def random_cocircular(m: int, rng: random.Random) -> PointSet:
                      f"above 1e-3 in {COCIRCULAR_DRAWS} draws")
 
 
+CONVEX_DRAWS = 1000
+
+
 def random_convex(m: int, rng: random.Random) -> PointSet:
-    """Convex position with varying radii (still anticlockwise by angle)."""
+    """Convex position with varying radii (still anticlockwise by angle).
+
+    Redraws until every gap is at least pi/(4m) and the jittered points
+    are in strict convex position, at most CONVEX_DRAWS times, then
+    raises: every gap is that wide with probability (7/8)^(m-1), so 100
+    points would almost never get a draw. Up to the suite's 24 points a
+    draw succeeds with probability above 1/25, and all of them fail with
+    probability below 1e-20."""
     from planetrees import collinear_triple, convex_hull
-    while True:
+    for _ in range(CONVEX_DRAWS):
         angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(m))
         gaps = [b - a for a, b in zip(angles, angles[1:])]
         gaps.append(2 * math.pi - angles[-1] + angles[0])
@@ -68,6 +78,8 @@ def random_convex(m: int, rng: random.Random) -> PointSet:
         ps = PointSet(tuple(pts), "general")
         if collinear_triple(pts) is None and len(convex_hull(ps)) == m:
             return PointSet(tuple(pts), "convex")
+    raise ValueError(f"random_convex: no draw of m = {m} points has every gap at least "
+                     f"pi/(4m) and convex position in {CONVEX_DRAWS} draws")
 
 
 def label_interleave(e1, e2, m: int) -> bool:

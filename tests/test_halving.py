@@ -252,8 +252,11 @@ def test_incidence_rejects_a_k_out_of_range(wheel3, k):
 @pytest.mark.parametrize("ps, check", [
     (regular_gon(14), check_theorem3_hypothesis),
     (make_wheel(7), check_theorem4_hypothesis),
+    (PointSet(make_wheel(7).points, "general"), check_theorem4_hypothesis),  # no cyclic order
 ])
 def test_passing_hypothesis_checks_slice_each_row_once(ps, check):
+    """On the sweep the checks slice each point's row of ks once; on a
+    cyclic order they never build ks, and slice no row of it once built."""
     slices = 0
 
     class Counted(array):
@@ -262,23 +265,41 @@ def test_passing_hypothesis_checks_slice_each_row_once(ps, check):
             slices += isinstance(i, slice)
             return super().__getitem__(i)
 
+    r = len(ps) // 2 - 1
     profile = halving_profile(ps)
-    ps.__dict__[halving._PROFILE_ATTR] = replace(profile, ks=Counted("i", profile.ks))
-    assert check(ps, len(ps) // 2 - 1)
-    assert slices == len(ps)
+    if profile.order is None:
+        ps.__dict__[halving._PROFILE_ATTR] = replace(profile, swept=Counted("i", profile.swept))
+        assert check(ps, r)
+        assert slices == len(ps)
+        return
+    assert check(ps, r)
+    assert "ks" not in vars(profile)
+    profile.__dict__["ks"] = Counted("i", profile.ks)
+    assert check(ps, r)
+    assert slices == 0
 
 
-def reference_reports(ps, r):
-    """Theorem 3 and 4 reports from the k-by-k scan: each k's whole
-    incidence list against the wanted one, the first k that differs
-    naming its first point off count. O(r N^2); the checks must agree."""
+def swept_rows(ps):
+    """Each point's row of k's from the angular sweep, -1 on the diagonal."""
     npts = len(ps)
-    profile = halving_profile(ps)
+    ks = halving._angular_sweep(ps)
+    return [list(ks[i * npts:(i + 1) * npts]) for i in range(npts)]
+
+
+def reference_reports(rows, r):
+    """Theorem 3 and 4 reports from the k-by-k scan of the swept rows:
+    each k's whole incidence list against the wanted one, the first k
+    that differs naming its first point off count. O(r N^2); the checks
+    must agree."""
+    npts = len(rows)
+
+    def incidence(k):
+        return [row.count(k) for row in rows]
 
     def scan(want, want0=None):
         for k in range(1 if want0 is None else 0, r + 1):
             wanted = want0 if k == 0 else want
-            counts = profile.incidence(k)
+            counts = incidence(k)
             if counts != wanted:
                 i = next(i for i, (c, w) in enumerate(zip(counts, wanted)) if c != w)
                 return HypothesisReport(
@@ -287,9 +308,9 @@ def reference_reports(ps, r):
         return HypothesisReport(ok=True)
 
     theorem3 = scan([2] * npts, [1] * npts)
-    incidence = profile.incidence(0)
-    lines = sum(incidence) // 2
-    dominant = [i for i, c in enumerate(incidence) if c == npts - 1]
+    on_halving = incidence(0)
+    lines = sum(on_halving) // 2
+    dominant = [i for i, c in enumerate(on_halving) if c == npts - 1]
     if lines != npts - 1:
         theorem4 = HypothesisReport(
             ok=False, reason=f"expected {npts - 1} halving lines, found {lines}")
@@ -340,8 +361,9 @@ def test_hypothesis_checks_match_the_k_by_k_scan():
         sets += [make_wheel(n), make_wheel(n, seed_angle=rng.uniform(0, 2 * math.pi))]
     outcomes = set()
     for ps in sets:
+        rows = swept_rows(ps)
         for r in range(1, len(ps) // 2):
-            want3, want4 = reference_reports(ps, r)
+            want3, want4 = reference_reports(rows, r)
             assert check_theorem3_hypothesis(ps, r) == want3, (ps, r)
             assert check_theorem4_hypothesis(ps, r) == want4, (ps, r)
             outcomes |= {(3, want3.ok), (4, want4.ok, want4.witness is None)}
@@ -470,6 +492,66 @@ def test_ordered_profile_matches_balance_without_orientation(monkeypatch):
         assert profile.path == path
         assert {pair: profile.k(*pair) for pair in want} == want
         assert all(profile.k(j, i) == k for (i, j), k in want.items())
+
+
+def ordered_sets():
+    """Even sets with a cyclic order: wheels at several seed angles, which
+    fail theorem 3, and regular and random convex sets, which fail
+    theorem 4, each also shuffled."""
+    rng = random.Random(29)
+    for n in range(2, 11):
+        for seed_angle in (None, 0.0, rng.uniform(0, 2 * math.pi)):
+            yield make_wheel(n, seed_angle=seed_angle)
+    for m in range(4, 21, 2):
+        for base in (regular_gon(m), regular_gon(m, phase=0.0), random_convex(m, rng)):
+            yield base
+            perm = list(range(m))
+            rng.shuffle(perm)
+            yield PointSet(tuple(base.points[p] for p in perm), "convex")
+    # the centroid overflows to infinity, so h_labeling's start is the
+    # first line of the direction order
+    for phase in (0.3, 3.0):
+        yield regular_gon(8, phase, radius=8e307)
+
+
+def outcome(query, ps):
+    """A labeling, or the type and message of what it raised."""
+    try:
+        return query(ps)
+    except (NoHLabeling, NoWLabeling) as exc:
+        return type(exc), str(exc)
+
+
+def test_ordered_path_matches_the_sweep(monkeypatch):
+    """Every answer read off a cyclic order equals the one from the swept
+    rows of the same points: k, incidence and k_halving_lines for every
+    k, both hypothesis reports for every r, and both labelings (from a
+    copy of the set whose cached profile is the swept one)."""
+    paths = set()
+    for ps in ordered_sets():
+        npts, m = len(ps), len(ps) // 2
+        rows = swept_rows(ps)
+        swept = PointSet(ps.points, ps.config_tag)
+        swept.__dict__[halving._PROFILE_ATTR] = halving.HalvingProfile(
+            npts, "sweep", swept=halving._angular_sweep(ps))
+        with monkeypatch.context() as mp:
+            refuse_orientation(mp)
+            profile = halving_profile(ps)
+            ks = [[profile.k(i, j) if i != j else -1 for j in range(npts)] for i in range(npts)]
+            incidences = [profile.incidence(k) for k in range(m)]
+            lines = [k_halving_lines(ps, k) for k in range(m)]
+            reports = [(check_theorem3_hypothesis(ps, r), check_theorem4_hypothesis(ps, r))
+                       for r in range(1, m)]
+            labelings = outcome(h_labeling, ps), outcome(w_labeling, ps)
+        paths.add(profile.path)
+        assert ks == rows, ps
+        assert incidences == [[row.count(k) for row in rows] for k in range(m)]
+        assert lines == [[HalvingLine(i, j, k) for i in range(npts)
+                          for j in range(i + 1, npts) if rows[i][j] == k] for k in range(m)]
+        assert reports == [reference_reports(rows, r) for r in range(1, m)], ps
+        assert labelings == (outcome(h_labeling, swept), outcome(w_labeling, swept)), ps
+        assert "ks" not in vars(profile)
+    assert paths == {"wheel-index", "convex-order"}
 
 
 def without_order(ps):
