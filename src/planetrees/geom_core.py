@@ -10,14 +10,15 @@ means exactly collinear, and the callers that require general position
 raise DegenerateInput instead of guessing.
 
 A configuration tag is a claim, not a fact, and cyclic_order alone
-decides it, once per PointSet with O(n) orientation calls: a wheel<n>
-tag earns exact index arithmetic only when the coordinates confirm it
-(make_wheel checks the points it computes the same way), and a set
-without a wheel tag gets a cyclic order when a strict hull pass finds
-every point on the hull. On such an order CyclicOrder.plane decides
-whether an edge set is crossing-free in O(E log E); a set with no order
-is left to the pairwise predicates. The order also settles
-collinear_triple. Only this module knows the tag syntax and wheel labels.
+decides it, once per PointSet, from one strict-hull pass (Andrew's
+monotone chain, O(n log n)) for every tag: a set without a wheel tag
+gets a cyclic order when the hull holds every point, and a wheel<n> tag
+earns exact index arithmetic when the hull is the 2n-1 circle points in
+index order and the centre lies strictly left of every near-diameter
+(make_wheel's own points earn their tag the same way). On such an order
+CyclicOrder.plane decides whether an edge set is crossing-free in
+O(E log E); a set with no order is left to the pairwise predicates. The
+order also settles collinear_triple. Only this module knows the tag syntax and wheel labels.
 """
 from __future__ import annotations
 
@@ -181,7 +182,9 @@ def make_wheel(n: int, radius: float = 1.0, seed_angle: float | None = None) -> 
     The center always gets the last index 2n-1, so circle labels
     v_0..v_{2n-2} coincide with indices. seed_angle defaults to
     -pi/2 + pi/(2n-1), which roughly matches the usual drawn orientation.
-    Raises InvalidParameter when the rounded points form no wheel.
+    The points earn their tag as any wheel<n> set does, through
+    cyclic_order's one strict-hull pass, O(n log n); InvalidParameter
+    when the rounded points form no wheel.
     """
     if n < 2:
         raise InvalidParameter(f"n must be >= 2, got {n}")
@@ -190,16 +193,16 @@ def make_wheel(n: int, radius: float = 1.0, seed_angle: float | None = None) -> 
     m = 2 * n - 1
     if seed_angle is None:
         seed_angle = -math.pi / 2 + math.pi / m
+    if not math.isfinite(seed_angle):
+        raise InvalidParameter(f"seed angle must be finite, got {seed_angle}")
     pts = tuple(
         (radius * math.cos(seed_angle + 2 * math.pi * i / m),
          radius * math.sin(seed_angle + 2 * math.pi * i / m))
         for i in range(m)
     ) + ((0.0, 0.0),)
-    if not _is_wheel(pts, n):
-        raise InvalidParameter(f"radius {radius}, seed angle {seed_angle}: no wheel{n} in floats")
     ps = PointSet(points=pts, config_tag=f"wheel{n}", labels=wheel_labels(n))
-    # checked above: storing the order spares cyclic_order the same check
-    ps.__dict__[_ORDER_ATTR] = _wheel_order(n)
+    if cyclic_order(ps) is None:
+        raise InvalidParameter(f"radius {radius}, seed angle {seed_angle}: no wheel{n} in floats")
     return ps
 
 
@@ -259,7 +262,7 @@ def convex_hull(ps: PointSet) -> list[int]:
     if len(ps) < 3:
         raise InvalidParameter("convex hull needs at least 3 points")
     hull = _strict_hull(ps.points)
-    bad = None if len(hull) == len(ps) else _scan_triples(ps.points)
+    bad = None if len(hull) == len(ps) else collinear_triple(ps)
     if bad is not None:
         raise DegenerateInput(f"collinear triple {bad}")
     return hull
@@ -290,6 +293,7 @@ class CyclicOrder:
     """Positions of a PointSet's circle points around a strictly convex
     polygon, anticlockwise.
 
+    Built only by cyclic_order, from one strict-hull pass for every tag.
     On a verified wheel<n> set pos[i] == i for the 2n-1 circle points,
     the centre (index 2n-1) has pos -1, and wheel == n. On a set in
     convex position every point is on the circle and wheel is None.
@@ -310,14 +314,20 @@ class CyclicOrder:
         return [e for e in edges if e in pairs]
 
     @cached_property
-    def _hull_pairs(self) -> frozenset[GeomEdge]:
-        """Every pair of point indices consecutive on the circle, both ways
-        round; built on first use and kept on the order, as the order is
-        kept on its PointSet."""
-        at = [0] * self.size  # at[k]: the point at circle position k
+    def circle(self) -> tuple[int, ...]:
+        """The point at each circle position; built on first use and kept
+        on the order, as the order is kept on its PointSet."""
+        at = [0] * self.size
         for i, k in enumerate(self.pos):
             if k >= 0:
                 at[k] = i
+        return tuple(at)
+
+    @cached_property
+    def _hull_pairs(self) -> frozenset[GeomEdge]:
+        """Every pair of point indices consecutive on the circle, both ways
+        round."""
+        at = self.circle
         steps = list(zip(at, at[1:] + at[:1]))
         return frozenset(steps + [(b, a) for a, b in steps])
 
@@ -374,59 +384,41 @@ class CyclicOrder:
 def cyclic_order(ps: PointSet) -> CyclicOrder | None:
     """The verified cyclic order of ps, built on first use and kept on ps.
 
-    A wheel<n> tag yields a "wheel-index" order only when the coordinates
-    confirm it (make_wheel checks its points and stores their order); a
-    set without a wheel tag yields a "convex-order" order when every
-    point is a strict hull vertex. Otherwise (a wheel tag the
-    coordinates refute included) None. Raises InvalidParameter when a
-    wheel tag disagrees with the point count.
+    One strict-hull pass, O(n log n), decides every tag. A wheel<n> tag
+    yields a "wheel-index" order only when the hull is exactly the 2n-1
+    circle points, anticlockwise in index order, and the centre lies
+    strictly left of every near-diameter v_i -> v_{i+n-1}; a set without
+    a wheel tag yields a "convex-order" order when every point is a
+    strict hull vertex. Otherwise (a wheel tag the coordinates refute
+    included) None. Raises InvalidParameter when a wheel tag disagrees
+    with the point count.
     """
     if _ORDER_ATTR not in ps.__dict__:
         ps.__dict__[_ORDER_ATTR] = _build_order(ps)
     return ps.__dict__[_ORDER_ATTR]
 
 
-def _wheel_order(n: int) -> CyclicOrder:
-    m = 2 * n - 1
-    return CyclicOrder(tuple(range(m)) + (-1,), m, n)
-
-
 def _build_order(ps: PointSet) -> CyclicOrder | None:
     n = wheel_n(ps)
-    if n is not None:
-        return _wheel_order(n) if _is_wheel(ps.points, n) else None
     if len(ps) < 3:
         return None
     hull = _strict_hull(ps.points)
-    if len(hull) != len(ps):
-        return None
-    pos = [0] * len(ps)
-    for k, i in enumerate(hull):
-        pos[i] = k
-    return CyclicOrder(tuple(pos), len(ps))
-
-
-def _is_wheel(points: tuple[Point, ...], n: int) -> bool:
-    """The 2n-1 circle points are a strictly convex polygon wound once
-    anticlockwise in index order, and the centre (last point) lies
-    strictly on the long side of every chord.
-
-    Every turn v_i v_{i+1} v_{i+2} and every fan triangle v_0 v_i v_{i+1}
-    anticlockwise make the polygon strictly convex and wound once. The
-    centre strictly left of every boundary edge and every near-diameter
-    v_i v_{i+n-1} suffices for all chords: each chord's short side lies
-    inside some near-diameter's short side.
-    """
-    m = 2 * n - 1
-    circle, centre = points[:m], points[m]
-    ccw = Orientation.CCW
-
-    def left(p: Point, q: Point, r: Point) -> bool:
-        return orientation(p, q, r) is ccw
-
-    return (all(left(circle[i], circle[(i + 1) % m], circle[(i + 2) % m])
-                for i in range(m))
-            and all(left(circle[0], circle[i], circle[i + 1]) for i in range(1, m - 1))
-            and all(left(circle[i], circle[(i + 1) % m], centre)
-                    and left(circle[i], circle[(i + n - 1) % m], centre)
-                    for i in range(m)))
+    if n is None:
+        if len(hull) != len(ps):
+            return None
+        pos = [0] * len(ps)
+        for k, i in enumerate(hull):
+            pos[i] = k
+        return CyclicOrder(tuple(pos), len(ps))
+    # a hull of just the circle in index order puts the centre in the closed
+    # polygon (outside, it would be a hull vertex); strictly left of every
+    # near-diameter keeps it off the boundary, for a point on edge
+    # v_j v_{j+1} is right of v_{j-n+2} -> v_{j+1}, and so strictly on the
+    # long side of every chord
+    m, s = 2 * n - 1, hull[0]
+    circle, centre = ps.points[:m], ps.points[m]
+    if hull == [*range(s, m), *range(s)] and all(
+            orientation(circle[i], circle[(i + n - 1) % m], centre) is _CCW
+            for i in range(m)):
+        return CyclicOrder(tuple(range(m)) + (-1,), m, n)
+    return None

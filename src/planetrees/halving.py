@@ -200,15 +200,6 @@ def _order_ks(order: CyclicOrder, by_gap: tuple[int, ...]) -> array:
     return ks
 
 
-def _circle(order: CyclicOrder) -> list[int]:
-    """The point at each circle position of order."""
-    at = [0] * order.size
-    for i, p in enumerate(order.pos):
-        if p >= 0:
-            at[p] = i
-    return at
-
-
 def _angular_sweep(ps: PointSet) -> array:
     """HalvingProfile.ks: per pivot, sort the others by angle, then rotate
     a directed line through the pivot over them.
@@ -293,7 +284,7 @@ def k_halving_lines(ps: PointSet, k: int) -> list[HalvingLine]:
                 for j, kj in enumerate(ks[i * npts + i + 1:(i + 1) * npts], i + 1) if kj == k]
     # each point's partners are the points the gaps with this k away; every
     # chord comes up from both ends, kept from its lower index
-    at = _circle(co)
+    at = co.circle
     pairs = [(a, b) for g in range(1, co.size) if profile.by_gap[g] == k
              for a, b in zip(at, at[g:] + at[:g]) if a < b]
     if k == 0 and co.wheel is not None:
@@ -338,7 +329,7 @@ def h_labeling(ps: PointSet) -> HLabeling:
     pts = ps.points
     if profile.order is not None:
         # a convex order: a wheel has 2m - 1 halving lines
-        at = _circle(profile.order)
+        at = profile.order.circle
         upward = [_upper(pts[at[p - m]], pts[at[p]]) for p in range(npts)]
         first = next(p for p in range(npts) if upward[p] and not upward[p - 1])
         ring = at[first:] + at[:first]

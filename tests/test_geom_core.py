@@ -162,6 +162,9 @@ def test_make_wheel_checks_its_coordinates():
     for radius in (math.inf, math.nan, -1.0):
         with pytest.raises(InvalidParameter, match="finite and positive"):
             make_wheel(3, radius=radius)
+    for seed_angle in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidParameter, match="seed angle must be finite"):
+            make_wheel(3, seed_angle=seed_angle)
 
 
 def test_collinear_triple_takes_the_order_verdict(monkeypatch):
@@ -178,6 +181,25 @@ def test_collinear_triple_takes_the_order_verdict(monkeypatch):
     # the same points untagged: the centre is off the hull, so no order
     assert collinear_triple(PointSet(wheel.points)) is None and scans == [10]
     assert collinear_triple(PointSet(((0, 0), (2, 1), (1, 3), (1, 1), (3, 3)))) == (0, 3, 4)
+
+
+def test_convex_hull_on_a_wheel_reads_the_order(monkeypatch):
+    scans = []
+    scan = geom_core._scan_triples
+
+    def counted(pts):
+        scans.append(len(pts))
+        return scan(pts)
+
+    monkeypatch.setattr(geom_core, "_scan_triples", counted)
+    for n in (2, 3, 8, 24):
+        wheel = make_wheel(n, seed_angle=0.1 * n)
+        # the same points untagged have no order: the centre is off the hull
+        untagged = convex_hull(PointSet(wheel.points))
+        assert scans == [2 * n]
+        scans.clear()
+        assert convex_hull(wheel) == untagged and scans == []
+        assert sorted(untagged) == list(range(2 * n - 1))
 
 
 def test_make_wheel_seed_angle():
@@ -332,3 +354,68 @@ def test_cyclic_order_convex_position():
     for ps in (inside, on_edge, repeated, PointSet(((0.0, 0.0), (1.0, 0.0)))):
         assert cyclic_order(ps) is None
     assert cyclic_order(figure_pointset("fig5")) is None
+
+
+def wheel_by_definition(pts, n):
+    """Every circle point a strict hull vertex, anticlockwise in index
+    order, and the centre strictly on the larger side of every chord:
+    every other point strictly left of each edge v_i -> v_{i+1}, then
+    every chord's sides counted point by point."""
+    m = 2 * n - 1
+    circle, centre = pts[:m], pts[m]
+    for i in range(m):
+        j = (i + 1) % m
+        if any(orientation(circle[i], circle[j], p) is not Orientation.CCW
+               for t, p in enumerate(pts) if t not in (i, j)):
+            return False
+    for i, j in combinations(range(m), 2):
+        sides = [orientation(circle[i], circle[j], circle[t]) for t in range(m) if t not in (i, j)]
+        larger = max((Orientation.CCW, Orientation.CW), key=sides.count)
+        if orientation(circle[i], circle[j], centre) is not larger:
+            return False
+    return True
+
+
+def moved_wheels(n, rng):
+    """Wheel<n> candidates on integer coordinates (multiples of 4, so that
+    midpoints and quarter points of chords are exact): the regular circle
+    with its centre moved inside, outside, onto boundary edges and
+    near-diameters and circle points; the circle clockwise, shuffled, and
+    as every {m/k} star."""
+    m = 2 * n - 1
+    circle = [(4.0 * round(500 * math.cos(0.2 + 2 * math.pi * i / m)),
+               4.0 * round(500 * math.sin(0.2 + 2 * math.pi * i / m))) for i in range(m)]
+
+    def at(p, q, t):  # the point t/4 of the way from p to q
+        return ((4 - t) * p[0] / 4 + t * q[0] / 4, (4 - t) * p[1] / 4 + t * q[1] / 4)
+
+    centres = [(0.0, 0.0)] + [(float(rng.randint(-2500, 2500)), float(rng.randint(-2500, 2500)))
+                              for _ in range(20)]
+    for i in range(m):
+        a, b, d = circle[i], circle[(i + 1) % m], circle[(i + n - 1) % m]
+        centres += [a, (1.5 * a[0], 1.5 * a[1]), at(a, b, 2), at(a, b, 1), at(a, d, 2), at(a, d, 3)]
+        centres += [at(at(a, d, 2), (0.0, 0.0), t) for t in (1, 2, 3)]  # nearer the centre
+    sets = [tuple(circle) + (c,) for c in centres]
+    sets.append(tuple(circle[::-1]) + ((0.0, 0.0),))
+    for _ in range(5):
+        shuffled = circle[:]
+        rng.shuffle(shuffled)
+        sets.append(tuple(shuffled) + ((0.0, 0.0),))
+    sets += [tuple(circle[k * i % m] for i in range(m)) + ((0.0, 0.0),)
+             for k in range(2, m - 1) if math.gcd(k, m) == 1]
+    return sets
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_wheel_verdict_matches_the_definition(n):
+    rng = random.Random(n)
+    wheel = make_wheel(n)
+    moved = [wheel.points[:-1] + ((rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)),)
+             for _ in range(40)]
+    verdicts = []
+    for pts in moved_wheels(n, rng) + moved:
+        order = cyclic_order(PointSet(pts, f"wheel{n}"))
+        verdicts.append(order is not None)
+        assert verdicts[-1] == wheel_by_definition(pts, n), pts
+        assert order is None or order.pos == tuple(range(2 * n - 1)) + (-1,)
+    assert True in verdicts and False in verdicts

@@ -311,6 +311,7 @@ def check_wheel_partition():
     p = Partition(ps, tuple(GeomTree(ps, t.edges) for t in built.trees))
     analyze_wheel_partition(p)
     verify_partition(p)
+    return ps
 
 
 def check_convex_partition():
@@ -318,10 +319,13 @@ def check_convex_partition():
     verify_partition(p)
     for t in p.trees:
         boundary_edges(t)
+    return p.ps
 
 
 @pytest.mark.parametrize("run", [check_wheel_partition, check_convex_partition])
 def test_cyclic_order_built_once_per_point_set(monkeypatch, run):
+    # make_wheel's own set earns its order through the same builder, unless
+    # an earlier test left it cached: count builds per set, not in all
     calls = []
     build = geom_core._build_order
 
@@ -330,8 +334,9 @@ def test_cyclic_order_built_once_per_point_set(monkeypatch, run):
         return build(ps)
 
     monkeypatch.setattr(geom_core, "_build_order", counted)
-    run()
-    assert len(calls) == 1
+    ps = run()
+    assert len({id(c) for c in calls}) == len(calls)
+    assert sum(c is ps for c in calls) == 1
 
 
 def test_unique_path_fig2i(wheel3):
