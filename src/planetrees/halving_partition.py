@@ -10,10 +10,10 @@ rotates. The per-step choices (which candidate line, which endpoint
 carries the star, the left/right extension order) are surfaced in
 ConstructionChoices so every drawn variant is reproducible.
 
-Each theorem draws T_0 on labels, turns it with
-tree_taxonomy.rotate_labels, and hands the trees and its labeling to
-tree_taxonomy.partition_from_labels, which checks the cover; spanning
-and planarity are verify_partition's to decide.
+Each theorem draws T_0 on labels and has tree_taxonomy.turned_pairs
+write its turned copies straight through its labeling as point pairs,
+one pass per copy; tree_taxonomy.partition_from_labels checks the
+cover, and spanning and planarity are verify_partition's to decide.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from .halving import (_side_split, check_theorem3_hypothesis,
                       check_theorem4_hypothesis, h_labeling, halving_profile,
                       w_labeling)
 from .tree_taxonomy import (GeomTree, Partition, partition_from_labels,
-                            rotate_labels)
+                            rotate_labels, turned_pairs)
 
 
 @dataclass(frozen=True)
@@ -152,9 +152,8 @@ def theorem2_partition(ps: PointSet, t: int) -> Partition:
         raise InvalidParameter(f"t must be 0 or 1, got {t}")
     relab = h_labeling(ps).relabeling
     m = len(ps) // 2
-    t0 = _t2_label_tree(t, m)
-    return partition_from_labels(ps, [rotate_labels(t0, i, 2 * m) for i in range(m)],
-                                 "theorem2", relab.__getitem__)
+    return partition_from_labels(
+        ps, turned_pairs(_t2_label_tree(t, m), relab, 2 * m, range(m)), "theorem2")
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +177,7 @@ def theorem3_partition(ps: PointSet, r: int, choices: ConstructionChoices | None
     side = _start(ps, r, choices, [(i, i + n - r) for i in range(r)], f"theorem3 with r={r}",
                   relab.__getitem__, 0, n, r - 1)
     t0 = [(0, n)] + side + rotate_labels(side, n, 2 * n)
-    return partition_from_labels(ps, [rotate_labels(t0, q, 2 * n) for q in range(n)],
-                                 "theorem3", relab.__getitem__)
+    return partition_from_labels(ps, turned_pairs(t0, relab, 2 * n, range(n)), "theorem3")
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +201,7 @@ def theorem4_partition(ps: PointSet, r: int, choices: ConstructionChoices | None
         raise HypothesisViolated(hyp.reason)
     lab = w_labeling(ps)
     m = 2 * n - 1
-    orig = (*lab.order, lab.w).__getitem__  # labels 0..m-1, then w as m
+    table = (*lab.order, lab.w)  # labels 0..m-1, then w as m
     # the window is [lo, lo + n - 2]: [n+1, 2n-1] for Type1, [n, 2n-2] for Type2
     lo = n + 1 if choices.type4 == "Type1" else n
     candidates = [(i, i + n - r) for i in range(lo, lo + r - 1)]
@@ -211,12 +209,11 @@ def theorem4_partition(ps: PointSet, r: int, choices: ConstructionChoices | None
     # mod m: rotate_labels would hold 2n-1 = m fixed as w
     step2 = [(a % m, b % m) for a, b in _start(
         ps, r, choices, candidates, f"theorem4 {choices.type4} with r={r}",
-        lambda label: orig(label % m), lo, lo + n - 2, r - 2)]
+        lambda label: table[label % m], lo, lo + n - 2, r - 2)]
     t0 = [(m, n - 1), (n - 1, 0), (0, n)] + step2 + rotate_labels(step2, -n, m)
-    label_trees = [rotate_labels(t0, q, m) for q in range(n - 1)]
-    last = [(m, 2 * n - 2)] + [(m, z) for z in range(n - 1)]
-    small = [(a, b) for a, b in t0 if m not in (a, b) and a <= n - 1 and b <= n - 1]
-    last += rotate_labels(small, n - 1, m)
-    # the cover check also makes last the complement of the others
-    label_trees.append(last)
-    return partition_from_labels(ps, label_trees, "theorem4", orig)
+    trees = turned_pairs(t0, table, m, range(n - 1))
+    # the last tree turned back n - 1: w's spokes to v_{n-1}..v_{2n-2} and t0's
+    # edges among v_0..v_{n-1}; the cover check makes it the others' complement
+    last = [(m, z) for z in range(n - 1, m)]
+    last += [(a, b) for a, b in t0 if m not in (a, b) and a <= n - 1 and b <= n - 1]
+    return partition_from_labels(ps, trees + turned_pairs(last, table, m, [n - 1]), "theorem4")

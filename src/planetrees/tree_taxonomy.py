@@ -3,10 +3,10 @@
 A GeomTree is an edge set drawn on a PointSet; a Partition is the trees
 claimed to split E(K_2n) on one PointSet, and cover_defect says how a
 set of trees fails to hold every edge exactly once. Every builder
-assembles its Partition in partition_from_labels, which runs that check
-on trees drawn on labels and turned by rotate_labels. Builders and the
-verifier (verify_oracle) both take these types from here, so the
-verifier needs nothing from the builders it checks.
+writes the turned copies of a tree on labels as point pairs
+(turned_pairs) and checks them in partition_from_labels. Builders and
+verify_oracle both take these types from here, so the verifier needs
+nothing from the builders it checks.
 
 Tree recognizers and witnesses: paths, stars, double stars, S_k(m,n),
 caterpillars, P4-symmetric trees, w-caterpillars, and symmetric trees.
@@ -36,9 +36,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations
-from operator import itemgetter
-from typing import Callable, Collection, Iterable, Union
+from itertools import chain, combinations, starmap
+from operator import itemgetter, lt
+from typing import Collection, Iterable, Sequence, Union
 
 from .errors import (InvalidParameter, NotATree, NotWheelConfig,
                      StructureViolation)
@@ -48,15 +48,24 @@ from .geom_core import (GeomEdge, PointSet, convex_hull, cyclic_order, edge,
 
 @dataclass(frozen=True)
 class GeomTree:
-    """Edge set drawn on a point set; edges are normalized sorted pairs."""
+    """Edge set drawn on a point set; edges are normalized sorted pairs.
+    The caller's pairs are kept, and only sorted, when each is a tuple
+    (a, b) with a < b (a zip's items are tuples); else all are rebuilt."""
 
     ps: PointSet
     edges: tuple[GeomEdge, ...]
 
-    def __post_init__(self):  # edge() runs only to raise on a loop
-        norm = sorted([(a, b) if a < b else (b, a) if a > b else edge(a, b)
-                       for a, b in self.edges])
-        object.__setattr__(self, "edges", tuple(norm))
+    def __post_init__(self):
+        pairs = list(self.edges)
+        try:  # a pair of another length, or with no order, raises again below
+            keep = (type(self.edges) is zip or list(map(type, pairs)).count(tuple)
+                    == len(pairs)) and all(starmap(lt, pairs))
+        except TypeError:
+            keep = False
+        if not keep:  # edge() runs only to raise on a loop
+            pairs = [(a, b) if a < b else (b, a) if a > b else edge(a, b) for a, b in pairs]
+        pairs.sort()
+        object.__setattr__(self, "edges", tuple(pairs))
 
 
 @dataclass(frozen=True)
@@ -110,16 +119,24 @@ def rotate_labels(edges: Iterable[tuple[int, int]], q: int, m: int) -> list[tupl
     return [(a if a == m else (a + q) % m, b if b == m else (b + q) % m) for a, b in edges]
 
 
-def partition_from_labels(ps: PointSet, label_trees: Iterable[Iterable[tuple[int, int]]],
-                          what: str, relabel: Callable[[int], int] | None = None) -> Partition:
-    """The Partition whose trees are label_trees, each label a read as
-    point relabel(a) (as point a without relabel), once the trees are
-    checked to cover E(K) exactly once; else StructureViolation
-    (what + "-cover") with cover_defect's witness. Every builder makes
-    its Partition here; GeomTree sorts and normalizes the edges."""
-    if relabel is not None:
-        label_trees = [[(relabel(a), relabel(b)) for a, b in tr] for tr in label_trees]
-    trees = tuple(GeomTree(ps, tr) for tr in label_trees)
+def turned_pairs(edges: Sequence[tuple[int, int]], point: Sequence[int], m: int,
+                 turns: Iterable[int]) -> list[list[GeomEdge]]:
+    """rotate_labels(edges, q, m) for each q in turns, read through the
+    label -> point table point (m + 1 entries when label m, the wheel's
+    centre or w, stays put) as normalized pairs: one O(m) table per turn,
+    a slice of point[:m] doubled, and one pass over edges."""
+    double, fixed = [*point[:m]] * 2, [*point[m:]]
+    return [[(x, y) if (x := at[a]) < (y := at[b]) else (y, x) for a, b in edges]
+            for at in (double[q % m:q % m + m] + fixed for q in turns)]
+
+
+def partition_from_labels(ps: PointSet, trees: Iterable[Iterable[tuple[int, int]]],
+                          what: str) -> Partition:
+    """The Partition whose trees are these point pairs (turned_pairs'
+    lists), once they are checked to cover E(K) exactly once; else
+    StructureViolation (what + "-cover") with cover_defect's witness.
+    Every builder makes its Partition here; GeomTree sorts the edges."""
+    trees = tuple(GeomTree(ps, tr) for tr in trees)
     defect = cover_defect(ps, trees)
     if any(defect.values()):
         raise StructureViolation(f"{what}-cover", defect)

@@ -4,13 +4,14 @@ and analyze arbitrary claimed partitions against the structural lemmas.
 The builder places the designated 4-path u1u2u3u4 as x, v_1, v_{n+1}, v_2
 (indices mod 2n-1), lays the component A of u3 on the arc that runs from
 v_{n+1} down (Type 1) or up (Type 2), copies it onto the opposite arc
-shifted by n-1 steps to realize B, rotates the resulting tree n-2 times,
-and takes the complement as the final tree. A is laid by _place_slots,
-the one graceful placement, which place_caterpillar_on_chain also uses
-(anchor "last" reads its chain reversed): it gives A's edges pairwise
-distinct arc gaps, which is exactly what makes the rotated copies
-edge-disjoint; tree_taxonomy's partition_from_labels verifies
-that, not assumes it, and names any edge two copies share. The builder
+shifted by n-1 steps to realize B, writes n-1 turned copies of that
+tree (turned_pairs) and takes the rest of E(K_2n) as the final tree.
+A is laid by _place_slots, the one graceful placement, which
+place_caterpillar_on_chain also uses (anchor "last" reads its chain
+reversed): it gives A's edges pairwise distinct arc gaps, which is
+exactly what makes the turned copies edge-disjoint; tree_taxonomy's
+partition_from_labels verifies that, not assumes it, and names any
+edge two copies share. The builder
 checks Theorem 1's claims on the complement's shape (caterpillar, one
 boundary edge, n consecutive radials); verify_partition decides that
 every tree is plane and spanning.
@@ -21,6 +22,7 @@ verify_partition accepts. Partition (from tree_taxonomy) is re-exported.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,7 +36,7 @@ from .tree_taxonomy import (GeomTree, Partition, TreeIndex, TreeLike,
                             as_edges, boundary_edges, classify,
                             is_caterpillar_edges, partition_from_labels,
                             preferred_p4_witness, radial_edges, rotate_labels,
-                            spine_walk, tree_canon, wheel_tag_n)
+                            spine_walk, tree_canon, turned_pairs, wheel_tag_n)
 from .verify_oracle import verify_partition
 
 
@@ -154,14 +156,12 @@ def build_wheel_partition(t: TreeLike, n: int,
     a_edges = [(chain[pos[a]], chain[pos[b]]) for a in comp_a for b in a_adj[a] if a < b]
     first = [(m, 1), (1, (n + 1) % m), (2, (n + 1) % m)]
     first += a_edges + rotate_labels(a_edges, -d * (n - 1), m)
-    # sorted once, so each rotated copy comes to GeomTree in a few sorted runs
+    # sorted once, so each turned copy comes to GeomTree in a few sorted runs
     first = sorted(edge(a, b) for a, b in first)
 
-    family = [rotate_labels(first, q, m) for q in range(n - 1)]
-    used = {e for tr in family for e in tr}  # rotation leaves some pairs b < a
-    rest = [(a, b) for a, b in combinations(range(2 * n), 2)
-            if (a, b) not in used and (b, a) not in used]
-    # rotated copies that overlap fail the cover check, which names the
+    family = turned_pairs(first, range(2 * n), m, range(n - 1))
+    rest = set(combinations(range(2 * n), 2)).difference(*family)
+    # turned copies that overlap fail the cover check, which names the
     # shared edge; verify_partition decides spanning and planarity
     p = partition_from_labels(_wheel(n), family + [rest], "theorem1")
     last = p.trees[-1]
@@ -190,12 +190,13 @@ def _has_run(labels: list[int], m: int, want: int) -> bool:
 # ---------------------------------------------------------------------------
 # analysis of claimed partitions
 
-def _lemma5_four_path(edges: set[GeomEdge], i: int, n: int) -> tuple[int, int, int, int] | None:
+def _lemma5_four_path(edges: tuple[GeomEdge, ...], i: int, n: int) -> tuple[int, int, int, int] | None:
     m = 2 * n - 1  # also the centre's index
     straight = (m, i, (i + n) % m, (i + 1) % m)
     mirrored = (m, i, (i + n - 1) % m, (i - 1) % m)
-    for cand in (straight, mirrored):
-        if all(edge(a, b) in edges for a, b in zip(cand, cand[1:])):
+    for cand in (straight, mirrored):  # edges is sorted (a GeomTree's)
+        if all(edges[k:k + 1] == (e,) for e in map(edge, cand, cand[1:])
+               for k in [bisect_left(edges, e)]):
             return cand
     return None
 
@@ -255,7 +256,7 @@ def analyze_wheel_partition(p: Partition) -> WheelAnalysis:
         elif late is None:
             if b != 2 or len(r) != 1:
                 late = StructureViolation("lemma4", (idx, b, len(r)))
-            elif (four := _lemma5_four_path(set(t.edges), r[0][0], n)) is None:
+            elif (four := _lemma5_four_path(t.edges, r[0][0], n)) is None:
                 late = StructureViolation("lemma5", (idx, r[0][0]))
         stats.append(TreeStats(b, len(r), four))
     if len(one_boundary) != 1:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import planetrees
-from planetrees import (GeomTree, InvalidParameter, InvariantViolation,
+from planetrees import (ConstructionChoices, GeomTree, InvalidParameter, InvariantViolation,
                         NoHLabeling, NoWLabeling, ParseError, Partition,
                         PlaneTreesError, PointSet, build_wheel_partition,
                         cli_io, convex_hull, cyclic_order, geom_core,
@@ -278,6 +278,35 @@ def test_emit_partition_spells_each_line_as_the_fstring():
         assert cli_io._emitted_trees(text, len(ps)) is None
         with pytest.raises(ParseError):
             parse_partition(text, ps)
+
+
+# sha256 of emit_partition's text for fixed builds, recorded before the
+# builders wrote their turned copies in one pass (turned_pairs)
+PINNED_BUILDS = {
+    "theorem2 t=0 gon8": (lambda: theorem2_partition(regular_gon(8), 0),
+                          "2b4c2f43727ddbb4e92fbae010b2d9b0cd8e8877f654468e96005ca14b48f5df"),
+    "theorem2 t=1 gon8": (lambda: theorem2_partition(regular_gon(8), 1),
+                          "d44ae9a57041e5c56b41d7d4806b74254a789caf6c1ba24c4f3fc22a0d07a732"),
+    "theorem3 r=3 gon10": (lambda: theorem3_partition(regular_gon(10), 3),
+                           "b18397f1121b8e112cc4af88936f749f953ef89d6c9acab76a6c78407f01426e"),
+    "theorem4 r=3 Type1 wheel6": (
+        lambda: theorem4_partition(make_wheel(6), 3, ConstructionChoices(type4="Type1")),
+        "75ee2563e218e7f4d3f0e820430c09fdff453f230fc62e2f20855a447063f70d"),
+    "theorem4 r=3 Type2 wheel6": (
+        lambda: theorem4_partition(make_wheel(6), 3, ConstructionChoices(type4="Type2")),
+        "37593f495c5977601b24f9f517da72983aeea4b5c963d3c2222c48d54ce790ce"),
+    "theorem1 doublestar n=5": (
+        lambda: build_wheel_partition(builtin_tree("doublestar", 5), 5),
+        "05059a3f64d171ae1784ef405d3fe036765e078aea132743403ea8f0bb0e3f1c"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_BUILDS)
+def test_built_partitions_emit_their_pinned_text(name):
+    build, sha = PINNED_BUILDS[name]
+    p = build()
+    assert verify_partition(p).ok
+    assert hashlib.sha256(emit_partition(p).encode()).hexdigest() == sha
 
 
 def _read_both_ways(text: str, ps: PointSet) -> tuple:

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import namedtuple
 from itertools import combinations
 
 import networkx as nx
@@ -15,13 +16,14 @@ from planetrees import (GeomTree, InvalidParameter, NotATree, NotWheelConfig,
                         segments_cross, theorem2_partition, tree_canon, unique_path,
                         verify_partition, wheel_crossing)
 from planetrees import geom_core
-from planetrees.geom_core import cyclic_order
+from planetrees.geom_core import cyclic_order, edge
 from planetrees.presets import builtin_tree, figure_pointset
 from planetrees.tree_taxonomy import (TreeIndex, adjacency, as_edges,
                                       cover_defect, crossing_pair,
                                       is_caterpillar_edges, is_w_caterpillar,
                                       p4_witness_paths, partition_from_labels,
-                                      preferred_p4_witness)
+                                      preferred_p4_witness, rotate_labels,
+                                      turned_pairs)
 
 from conftest import random_convex, random_plane_convex_tree, regular_gon
 
@@ -612,17 +614,78 @@ def test_cover_defect_matches_sorted_multiset(data):
 
 def test_partition_from_labels_names_a_shared_edge():
     # two label trees share 0-1, so the pair 0-2 is left to no tree;
-    # the relabelling reverses the labels onto points 3..0
+    # relabelled, the labels are reversed onto points 3..0
     trees = [[(0, 1), (1, 2), (2, 3)], [(0, 1), (0, 3), (1, 3)]]
     ps = make_wheel(2)
     with pytest.raises(StructureViolation, match="^demo-cover: ") as exc:
         partition_from_labels(ps, trees, "demo")
     assert exc.value.witness == {"missing": [(0, 2)], "extra": [], "duplicated": [(0, 1)]}
     with pytest.raises(StructureViolation) as exc:
-        partition_from_labels(ps, trees, "demo", lambda a: 3 - a)
+        partition_from_labels(ps, [[(3 - a, 3 - b) for a, b in tr] for tr in trees], "demo")
     assert exc.value.witness == {"missing": [(1, 3)], "extra": [], "duplicated": [(2, 3)]}
     p = partition_from_labels(ps, [trees[0], [(0, 2), (0, 3), (1, 3)]], "demo")
     assert verify_partition(p).ok
+
+
+def test_turned_pairs_is_rotate_then_look_up():
+    # turned_pairs against the three passes it replaces: rotate_labels, a
+    # per-label table lookup and GeomTree's normalization; on cycles of
+    # 2m labels (no fixed label) and wheels of 2n - 1 (w or the centre at m)
+    rng = random.Random(22)
+    for mod, fixed in [(2 * k, False) for k in range(1, 9)] + [(2 * k - 1, True) for k in range(2, 9)]:
+        labels = mod + fixed
+        for _ in range(6):
+            point = rng.sample(range(3 * labels), labels)  # a random label -> point table
+            template = [tuple(rng.sample(range(labels), 2)) for _ in range(rng.randrange(1, 2 * labels))]
+            if fixed:
+                template += [(mod, rng.randrange(mod)), (rng.randrange(mod), mod)]
+            turns = list(range(-mod, 2 * mod + 1))
+            ps = make_wheel(2)  # GeomTree only keeps it
+            for q, got in zip(turns, turned_pairs(template, point, mod, turns)):
+                want = GeomTree(ps, [(point[a], point[b]) for a, b in rotate_labels(template, q, mod)])
+                assert all(a < b for a, b in got)
+                kept = GeomTree(ps, got)
+                assert kept.edges == want.edges, (mod, template, q)
+                # the normalized tuples are kept, not rebuilt
+                assert sorted(map(id, kept.edges)) == sorted(map(id, got))
+    assert turned_pairs([(0, 1)], [5, 6], 2, []) == []
+
+
+def _normalized_by_rebuilding(edges):
+    """GeomTree's edges as every pair rebuilt: the reference for its keep path."""
+    return tuple(sorted([(a, b) if a < b else (b, a) if a > b else edge(a, b)
+                         for a, b in edges]))
+
+
+def _outcome(make):
+    try:
+        return "ok", make()
+    except Exception as exc:  # the type and text are what must match
+        return "raised", type(exc), str(exc)
+
+
+def test_geomtree_keeps_only_normalized_tuples():
+    ps = make_wheel(3)
+    pair = namedtuple("pair", "a b")
+    cases = [[(3, 4), (0, 1), (1, 2)], [(4, 3), (0, 1)], [[0, 1], [2, 3]], [(0, 1), [2, 3]],
+             [pair(0, 1), pair(1, 2)], [(0, 1), (2, 2)], [(1, 1)], [(0, 1), (1, 2, 3)],
+             [(0, 1), (2,)], [(0, 1), 5], [(0, None)], [(0, 1), ("a", "b")], [], ["01", "23"]]
+    for edges in cases:
+        for given in (list(edges), tuple(edges), iter(edges)):
+            got = _outcome(lambda: GeomTree(ps, given).edges)
+            want = _outcome(lambda: _normalized_by_rebuilding(edges))
+            assert got == want, edges
+            assert got[0] == "raised" or all(type(e) is tuple for e in got[1])
+    for a, b in [([0, 2, 1], [1, 3, 4]), ([0, 3], [1, 2]), ([0, 2], [0, 3])]:
+        got = _outcome(lambda: GeomTree(ps, zip(a, b)).edges)
+        assert got == _outcome(lambda: _normalized_by_rebuilding(zip(a, b)))
+    assert _outcome(lambda: GeomTree(ps, zip([0, 1], [1, 2], [2, 3]))) == (
+        "raised", ValueError, "too many values to unpack (expected 2)")
+    kept = [(2, 3), (0, 1)]
+    assert [id(e) for e in GeomTree(ps, kept).edges] == [id(kept[1]), id(kept[0])]
+    # one pair out of order: every pair is rebuilt, equal but not the same
+    rebuilt = GeomTree(ps, [(0, 1), (3, 2)]).edges
+    assert rebuilt == ((0, 1), (2, 3))
 
 
 def stripped_reference(g):

@@ -186,9 +186,11 @@ def test_builder_errors():
 
 
 def test_builder_names_an_edge_two_copies_share(monkeypatch):
-    # with every rotation the identity, the n - 1 copies coincide, and the
+    # with every turn the identity, the n - 1 copies coincide, and the
     # cover check names their edges before any complement check runs
-    monkeypatch.setattr(wheel_partition, "rotate_labels", lambda edges, q, m: list(edges))
+    turned = wheel_partition.turned_pairs
+    monkeypatch.setattr(wheel_partition, "turned_pairs",
+                        lambda edges, point, m, turns: turned(edges, point, m, [0] * len(turns)))
     with pytest.raises(StructureViolation, match="^theorem1-cover: ") as exc:
         build_wheel_partition(builtin_tree("doublestar", 4), 4)
     assert (1, 7) in exc.value.witness["duplicated"]
@@ -227,6 +229,36 @@ def test_analyze_large_double_star():
         assert stats.radial_count == 1
         assert stats.four_path is not None
     assert a.per_tree[6] == (1, 7, None)
+
+
+def _lemma5_by_set(edges, i, n):
+    """_lemma5_four_path as it read a set of the tree's edges."""
+    m = 2 * n - 1
+    held = set(edges)
+    for cand in ((m, i, (i + n) % m, (i + 1) % m), (m, i, (i + n - 1) % m, (i - 1) % m)):
+        if all(tuple(sorted(e)) in held for e in zip(cand, cand[1:])):
+            return cand
+    return None
+
+
+def test_lemma5_four_path_reads_the_sorted_edges():
+    # bisection on a GeomTree's sorted edges finds what a set finds: on
+    # built trees (every 4-path found) and on random edge sets of a wheel
+    rng = random.Random(5)
+    trees = [t for n in (2, 3, 4, 7) for t in build_wheel_partition(builtin_tree("doublestar", n), n).trees]
+    trees += build_wheel_partition(CHAIR, 3).trees
+    for n in (2, 3, 5, 8):
+        every = [(a, b) for a in range(2 * n) for b in range(a + 1, 2 * n)]
+        trees += [GeomTree(make_wheel(n), rng.sample(every, rng.randrange(len(every) + 1)))
+                  for _ in range(40)]
+    found = 0
+    for t in trees:
+        n = len(t.ps) // 2
+        for i in range(2 * n - 1):
+            got = wheel_partition._lemma5_four_path(t.edges, i, n)
+            assert got == _lemma5_by_set(t.edges, i, n), (t.edges, i)
+            found += got is not None
+    assert found > 100
 
 
 def test_analyze_rejects_non_wheel():
