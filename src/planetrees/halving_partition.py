@@ -152,6 +152,8 @@ def theorem2_partition(ps: PointSet, t: int) -> Partition:
         raise InvalidParameter(f"t must be 0 or 1, got {t}")
     relab = h_labeling(ps).relabeling
     m = len(ps) // 2
+    if t == 1 and m < 2:  # its stars hang off labels 1 and m + 1
+        raise InvalidParameter(f"t = 1 needs m >= 2 halving lines, got m = {m}")
     return partition_from_labels(
         ps, turned_pairs(_t2_label_tree(t, m), relab, 2 * m, range(m)), "theorem2")
 

@@ -20,20 +20,21 @@ predicates. Functions accepting a tree take a GeomTree, a bare
 iterable of index pairs (the wheel builder works on abstract trees) or,
 to ask several questions of one tree, its TreeIndex.
 
-A TreeIndex holds the size and AHU canon id of the far side of every
-directed edge, so a rooted-isomorphism question is an integer comparison.
+A TreeIndex roots the tree at a centroid and names every subtree by its
+AHU canon id, so a rooted-isomorphism question is an integer comparison.
 A P4-symmetry witness is an ordered 4-path u1u2u3u4 with u1 pendant such
 that deleting the three path edges leaves u1 and u_i isolated (i in
 {2,4}) plus two non-trivial components A (containing u3) and B with a
 rooted isomorphism phi: A -> B, phi(u3) = u_{6-i}. i=4 gives Type-1, i=2
 gives Type-2; on 4-vertex trees both "components" are trivial and the
-witness is reported untyped. The witnesses are read off the index, not
-searched for. A w-caterpillar additionally needs T, or T minus the
-witness' u1, to be a caterpillar. Nothing here recurses.
+witness is reported untyped. The witnesses are read off the centroid
+(TreeIndex says why), not searched for. A w-caterpillar additionally
+needs T, or T minus the witness' u1, to be a caterpillar. Nothing here
+recurses.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, starmap
@@ -135,7 +136,8 @@ def partition_from_labels(ps: PointSet, trees: Iterable[Iterable[tuple[int, int]
     """The Partition whose trees are these point pairs (turned_pairs'
     lists), once they are checked to cover E(K) exactly once; else
     StructureViolation (what + "-cover") with cover_defect's witness.
-    Every builder makes its Partition here; GeomTree sorts the edges."""
+    The halving builders make their Partition here, and the wheel builder
+    when its edge count shows a shared edge; GeomTree sorts the edges."""
     trees = tuple(GeomTree(ps, tr) for tr in trees)
     defect = cover_defect(ps, trees)
     if any(defect.values()):
@@ -215,75 +217,95 @@ def _parents(adj: dict[int, set[int]], root: int) -> dict[int, int]:
 
 
 class TreeIndex:
-    """Size and AHU canon id of both sides of every edge of one tree.
+    """One tree rooted at a centroid c, with the AHU canon id of every subtree.
 
-    size[a, b] and canon[a, b] describe the component of b after deleting
-    the edge ab, rooted at b. Canon ids name rooted shapes (Aho, Hopcroft
-    & Ullman, 1974), equal exactly for isomorphic ones, and are private to
-    the index; shapes[i] is the sorted tuple of id i's child ids, all
-    smaller than i. A DFS fills the sides facing away from its root
-    bottom-up, then a rerooting pass fills the rest top-down, both in
-    plain loops: a leaf's side gets size 1 and the leaf id 0 with no sum
-    or sort, and each distinct child id's rest of v is made once. Raises
-    NotATree unless the edges form a tree.
+    One DFS sums subtree sizes and finds c, the first vertex bottom-up
+    whose subtree holds half the tree or more. The parents on the path up
+    from c turn over, so parent and sub describe the tree rooted at c;
+    one bottom-up pass names every subtree (ids; a leaf costs no sort).
+    c2 is the other centroid, or None. Canon ids name rooted shapes (Aho,
+    Hopcroft & Ullman, 1974), equal exactly for isomorphic ones, private
+    to the index; shapes[i] is the sorted tuple of id i's child ids, all
+    smaller than i. side(a, b) is the size and id of b's side of the edge
+    ab, rooted at b. Raises NotATree unless the edges form a tree.
+
+    With N > 4 vertices, the P4 witnesses are read off c:
+    - a side of under N / 2 vertices holds no centroid, so it is a
+      subtree below c, named by the id of its root;
+    - Type 1 (u1 u2 u3 u4): both sides of u2u3 hold N / 2, so u2 and u3
+      are the two centroids and u2u3 is the symmetric edge;
+    - Type 2: deleting u3 leaves B (N / 2 - 1), {u1, u2} (2) and A's
+      other branches (N / 2 - 2 in all), each under N / 2, so u3 = c is
+      the one centroid and every side the test compares is below c.
+    N <= 4 is its own case: P4 has two untyped witnesses, the star none.
+    The sides facing c (rooted_canon at another root, tree_canon at c2)
+    are named on demand: iteratively, memoised, O(N) in all.
     """
 
     def __init__(self, edges: tuple[GeomEdge, ...]):
         adj = adjacency(edges)
         n = len(adj)
         self.edges, self.adj, self.n = edges, adj, n
-        self.size: dict[tuple[int, int], int] = {}
-        self.canon: dict[tuple[int, int], int] = {}
-        self.shapes: list[tuple[int, ...]] = []
-        self._ids: dict[tuple[int, ...], int] = {}
         parent = _parents(adj, edges[0][0]) if edges else {}
         # with n - 1 edges, connected implies acyclic and free of duplicates
         if len(edges) != n - 1 or len(parent) != n:
             raise NotATree(f"{len(edges)} edges do not form a tree")
-        order = list(parent)
-        size, canon = self.size, self.canon
-        leaf = self._id([])  # the shape of a leaf, id 0
-        for v in reversed(order[1:]):
+        sub = dict.fromkeys(parent, 1)
+        for v in reversed([*parent][1:]):
+            sub[parent[v]] += sub[v]
+        # its children's subtrees hold under half the tree, the rest at most half
+        c = self.c = next(v for v in reversed(parent) if 2 * sub[v] >= n)
+        path = [c]  # up to the DFS root, whose parents and sizes turn over
+        while parent[path[-1]] != path[-1]:
+            path.append(parent[path[-1]])
+        for a, b in reversed([*zip(path, path[1:])]):
+            parent[b], sub[b] = a, n - sub[a]
+        parent[c], sub[c] = None, n
+        self.c2 = next((u for u in adj[c] if 2 * sub[u] == n), None)
+        self.parent, self.sub, self.ids, self._facing = parent, sub, {}, {}
+        self.shapes, self._known = [()], {(): 0}  # id 0 names a leaf
+        ids, name, turned = self.ids, self._id, set(path)
+        for v in [u for u in reversed(sub) if u not in turned] + path[::-1]:
             p, nb = parent[v], adj[v]
-            if len(nb) == 1:
-                size[p, v], canon[p, v] = 1, leaf
-                continue
-            below, kids = 1, []
-            for u in nb:
-                if u != p:
-                    below += size[v, u]
-                    kids.append(canon[v, u])
-            kids.sort()
-            size[p, v], canon[p, v] = below, self._id(kids)
-        for v in order:
-            nb = adj[v]
-            ids = sorted([canon[v, u] for u in nb])
-            without: dict[int, int] = {}  # a child's id -> id of the rest of v
-            for c in nb:
-                if parent[c] != v:
-                    continue
-                x = canon[v, c]
-                rest = without.get(x)
-                if rest is None:
-                    i = bisect_left(ids, x)
-                    rest = without[x] = self._id(ids[:i] + ids[i + 1:])
-                canon[c, v] = rest
-                size[c, v] = n - size[v, c]
+            ids[v] = 0 if len(nb) == 1 and p is not None else name(
+                sorted([ids[u] for u in nb if u != p]))
         # vertices with more than two inner neighbours; none in a caterpillar
         self._overfull = [v for v, nb in adj.items()
                           if len(nb) > 2 and len([u for u in nb if len(adj[u]) > 1]) > 2]
 
     def _id(self, kids: list[int]) -> int:
         key = tuple(kids)
-        i = self._ids.setdefault(key, len(self.shapes))
+        i = self._known.setdefault(key, len(self.shapes))
         if i == len(self.shapes):
             self.shapes.append(key)
         return i
 
+    def side(self, a: int, b: int) -> tuple[int, int]:
+        """(size, canon id) of b's side of the edge ab, rooted at b;
+        KeyError unless ab is an edge."""
+        parent, ids, facing = self.parent, self.ids, self._facing
+        if parent[b] == a:
+            return self.sub[b], ids[b]
+        if parent[a] != b:
+            raise KeyError((a, b))
+        chain, v = [], a  # up to c or a side named before, then name down
+        while v != self.c and (parent[v], ids[v]) not in facing:
+            chain.append(v)
+            v = parent[v]
+        for v in reversed(chain):  # p's side of the edge v p: all of p's sides but v's
+            p = parent[v]
+            kids = list(self.shapes[ids[p]])
+            if p != self.c:
+                insort(kids, facing[parent[p], ids[p]])
+            kids.remove(ids[v])
+            facing[p, ids[v]] = self._id(kids)
+        return self.n - self.sub[a], facing[b, ids[a]]
+
     def symmetric_edge(self) -> GeomEdge | None:
-        """The edge with isomorphic rooted sides (n / 2 each, so unique), or None."""
-        return next((e for e in self.edges
-                     if self.canon[e] == self.canon[e[1], e[0]]), None)
+        """The edge with isomorphic rooted sides (n / 2 each, so c c2), or None."""
+        c2 = self.c2
+        same = c2 is not None and self.side(c2, self.c)[1] == self.ids[c2]
+        return edge(self.c, c2) if same else None
 
     def compatible(self, path: tuple[int, int, int, int]) -> bool:
         """T, or T minus the leaf path[0], is a caterpillar.
@@ -310,7 +332,7 @@ def rooted_canon(index: TreeIndex, root: int) -> str:
     A vertex is spelled "(" + its children's strings, sorted + ")"; each
     canon id below root is spelled once, children before parents.
     """
-    top = index._id(sorted(index.canon[root, u] for u in index.adj[root]))
+    top = index._id(sorted(index.side(root, u)[1] for u in index.adj[root]))
     need, stack = set(), [top]
     while stack:
         i = stack.pop()
@@ -326,8 +348,7 @@ def rooted_canon(index: TreeIndex, root: int) -> str:
 def tree_canon(t: TreeLike | TreeIndex) -> str:
     """Unrooted AHU canonical form: root at the centroid (min over the two)."""
     index = tree_index(t)
-    return min(rooted_canon(index, c) for c, nb in index.adj.items()
-               if max(index.size[c, u] for u in nb) <= index.n // 2)
+    return min(rooted_canon(index, c) for c in (index.c, index.c2) if c is not None)
 
 
 def rooted_iso_map(index: TreeIndex, a: int, b: int,
@@ -337,10 +358,11 @@ def rooted_iso_map(index: TreeIndex, a: int, b: int,
     The roots' neighbours in cut are cut off with all behind them. Below
     the roots, children paired in order of canon id always match.
     """
-    adj, canon = index.adj, index.canon
+    adj, parent, ids, side = index.adj, index.parent, index.ids, index.side
 
     def kids(v, drop):
-        return sorted((canon[v, u], u) for u in adj[v] if u not in drop)
+        return sorted([(ids[u] if parent[u] == v else side(v, u)[1], u)
+                       for u in adj[v] if u not in drop])
 
     kids_a, kids_b = kids(a, cut), kids(b, cut)
     if [i for i, _ in kids_a] != [i for i, _ in kids_b]:
@@ -349,9 +371,13 @@ def rooted_iso_map(index: TreeIndex, a: int, b: int,
     stack = [(x, a, y, b) for (_, x), (_, y) in zip(kids_a, kids_b)]
     while stack:
         x, px, y, py = stack.pop()
-        out[x] = y
-        stack.extend((u, x, w, y) for (_, u), (_, w)
-                     in zip(kids(x, (px,)), kids(y, (py,))))
+        out[x] = y  # a leaf has nothing below it
+        if len(adj[x]) == 2:  # one child, so y has one too: no ids, no sort
+            (u,), (w,) = adj[x] - {px}, adj[y] - {py}
+            stack.append((u, x, w, y))
+        elif len(adj[x]) > 2:
+            stack.extend((u, x, w, y) for (_, u), (_, w)
+                         in zip(kids(x, (px,)), kids(y, (py,))))
     return out
 
 
@@ -369,13 +395,20 @@ def _p4_families(index: TreeIndex) -> list[tuple[int | None, list[int], int, int
     """Every P4-symmetry witness, as groups (type, u1s, u2, u3, u4s) that
     stand for (type, (a, u2, u3, b)) with a in sorted u1s, b in sorted u4s.
 
-    Type-1: u1 and u4 are leaves, deg(u2) >= 3 and canon[u2, u3] ==
-    canon[u3, u2] (B and A plus the leaves u1 and u4); a double star
-    has O(n^2) of them in two groups. Type-2: deg(u2) == 2, size[u3, u4]
-    == (n - 2) / 2 and u3's children other than u2 and u4 match u4's
-    children. On 4 vertices that test accepts just P4, both ways, untyped.
+    Read off the centroid c (see TreeIndex), in O(deg c) past the index.
+    Type-1: u2u3 is the symmetric edge, u1 and u4 leaves and deg(u2) >= 3;
+    a double star has O(n^2) of them in two groups. Type-2: u3 = c,
+    u2 a child of c with a leaf below it (subtree size 2), u4 a child of
+    c with subtree size (n - 2) / 2 whose child ids equal those of c's
+    other children. On 4 vertices P4 has its two untyped witnesses.
     """
-    adj, size, canon, n = index.adj, index.size, index.canon, index.n
+    adj, n, c = index.adj, index.n, index.c
+    if n <= 4:
+        ends = sorted(v for v, nb in adj.items() if len(nb) == 1)
+        if n < 4 or len(ends) != 2:
+            return []
+        (a, b), (d, e) = ((v, *adj[v]) for v in ends)
+        return [(None, [a], b, e, [d]), (None, [d], e, b, [a])]
     out = []
     sym = index.symmetric_edge()
     if sym is not None and len(adj[sym[0]]) >= 3:
@@ -386,20 +419,14 @@ def _p4_families(index: TreeIndex) -> list[tuple[int | None, list[int], int, int
                 out.append((1, u1s, u2, u3, u4s))
     if n % 2:
         return out
-    half = n // 2 - 1  # |A| = |B| = (n - 2) / 2 for Type-2
-    for u3, nb in adj.items():
-        twigs = [u2 for u2 in nb if size[u3, u2] == 2]  # u2 of degree 2 with a leaf u1
-        for u4 in nb:
-            u2s = [u2 for u2 in twigs if u2 != u4] if size[u3, u4] == half else []
-            if not u2s:
-                continue
-            # every twig has the same id, so the test holds for all or none of them
-            rest = tuple(sorted(canon[u3, x] for x in nb if x not in (u2s[0], u4)))
-            if rest != index.shapes[canon[u3, u4]]:
-                continue
-            for u2 in u2s:
-                (u1,) = adj[u2] - {u3}
-                out.append((2 if n > 4 else None, [u1], u2, u3, [u4]))
+    sub, ids, nb = index.sub, index.ids, adj[c]
+    twigs = [u2 for u2 in nb if sub[u2] == 2]  # u2 of degree 2 with a leaf u1
+    for u4 in (nb if twigs else ()):
+        u2s = [u2 for u2 in twigs if u2 != u4] if sub[u4] == n // 2 - 1 else []
+        # every twig has the same id, so the test holds for all or none of them
+        if u2s and index.shapes[ids[u4]] == tuple(sorted(
+                ids[x] for x in nb if x not in (u2s[0], u4))):
+            out.extend((2, [*adj[u2] - {c}], u2, c, [u4]) for u2 in u2s)
     return out
 
 
@@ -511,44 +538,26 @@ def is_plane(t: GeomTree) -> bool:
 def classify(t: TreeLike) -> TreeClassReport:
     """Full recognizer report; raises NotATree on non-trees."""
     index = TreeIndex(as_edges(t))
-    adj = index.adj
-    nverts = index.n
+    adj, nverts = index.adj, index.n
     degs = {v: len(nb) for v, nb in adj.items()}
-
-    is_path = all(d <= 2 for d in degs.values())
-    is_star = nverts >= 3 and sorted(degs.values())[-1] == nverts - 1
-
     ends = [v for v, nb in adj.items()
             if len(nb) > 1 and sum(1 for u in nb if len(adj[u]) > 1) <= 1]
     spine = spine_walk(adj, min(ends)) if ends else []
-    caterpillar = spine is not None
-
-    s_k = None
-    double_star = None
-    if spine is not None and len(spine) >= 2:
-        interior_clean = all(degs[v] == 2 for v in spine[1:-1])
-        if interior_clean:
-            m, n = sorted((degs[spine[0]] - 1, degs[spine[-1]] - 1))
-            s_k = (len(spine) - 2, m, n)
-            if len(spine) == 2:
-                double_star = (m, n)
-
+    s_k = double_star = None
+    if spine is not None and len(spine) >= 2 and all(degs[v] == 2 for v in spine[1:-1]):
+        m, n = sorted((degs[spine[0]] - 1, degs[spine[-1]] - 1))
+        s_k = (len(spine) - 2, m, n)
+        if len(spine) == 2:
+            double_star = (m, n)
     p4 = preferred_p4_witness(index)
-    w_cat = p4 is not None and index.compatible(p4.path)
     sym_edge = index.symmetric_edge()
     sym = None if sym_edge is None else SymmetricWitness(
         edge=sym_edge, iso_witness=rooted_iso_map(index, *sym_edge, sym_edge))
-
+    most = max(degs.values())
     return TreeClassReport(
-        is_path=is_path,
-        is_star=is_star,
-        double_star=double_star,
-        s_k=s_k,
-        caterpillar=caterpillar,
-        p4_symmetric=p4,
-        w_caterpillar=w_cat,
-        symmetric=sym,
-    )
+        is_path=most <= 2, is_star=nverts >= 3 and most == nverts - 1,
+        double_star=double_star, s_k=s_k, caterpillar=spine is not None, p4_symmetric=p4,
+        w_caterpillar=p4 is not None and index.compatible(p4.path), symmetric=sym)
 
 
 def boundary_edges(t: GeomTree) -> list[GeomEdge]:

@@ -160,10 +160,14 @@ def build_wheel_partition(t: TreeLike, n: int,
     first = sorted(edge(a, b) for a, b in first)
 
     family = turned_pairs(first, range(2 * n), m, range(n - 1))
-    rest = set(combinations(range(2 * n), 2)).difference(*family)
-    # turned copies that overlap fail the cover check, which names the
-    # shared edge; verify_partition decides spanning and planarity
-    p = partition_from_labels(_wheel(n), family + [rest], "theorem1")
+    family.append(set(combinations(range(2 * n), 2)).difference(*family))
+    # the last tree holds every pair the copies miss, so the count is
+    # right exactly when no edge is held twice; else the cover check names
+    # the shared edge. verify_partition decides spanning and planarity
+    ps = _wheel(n)
+    p = (Partition(ps, tuple(GeomTree(ps, tr) for tr in family))
+         if sum(map(len, family)) == n * (2 * n - 1)
+         else partition_from_labels(ps, family, "theorem1"))
     last = p.trees[-1]
     radials = [e[0] for e in radial_edges(last)]
     if not (is_caterpillar_edges(last.edges) and len(boundary_edges(last)) == 1

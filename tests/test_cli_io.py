@@ -161,6 +161,18 @@ def test_cli_bad_tree_index_exits_2_without_traceback(tmp_path, command):
     assert res.stdout == ""
 
 
+def test_cli_theorem2_t1_on_two_points_exits_2_without_traceback(tmp_path):
+    points = tmp_path / "two.points"
+    points.write_text("pointset 2 general\n0 0\n1 0\n")
+    res = subprocess.run(
+        [sys.executable, "-m", "planetrees.cli_io", "halving-partition", "--input", str(points),
+         "--theorem", "2", "--t", "1", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, encoding="utf-8")
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.splitlines() == ["InvalidParameter: t = 1 needs m >= 2 halving lines, got m = 1"]
+    assert res.stdout == ""
+
+
 def test_edgelist_round_trip():
     edges = ((2, 3), (0, 5), (1, 4))
     assert parse_edgelist(emit_edgelist(edges)) == ((0, 5), (1, 4), (2, 3))

@@ -122,6 +122,14 @@ def test_theorem2_errors(fig5, wheel3):
         theorem2_partition(wheel3, 0)
 
 
+def test_theorem2_t1_needs_two_halving_lines():
+    # t = 1 hangs its stars off labels 1 and m + 1, which 2 points lack
+    ps = PointSet(((0, 0), (1, 0)), "general")
+    assert verify_partition(theorem2_partition(ps, 0)).ok
+    with pytest.raises(InvalidParameter, match=r"^t = 1 needs m >= 2 halving lines, got m = 1$"):
+        theorem2_partition(ps, 1)
+
+
 # ---------------------------------------------------------------------------
 # zigzag construction, doubly-symmetric case
 

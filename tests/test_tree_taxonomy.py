@@ -22,7 +22,8 @@ from planetrees.tree_taxonomy import (TreeIndex, adjacency, as_edges,
                                       cover_defect, crossing_pair,
                                       is_caterpillar_edges, is_w_caterpillar,
                                       p4_witness_paths, partition_from_labels,
-                                      preferred_p4_witness, rotate_labels,
+                                      preferred_p4_witness, rooted_canon,
+                                      rooted_iso_map, rotate_labels,
                                       turned_pairs)
 
 from conftest import random_convex, random_plane_convex_tree, regular_gon
@@ -546,11 +547,167 @@ def test_tree_index_matches_sums_and_sorts():
         edges = as_edges([(label[a], label[b]) for a, b in t])
         index = TreeIndex(edges)
         size, canon = _index_by_sums(edges)
-        assert index.size == size, edges
-        assert _classes(index.canon) == _classes(canon), edges
-        assert all(index.shapes[i] == tuple(sorted(index.canon[v, w] for w in index.adj[v]
+        # every directed side, read in a random order through the memo
+        directed = list(size)
+        rng.shuffle(directed)
+        sides = {e: index.side(*e) for e in directed}
+        assert {e: s for e, (s, _) in sides.items()} == size, edges
+        got = {e: i for e, (_, i) in sides.items()}
+        assert _classes(got) == _classes(canon), edges
+        assert all(index.shapes[i] == tuple(sorted(index.side(v, w)[1] for w in index.adj[v]
                                                    if w != u))
-                   for (u, v), i in index.canon.items())
+                   for (u, v), i in got.items())
+        far = next(((u, v) for u in index.adj for v in index.adj
+                    if u != v and (u, v) not in size), None)
+        if far is not None:  # a pair that is no edge has no side
+            with pytest.raises(KeyError):
+                index.side(*far)
+
+
+def _reference_iso(adj, canon, a, b, cut):
+    """rooted_iso_map on _index_by_sums' canon ids: children paired in
+    order of (id, label), None when the roots' child ids differ."""
+    def kids(v, drop):
+        return sorted((canon[v, u], u) for u in adj[v] if u not in drop)
+
+    if [i for i, _ in kids(a, cut)] != [i for i, _ in kids(b, cut)]:
+        return None
+    out, stack = {a: b}, [(x, a, y, b) for (_, x), (_, y) in zip(kids(a, cut), kids(b, cut))]
+    while stack:
+        x, px, y, py = stack.pop()
+        out[x] = y
+        stack.extend((u, x, w, y) for (_, u), (_, w) in zip(kids(x, (px,)), kids(y, (py,))))
+    return out
+
+
+def _spelled(adj, root):
+    """The AHU string of the tree rooted at root, spelled vertex by vertex."""
+    parent, order = {root: None}, [root]
+    for v in order:
+        for u in adj[v]:
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    text = {}
+    for v in reversed(order):
+        text[v] = "(" + "".join(sorted(text[u] for u in adj[v] if u != parent[v])) + ")"
+    return text[root]
+
+
+def _reference_kernel(edges):
+    """p4_witness_paths, preferred_p4_witness (type, path, iso map), the
+    symmetric witness and tree_canon as the rerooting kernel found them:
+    every directed side from _index_by_sums, Type-2 witnesses searched at
+    every vertex, every centroid spelled."""
+    adj = adjacency(edges)
+    n = len(adj)
+    size, canon = _index_by_sums(edges)
+
+    def kid_ids(v, drop):
+        return sorted(canon[v, u] for u in adj[v] if u not in drop)
+
+    groups = []
+    sym = next((e for e in edges if canon[e] == canon[e[::-1]]), None)
+    if sym is not None and len(adj[sym[0]]) >= 3:
+        for u2, u3 in (sym, sym[::-1]):
+            u1s = sorted(u for u in adj[u2] if len(adj[u]) == 1)
+            u4s = sorted(u for u in adj[u3] if len(adj[u]) == 1)
+            if u1s:
+                groups.append((1, u1s, u2, u3, u4s))
+    if n % 2 == 0:
+        for u3, nb in adj.items():
+            for u4 in nb:
+                for u2 in nb:
+                    if (u2 != u4 and size[u3, u2] == 2 and size[u3, u4] == n // 2 - 1
+                            and kid_ids(u3, (u2, u4)) == kid_ids(u4, (u3,))):
+                        (u1,) = adj[u2] - {u3}
+                        groups.append((2 if n > 4 else None, [u1], u2, u3, [u4]))
+    paths = sorted(((typ, (a, u2, u3, b)) for typ, u1s, u2, u3, u4s in groups
+                    for a in u1s for b in u4s), key=lambda w: w[1])
+
+    def rank(group):
+        typ, u1s, u2, u3, u4s = group
+        cand = (u1s[0], u2, u3, u4s[0])
+        compatible = (is_caterpillar_edges(edges)
+                      or is_caterpillar_edges(e for e in edges if cand[0] not in e))
+        return (not compatible, typ == 2, cand), typ
+
+    preferred = None
+    if groups:
+        (_, _, cand), typ = min(map(rank, groups))
+        partner = cand[3] if typ == 2 else cand[1]
+        preferred = (typ, cand, _reference_iso(adj, canon, cand[2], partner, cand))
+
+    canon_text = min(_spelled(adj, c) for c, nb in adj.items()
+                     if max(size[c, u] for u in nb) <= n // 2)
+    symmetric = None if sym is None else (sym, _reference_iso(adj, canon, *sym, sym))
+    return paths, preferred, symmetric, canon_text
+
+
+def _joined_copies(parent, rng):
+    """A tree A on 0..k-1 (parent[v] < v, rooted at 0), its copy B on
+    k..2k-1 and the 4-path u1 u2 u3 u4 joining them at their roots, for
+    Type 1 (u1 at B's root, u4 at A's) or Type 2 (u2 a twig of A's root,
+    u4 = B's root), chosen at random."""
+    k = len(parent) + 1
+    edges = [e for v in range(1, k) for e in ((parent[v - 1], v), (k + parent[v - 1], k + v))]
+    if rng.random() < 0.5:
+        return edges + [(k, 0), (2 * k, k), (2 * k + 1, 0)]
+    return edges + [(0, k), (0, 2 * k), (2 * k, 2 * k + 1)]
+
+
+def _caterpillar_parents(k, frac, rng):
+    """A caterpillar on k vertices, rooted at a spine end, whose spine has
+    1 + frac (k - 1) vertices; the rest are legs on random spine vertices."""
+    spine = 1 + round(frac * (k - 1))
+    return list(range(spine - 1)) + [rng.randrange(spine) for _ in range(spine, k)]
+
+
+def test_kernel_matches_the_rerooting_reference():
+    rng = random.Random(231)
+    trees = [tuple((v, rng.randrange(v)) for v in range(1, k))
+             for k in rng.sample(range(2, 201), 60) + list(range(2, 40))]
+    # w-caterpillars, and copies of random trees (mostly no caterpillars)
+    trees += [_joined_copies(_caterpillar_parents(k, frac, rng), rng)
+              for k in (1, 2, 3, 4, 7, 12, 29, 63, 99)
+              for frac in (0, 0.25, 0.5, 0.75, 1) for _ in range(3)]
+    trees += [_joined_copies([rng.randrange(v) for v in range(1, k)], rng)
+              for k in rng.sample(range(1, 100), 30)]
+    trees += [((0, 1),) + tuple((0, i) for i in range(2, 2 + a))
+              + tuple((1, i) for i in range(2 + a, 2 + a + b))
+              for a, b in [(0, 0), (1, 1), (2, 2), (1, 3), (49, 49), (98, 98), (60, 70)]]
+    trees += [path_edges(k) for k in (2, 3, 4, 5, 6, 7, 99, 100, 200)]
+    for t in trees:
+        label = rng.sample(range(3 * len(t) + 3), len(t) + 1)
+        edges = as_edges([(label[a], label[b]) for a, b in t])
+        paths, preferred, symmetric, canon_text = _reference_kernel(edges)
+        index = TreeIndex(edges)
+        assert p4_witness_paths(index) == paths, edges
+        got = preferred_p4_witness(index)
+        assert (None if got is None else (got.type, got.path, got.iso_witness)) == preferred, edges
+        sym = classify(edges).symmetric
+        assert (None if sym is None else (sym.edge, sym.iso_witness)) == symmetric, edges
+        assert tree_canon(index) == canon_text, edges
+
+
+def test_rooted_questions_at_any_root():
+    # rooted_canon and rooted_iso_map at roots away from the centroid read
+    # the sides that face it; the reference reads every side from the sums
+    rng = random.Random(232)
+    trees = [tuple((v, rng.randrange(v)) for v in range(1, k)) for k in range(2, 40)]
+    trees += [_joined_copies([rng.randrange(v) for v in range(1, k)], rng) for k in range(1, 30)]
+    trees += [path_edges(k) for k in (2, 5, 6, 31)]
+    for t in trees:
+        edges = as_edges(t)
+        adj = adjacency(edges)
+        _, canon = _index_by_sums(edges)
+        index = TreeIndex(edges)
+        roots = rng.sample(sorted(adj), min(len(adj), 8))
+        for a in roots:
+            assert rooted_canon(index, a) == _spelled(adj, a), (edges, a)
+            for b in roots:
+                assert rooted_iso_map(index, a, b, ()) == _reference_iso(adj, canon, a, b, ()), (
+                    edges, a, b)
 
 
 def test_tree_index_rejects_non_trees():
@@ -573,6 +730,22 @@ def test_classify_on_a_long_path():
     assert rep.p4_symmetric is None and not rep.w_caterpillar
     assert rep.symmetric is not None and rep.symmetric.edge == (1499, 1500)
     assert rep.symmetric.iso_witness[0] == 2999
+
+
+def test_kernel_at_depth_1e5():
+    n = 100_000
+    index = TreeIndex(path_edges(n))
+    deepest = index.side(0, 1)  # the whole path less an end, facing c
+    assert deepest[0] == n - 1 and index.side(n - 1, n - 2) == deepest
+    rep = classify(path_edges(n))
+    assert rep.is_path and rep.symmetric.edge == (n // 2 - 1, n // 2)
+    k = 50_000  # A is the path 0..k-1, B the path k..2k-1
+    edges = [(i, i + 1) for i in range(k - 1)] + [(k + i, k + i + 1) for i in range(k - 1)]
+    edges += [(2 * k, k), (k, 0), (0, 2 * k + 1)]
+    index = TreeIndex(as_edges(edges))
+    assert index.side(k - 1, k - 2)[0] == 2 * k + 1
+    rep = classify(edges)
+    assert rep.w_caterpillar and rep.p4_symmetric.path == (2 * k, k, 0, 2 * k + 1)
 
 
 # ---------------------------------------------------------------------------
