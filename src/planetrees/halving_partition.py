@@ -10,10 +10,12 @@ rotates. The per-step choices (which candidate line, which endpoint
 carries the star, the left/right extension order) are surfaced in
 ConstructionChoices so every drawn variant is reproducible.
 
-Each theorem draws T_0 on labels and has tree_taxonomy.turned_pairs
-write its turned copies straight through its labeling as point pairs,
-one pass per copy; tree_taxonomy.partition_from_labels checks the
-cover, and spanning and planarity are verify_partition's to decide.
+Each theorem draws T_0 on labels and hands it, with its labeling, to
+tree_taxonomy.turned_partition: that proves on the labels that the
+turns of T_0 cover E(K) once (Theorems 2 and 3) or hold each pair at
+most once, the rest being T_{n-1} (Theorem 4), and writes each turned
+copy once as point pairs. Spanning and planarity are verify_partition's
+to decide.
 """
 from __future__ import annotations
 
@@ -26,8 +28,8 @@ from .geom_core import PointSet, edge
 from .halving import (_side_split, check_theorem3_hypothesis,
                       check_theorem4_hypothesis, h_labeling, halving_profile,
                       w_labeling)
-from .tree_taxonomy import (GeomTree, Partition, partition_from_labels,
-                            rotate_labels, turned_pairs)
+from .tree_taxonomy import (GeomTree, Partition, rotate_labels,
+                            turned_partition)
 
 
 @dataclass(frozen=True)
@@ -154,8 +156,7 @@ def theorem2_partition(ps: PointSet, t: int) -> Partition:
     m = len(ps) // 2
     if t == 1 and m < 2:  # its stars hang off labels 1 and m + 1
         raise InvalidParameter(f"t = 1 needs m >= 2 halving lines, got m = {m}")
-    return partition_from_labels(
-        ps, turned_pairs(_t2_label_tree(t, m), relab, 2 * m, range(m)), "theorem2")
+    return turned_partition(ps, _t2_label_tree(t, m), relab, 2 * m, m, "theorem2")
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +180,7 @@ def theorem3_partition(ps: PointSet, r: int, choices: ConstructionChoices | None
     side = _start(ps, r, choices, [(i, i + n - r) for i in range(r)], f"theorem3 with r={r}",
                   relab.__getitem__, 0, n, r - 1)
     t0 = [(0, n)] + side + rotate_labels(side, n, 2 * n)
-    return partition_from_labels(ps, turned_pairs(t0, relab, 2 * n, range(n)), "theorem3")
+    return turned_partition(ps, t0, relab, 2 * n, n, "theorem3")
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +192,16 @@ def theorem4_partition(ps: PointSet, r: int, choices: ConstructionChoices | None
     Both cases start from the 4-path w v_{n-1} v_0 v_n. Type1 zigzags
     inside the window [n+1, 2n-1] (the top label standing for v_0),
     Type2 inside [n, 2n-2]; copies are shifted by -n, the first n-1
-    trees are rotations of T_0, and T_{n-1} is the complement.
+    trees are rotations of T_0, and T_{n-1} is the complement. The
+    construction needs r in 2..n-1: at r = 1 it has no starting line.
     """
+    n = len(ps) // 2
+    if r < 2:  # the candidates range(lo, lo + r - 1) are empty at r = 1
+        raise InvalidParameter(f"theorem 4 needs r in 2..{n - 1}, got {r}")
     choices = choices or ConstructionChoices()
     _check_star_side(choices)
     if choices.type4 not in ("Type1", "Type2"):
         raise InvalidChoices(f"type4 must be 'Type1' or 'Type2', got {choices.type4!r}")
-    n = len(ps) // 2
     hyp = check_theorem4_hypothesis(ps, r)
     if not hyp:
         raise HypothesisViolated(hyp.reason)
@@ -213,9 +217,6 @@ def theorem4_partition(ps: PointSet, r: int, choices: ConstructionChoices | None
         ps, r, choices, candidates, f"theorem4 {choices.type4} with r={r}",
         lambda label: table[label % m], lo, lo + n - 2, r - 2)]
     t0 = [(m, n - 1), (n - 1, 0), (0, n)] + step2 + rotate_labels(step2, -n, m)
-    trees = turned_pairs(t0, table, m, range(n - 1))
-    # the last tree turned back n - 1: w's spokes to v_{n-1}..v_{2n-2} and t0's
-    # edges among v_0..v_{n-1}; the cover check makes it the others' complement
-    last = [(m, z) for z in range(n - 1, m)]
-    last += [(a, b) for a, b in t0 if m not in (a, b) and a <= n - 1 and b <= n - 1]
-    return partition_from_labels(ps, trees + turned_pairs(last, table, m, [n - 1]), "theorem4")
+    # T_{n-1}, the pairs no turn holds: w's spokes to v_{n-1}..v_{2n-2} and
+    # t0's edges among v_0..v_{n-1}, turned n - 1
+    return turned_partition(ps, t0, table, m, n - 1, "theorem4")

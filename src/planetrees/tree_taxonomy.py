@@ -1,12 +1,15 @@
 """The partition model and the tree kernel.
 
 A GeomTree is an edge set drawn on a PointSet; a Partition is the trees
-claimed to split E(K_2n) on one PointSet, and cover_defect says how a
-set of trees fails to hold every edge exactly once. Every builder
-writes the turned copies of a tree on labels as point pairs
-(turned_pairs) and checks them in partition_from_labels. Builders and
-verify_oracle both take these types from here, so the verifier needs
-nothing from the builders it checks.
+claimed to split E(K_2n) on one PointSet, and cover_defect, the
+verifier's cover check, says how a set of trees fails to hold every
+edge exactly once. Every builder draws one tree on labels and makes its
+Partition in turned_partition, which proves on the labels alone, in
+O(n log n), that the tree's turns hold each pair at most once, takes the
+pairs none holds as the last tree round a fixed centre and refuses them
+without one, and writes each turned copy once as point pairs
+(turned_pairs). Builders and verify_oracle both take these types from
+here, so the verifier needs nothing from the builders it checks.
 
 Tree recognizers and witnesses: paths, stars, double stars, S_k(m,n),
 caterpillars, P4-symmetric trees, w-caterpillars, and symmetric trees.
@@ -131,18 +134,91 @@ def turned_pairs(edges: Sequence[tuple[int, int]], point: Sequence[int], m: int,
             for at in (double[q % m:q % m + m] + fixed for q in turns)]
 
 
-def partition_from_labels(ps: PointSet, trees: Iterable[Iterable[tuple[int, int]]],
-                          what: str) -> Partition:
-    """The Partition whose trees are these point pairs (turned_pairs'
-    lists), once they are checked to cover E(K) exactly once; else
-    StructureViolation (what + "-cover") with cover_defect's witness.
-    The halving builders make their Partition here, and the wheel builder
-    when its edge count shows a shared edge; GeomTree sorts the edges."""
-    trees = tuple(GeomTree(ps, tr) for tr in trees)
-    defect = cover_defect(ps, trees)
-    if any(defect.values()):
-        raise StructureViolation(f"{what}-cover", defect)
-    return Partition(ps=ps, trees=trees)
+def turned_partition(ps: PointSet, edges: Sequence[tuple[int, int]], point: Sequence[int],
+                     m: int, k: int, what: str) -> Partition:
+    """The Partition of the turns 0..k-1 of the label tree edges, written
+    by turned_pairs, once the labels alone prove that they cover E(K) on
+    ps once. With a centre, the label pairs no turn holds are the last
+    tree (the rest); without one, there must be none. Else
+    StructureViolation (what + "-cover") with cover_defect's witness: the
+    pairs held twice, and, without a centre, the pairs no tree holds.
+
+    Why this is exact:
+    - Labels 0..m-1 lie on a cycle. Label m (the wheel's centre, or w) is
+      fixed when the table point has m + 1 entries.
+    - A chord {a, b} has class d, its short gap, and its start is the end
+      from which the other end lies d steps on. A diameter (2d = m) has
+      period m/2; every other class has period m. A spoke {a, m} has its
+      own class, start a and period m.
+    - Turn q adds q to the start, modulo the period, so the turns of one
+      edge hold an arc of k starts.
+    - The copies are pairwise edge-disjoint iff, in every class, the
+      sorted starts lie at least k apart cyclically. That also rejects a
+      pair that edges lists twice, and any k larger than the period.
+    - The pairs no turn holds are the gaps between the arcs. As every
+      arc holds k starts, a start is held twice iff two cyclically
+      consecutive arcs both hold it, so a witness, too, is read off
+      neighbouring arcs. The cost is O(|edges| log |edges| + m + |rest|),
+      plus the witness on a rejection.
+    - The proof carries over to point pairs only because point is checked
+      to be a permutation of range(len(ps)).
+
+    The four builders: Theorem 1 has m = 2n - 1, k = n - 1 and the centre,
+    and its rest is n spokes plus one chord per class; Theorems 2 and 3
+    have m = 2n, k = n, no centre and so no rest; Theorem 4 has m = 2n - 1,
+    k = n - 1 and w as the centre. InvalidParameter on a table that is no
+    permutation, on k < 1, and on a label pair that is no two labels.
+    """
+    npts = len(point)
+    if not m <= npts <= m + 1 or npts != len(ps) or sorted(point) != [*range(npts)]:
+        raise InvalidParameter(f"{what}: the label table is no permutation of "
+                               f"range({len(ps)}) with {m} labels on the cycle")
+    if k < 1:
+        raise InvalidParameter(f"{what}: needs k >= 1 turns, got {k}")
+    centre = npts > m  # label m is fixed
+    starts: list[list[int]] = [[] for _ in range(m // 2 + 1)]  # class 0: spokes
+    for a, b in edges:
+        if a == b or not (0 <= a < npts and 0 <= b < npts):
+            raise InvalidParameter(f"{what}: label pair ({a}, {b}) is not two of "
+                                   f"the labels 0..{npts - 1}")
+        if m in (a, b):
+            starts[0].append(a + b - m)
+            continue
+        gap = (b - a) % m
+        if 2 * gap < m:
+            starts[gap].append(a)
+        elif 2 * gap > m:
+            starts[m - gap].append(b)
+        else:
+            starts[gap].append(a % gap)
+    gaps, doubles = [], []  # label pairs, as class * m + start
+    for d in range(not centre, len(starts)):  # class 0, the spokes, needs a centre
+        period, arcs, base = m // 2 if 2 * d == m else m, sorted(starts[d]), d * m
+        if not arcs:
+            gaps += range(base, base + period)
+            continue
+        # each arc s and the next t (the first one a period on): the gap
+        # between them, or the starts both hold
+        for s, t in zip(arcs, [*arcs[1:], arcs[0] + period]):
+            if t > s + k:  # wraps past the period at most once
+                gaps += range(base + s + k, base + min(t, period))
+                gaps += range(base + max(s + k, period) - period, base + t - period)
+            elif t < s + k:
+                doubles += [base + x % period for x in range(t, s + k)]
+
+    def pair(key: int) -> GeomEdge:
+        d, s = divmod(key, m)
+        x, y = point[s], point[(s + d) % m if d else m]
+        return (x, y) if x < y else (y, x)
+
+    if doubles or (gaps and not centre):
+        raise StructureViolation(f"{what}-cover", {
+            "missing": [] if centre else sorted(map(pair, gaps)), "extra": [],
+            "duplicated": sorted(map(pair, set(doubles)))})
+    trees = [GeomTree(ps, tr) for tr in turned_pairs(edges, point, m, range(k))]
+    if centre:  # the rest
+        trees.append(GeomTree(ps, [*map(pair, gaps)]))
+    return Partition(ps, tuple(trees))
 
 
 TreeLike = Union[GeomTree, Iterable[tuple[int, int]]]

@@ -3,18 +3,17 @@ and analyze arbitrary claimed partitions against the structural lemmas.
 
 The builder places the designated 4-path u1u2u3u4 as x, v_1, v_{n+1}, v_2
 (indices mod 2n-1), lays the component A of u3 on the arc that runs from
-v_{n+1} down (Type 1) or up (Type 2), copies it onto the opposite arc
-shifted by n-1 steps to realize B, writes n-1 turned copies of that
-tree (turned_pairs) and takes the rest of E(K_2n) as the final tree.
-A is laid by _place_slots, the one graceful placement, which
-place_caterpillar_on_chain also uses (anchor "last" reads its chain
-reversed): it gives A's edges pairwise distinct arc gaps, which is
-exactly what makes the turned copies edge-disjoint; tree_taxonomy's
-partition_from_labels verifies that, not assumes it, and names any
-edge two copies share. The builder
-checks Theorem 1's claims on the complement's shape (caterpillar, one
-boundary edge, n consecutive radials); verify_partition decides that
-every tree is plane and spanning.
+v_{n+1} down (Type 1) or up (Type 2), and copies it onto the opposite arc
+shifted by n-1 steps to realize B. A is laid by _place_slots, the one
+graceful placement, which place_caterpillar_on_chain also uses (anchor
+"last" reads its chain reversed): it gives A's edges pairwise distinct
+arc gaps, which is exactly what makes the turned copies edge-disjoint.
+tree_taxonomy.turned_partition proves that on the labels, not assumes
+it: it names any edge two copies share, writes the n-1 turned copies,
+and takes the pairs no copy holds as the final tree. The builder checks
+Theorem 1's claims on that tree's shape (caterpillar, one boundary
+edge, n consecutive radials); verify_partition decides that every tree
+is plane and spanning.
 
 analyze_wheel_partition checks Lemmas 3-5, in one pass and with no
 check that an earlier one implies, on any claimed partition that
@@ -26,7 +25,6 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import NamedTuple
 
 from .errors import (InvalidParameter, NotAPartition, NotWCaterpillar,
@@ -34,9 +32,9 @@ from .errors import (InvalidParameter, NotAPartition, NotWCaterpillar,
 from .geom_core import GeomEdge, PointSet, edge, make_wheel, wheel_n
 from .tree_taxonomy import (GeomTree, Partition, TreeIndex, TreeLike,
                             as_edges, boundary_edges, classify,
-                            is_caterpillar_edges, partition_from_labels,
-                            preferred_p4_witness, radial_edges, rotate_labels,
-                            spine_walk, tree_canon, turned_pairs, wheel_tag_n)
+                            is_caterpillar_edges, preferred_p4_witness,
+                            radial_edges, rotate_labels, spine_walk, tree_canon,
+                            turned_partition, wheel_tag_n)
 from .verify_oracle import verify_partition
 
 
@@ -159,15 +157,8 @@ def build_wheel_partition(t: TreeLike, n: int,
     # sorted once, so each turned copy comes to GeomTree in a few sorted runs
     first = sorted(edge(a, b) for a, b in first)
 
-    family = turned_pairs(first, range(2 * n), m, range(n - 1))
-    family.append(set(combinations(range(2 * n), 2)).difference(*family))
-    # the last tree holds every pair the copies miss, so the count is
-    # right exactly when no edge is held twice; else the cover check names
-    # the shared edge. verify_partition decides spanning and planarity
-    ps = _wheel(n)
-    p = (Partition(ps, tuple(GeomTree(ps, tr) for tr in family))
-         if sum(map(len, family)) == n * (2 * n - 1)
-         else partition_from_labels(ps, family, "theorem1"))
+    # the labels are the points; the pairs no copy holds are the last tree
+    p = turned_partition(_wheel(n), first, range(2 * n), m, n - 1, "theorem1")
     last = p.trees[-1]
     radials = [e[0] for e in radial_edges(last)]
     if not (is_caterpillar_edges(last.edges) and len(boundary_edges(last)) == 1

@@ -9,7 +9,7 @@ import random
 import networkx as nx
 import pytest
 
-from planetrees import (ConstructionChoices, InvalidChoices, boundary_edges,
+from planetrees import (ConstructionChoices, InvalidParameter, boundary_edges,
                         build_wheel_partition, check_observation1, classify,
                         h_labeling, is_plane, is_spanning_tree,
                         k_halving_lines, lemma6_tree, make_wheel,
@@ -208,8 +208,8 @@ def test_criterion_6_zigzag_constructions():
                     for tree in p.trees[:-1]:
                         assert classify(tree).w_caterpillar
                     assert classify(p.trees[-1]).caterpillar
-        # r=1 leaves no admissible starting line in either case
-        with pytest.raises(InvalidChoices):
+        # r=1 leaves no admissible starting line in either case, so it is refused
+        with pytest.raises(InvalidParameter):
             theorem4_partition(ps, 1)
 
     for name in ("fig7", "fig8"):

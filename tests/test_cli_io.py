@@ -744,6 +744,7 @@ def test_cli_verify_refutes_unearned_wheel_tag(tmp_path, capsys):
      "--choices", "{tmp}/number.json", "--out", "{tmp}/t4"],
     ["generate", "--config", "gon8", "--radius", "inf"],
     ["generate", "--config", "random8", "--radius", "0"],
+    ["halving-partition", "--input", "wheel8", "--theorem", "4", "--r", "1", "--out", "{tmp}/t4"],
 ])
 def test_cli_bad_input_exits_2_without_traceback(tmp_path, argv):
     (tmp_path / "number.json").write_text("5\n")

@@ -1,16 +1,21 @@
+import random
+
 import pytest
 
 from planetrees import (ConstructionChoices, DegenerateInput,
                         HypothesisViolated, InvalidChoices, InvalidParameter,
-                        NoHLabeling, NotAHalvingLine, SideViolation, classify,
-                        h_labeling, is_plane, is_spanning_tree, lemma6_tree,
-                        make_wheel, theorem2_partition, theorem3_partition,
-                        theorem4_partition, verify_partition)
-from planetrees.geom_core import PointSet
+                        NoHLabeling, NotAHalvingLine, SideViolation,
+                        check_theorem4_hypothesis, classify, h_labeling,
+                        is_plane, is_spanning_tree, lemma6_tree, make_wheel,
+                        theorem2_partition, theorem3_partition,
+                        theorem4_partition, verify_partition, w_labeling)
+from planetrees.geom_core import PointSet, edge
 from planetrees.presets import (CHOICES_PRESETS, FIG4_ROLES,
                                 construction_pointset, figure_pointset)
+from planetrees.tree_taxonomy import rotate_labels
 
 from conftest import regular_gon
+from test_properties import feasible_extends
 
 
 def norm(edges):
@@ -248,11 +253,50 @@ def test_theorem4_default_choices_and_classes():
 
 
 def test_theorem4_r1_has_no_lines():
-    with pytest.raises(InvalidChoices,
-                       match=r"theorem4 Type1 with r=1 has no admissible starting lines: \[\]"):
-        theorem4_partition(make_wheel(4), 1)
-    with pytest.raises(InvalidChoices, match="theorem4 Type2 with r=1"):
+    # the candidates range(lo, lo + r - 1) are empty at r = 1, so r is
+    # refused before any choice or hypothesis is read
+    for r in (1, 0, -3):
+        with pytest.raises(InvalidParameter, match=rf"^theorem 4 needs r in 2\.\.3, got {r}$"):
+            theorem4_partition(make_wheel(4), r)
+    with pytest.raises(InvalidParameter, match=r"r in 2\.\.3, got 1"):
         theorem4_partition(make_wheel(4), 1, ConstructionChoices(type4="Type2"))
+    with pytest.raises(InvalidParameter, match=r"r in 2\.\.7, got 1"):
+        theorem4_partition(make_wheel(8), 1, ConstructionChoices(type4="Type9", line=(0, 1)))
+    assert check_theorem4_hypothesis(make_wheel(4), 1)  # the hypothesis keeps r = 1
+
+
+def _theorem4_choices(rng, n, r, typ):
+    """Seeded choices of theorem 4's free parameters: a candidate line, a
+    star side and a zigzag word its window absorbs."""
+    lo = n + 1 if typ == "Type1" else n
+    s, t = rng.choice([(i, i + n - r) for i in range(lo, lo + r - 1)])
+    return ConstructionChoices(type4=typ, star_side=rng.choice(("low", "high")), line=(s, t),
+                               extend_side=feasible_extends(rng, s, t, lo, lo + n - 2, r - 2))
+
+
+def test_theorem4_last_tree_is_the_papers():
+    # T_{n-1} is computed as the pairs no turn of T_0 holds; it is the
+    # paper's: w's spokes to v_{n-1}..v_{2n-2} and T_0's edges among
+    # v_0..v_{n-1}, all turned by n - 1
+    rng = random.Random(4)
+    for n in range(3, 13):
+        ps = make_wheel(n)
+        lab = w_labeling(ps)
+        m = 2 * n - 1
+        table = (*lab.order, lab.w)
+        label = {x: i for i, x in enumerate(table)}
+        for r in range(2, n):
+            for typ in ("Type1", "Type2"):
+                runs = [ConstructionChoices(type4=typ)]
+                runs += [_theorem4_choices(rng, n, r, typ) for _ in range(3)]
+                for choices in runs:
+                    p = theorem4_partition(ps, r, choices)
+                    t0 = [(label[a], label[b]) for a, b in p.trees[0].edges]
+                    last = [(m, z) for z in range(n - 1, m)]
+                    last += [(a, b) for a, b in t0 if m not in (a, b) and max(a, b) <= n - 1]
+                    want = sorted(edge(table[a], table[b])
+                                  for a, b in rotate_labels(last, n - 1, m))
+                    assert list(p.trees[-1].edges) == want, (n, r, choices)
 
 
 def test_theorem4_bad_choices():

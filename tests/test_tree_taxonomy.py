@@ -21,10 +21,10 @@ from planetrees.presets import builtin_tree, figure_pointset
 from planetrees.tree_taxonomy import (TreeIndex, adjacency, as_edges,
                                       cover_defect, crossing_pair,
                                       is_caterpillar_edges, is_w_caterpillar,
-                                      p4_witness_paths, partition_from_labels,
-                                      preferred_p4_witness, rooted_canon,
-                                      rooted_iso_map, rotate_labels,
-                                      turned_pairs)
+                                      p4_witness_paths, preferred_p4_witness,
+                                      rooted_canon, rooted_iso_map,
+                                      rotate_labels, turned_pairs,
+                                      turned_partition)
 
 from conftest import random_convex, random_plane_convex_tree, regular_gon
 
@@ -785,19 +785,110 @@ def test_cover_defect_matches_sorted_multiset(data):
                                     != list(combinations(range(npts), 2)))
 
 
-def test_partition_from_labels_names_a_shared_edge():
-    # two label trees share 0-1, so the pair 0-2 is left to no tree;
-    # relabelled, the labels are reversed onto points 3..0
+def test_turned_partition_names_a_shared_edge():
+    # one turn of a list that holds two label trees on the 4-cycle; they
+    # share 0-1, so the pair 0-2 is left to no tree; relabelled, the labels
+    # are reversed onto points 3..0
     trees = [[(0, 1), (1, 2), (2, 3)], [(0, 1), (0, 3), (1, 3)]]
     ps = make_wheel(2)
     with pytest.raises(StructureViolation, match="^demo-cover: ") as exc:
-        partition_from_labels(ps, trees, "demo")
+        turned_partition(ps, trees[0] + trees[1], range(4), 4, 1, "demo")
     assert exc.value.witness == {"missing": [(0, 2)], "extra": [], "duplicated": [(0, 1)]}
     with pytest.raises(StructureViolation) as exc:
-        partition_from_labels(ps, [[(3 - a, 3 - b) for a, b in tr] for tr in trees], "demo")
+        turned_partition(ps, trees[0] + trees[1], [3, 2, 1, 0], 4, 1, "demo")
     assert exc.value.witness == {"missing": [(1, 3)], "extra": [], "duplicated": [(2, 3)]}
-    p = partition_from_labels(ps, [trees[0], [(0, 2), (0, 3), (1, 3)]], "demo")
+    # round the centre 3, one turn of the first tree leaves the rest
+    # 0-2, 0-3, 1-3 as the last tree
+    p = turned_partition(ps, trees[0], range(4), 3, 1, "demo")
+    assert [t.edges for t in p.trees] == [tuple(trees[0]), ((0, 2), (0, 3), (1, 3))]
     assert verify_partition(p).ok
+
+
+def _label_pair(m, d, s, rng):
+    """The label pair of class d (0: a spoke to the centre m) and start s,
+    its ends in either order."""
+    pair = (s, m) if d == 0 else (s, (s + d) % m)
+    return pair if rng.random() < 0.5 else pair[::-1]
+
+
+def _cover_by_point_pairs(ps, edges, point, m, k):
+    """The path turned_partition replaces: the turned copies, with a centre
+    the pairs none of them holds, and cover_defect over all of them."""
+    family = turned_pairs(edges, point, m, range(k))
+    if len(point) > m:
+        family.append(set(combinations(range(len(point)), 2)).difference(*family))
+    trees = [GeomTree(ps, tr) for tr in family]
+    return trees, cover_defect(ps, trees)
+
+
+def test_turned_partition_matches_the_point_pair_cover():
+    # seeded label lists on cycles of m = 1..14 labels, with a centre (and
+    # the rest as a last tree) or without, and k = 1..period + 1 turns:
+    # starts spaced at least k apart in each class, so that some lists tile
+    # and some leave gaps, then sometimes a pair listed twice (the other
+    # way round) or three times, one more pair or one pair dropped; the
+    # table is a random permutation of the points
+    rng = random.Random(24)
+    accepted, rejected = [0, 0], [0, 0]  # without, with a centre
+    for m in range(1, 15):
+        for centre in (m % 2 == 1, m % 2 == 0):
+            npts = m + centre
+            if npts < 2:
+                continue
+            ps = regular_gon(npts)
+            classes = [(d, m // 2 if 2 * d == m else m) for d in range(1 - centre, m // 2 + 1)]
+            for k in range(1, m + 2):
+                for _ in range(4):
+                    edges, tile = [], rng.random() < 0.5  # no gap, where k divides
+                    for d, period in classes:
+                        s = rng.randrange(period)
+                        step = k if tile else k + rng.choice((0, 0, 0, 1))
+                        for start in range(s, s + period - k + 1, step):
+                            if tile or rng.random() < 0.9:
+                                edges.append(_label_pair(m, d, start % period, rng))
+                    change = rng.randrange(7)  # 0, 5 and 6 change nothing
+                    if change == 1 and edges:
+                        edges.append(rng.choice(edges)[::-1])
+                    elif change == 4 and edges:
+                        edges += [rng.choice(edges)] * 2
+                    elif change == 2:
+                        d, period = rng.choice(classes)
+                        edges.append(_label_pair(m, d, rng.randrange(period), rng))
+                    elif change == 3 and edges:
+                        edges.pop(rng.randrange(len(edges)))
+                    rng.shuffle(edges)
+                    point = rng.sample(range(npts), npts)
+                    trees, defect = _cover_by_point_pairs(ps, edges, point, m, k)
+                    try:
+                        p = turned_partition(ps, edges, point, m, k, "demo")
+                    except StructureViolation as exc:
+                        assert str(exc).startswith("demo-cover: ")
+                        assert exc.witness == defect
+                        assert any(defect.values()), (m, centre, k, edges, point)
+                        rejected[centre] += 1
+                    else:
+                        assert not any(defect.values()), (m, centre, k, edges, point, defect)
+                        assert p.ps is ps and [t.edges for t in p.trees] == [t.edges for t in trees]
+                        accepted[centre] += 1
+    assert min(accepted + rejected) > 25, (accepted, rejected)
+
+
+def test_turned_partition_refuses_bad_labels_and_tables():
+    # each raises InvalidParameter before any table lookup: no IndexError,
+    # and no negative label read from the end of the table
+    ps, wheel = regular_gon(6), make_wheel(3)
+    for edges in ([(0, 6)], [(-1, 2)], [(0, 1), (2, -6)], [(3, 3)], [(0, 1), (1, 1)]):
+        with pytest.raises(InvalidParameter, match="^demo: label pair"):
+            turned_partition(ps, edges, range(6), 6, 3, "demo")
+    for edges in ([(5, 6)], [(-1, 5)], [(5, 5)]):  # label 5 is the centre
+        with pytest.raises(InvalidParameter, match="^demo: label pair"):
+            turned_partition(wheel, edges, range(6), 5, 2, "demo")
+    for point, m in (([0, 1, 2, 3, 4, 4], 6), ([0, 1, 2, 3, 4, 6], 6), (range(5), 5),
+                     (range(6), 4), (range(7), 6)):
+        with pytest.raises(InvalidParameter, match="^demo: the label table is no permutation"):
+            turned_partition(ps, [(0, 1)], point, m, 1, "demo")
+    with pytest.raises(InvalidParameter, match="k >= 1"):
+        turned_partition(ps, [(0, 1)], range(6), 6, 0, "demo")
 
 
 def test_turned_pairs_is_rotate_then_look_up():

@@ -186,11 +186,27 @@ def test_builder_errors():
 
 
 def test_builder_names_an_edge_two_copies_share(monkeypatch):
-    # with every turn the identity, the n - 1 copies coincide, and the
-    # cover check names their edges before any complement check runs
-    turned = wheel_partition.turned_pairs
-    monkeypatch.setattr(wheel_partition, "turned_pairs",
-                        lambda edges, point, m, turns: turned(edges, point, m, [0] * len(turns)))
+    # the label tree, not the proof, is broken, and the cover check names
+    # the shared edges before any complement check runs. With the head of
+    # A (the star u3 and its two leaves) in the middle slot, A's two edges
+    # have one gap, so the turns of one hold the other
+    place = wheel_partition._place_slots
+
+    def middle(adj, head):
+        order = sorted(place(adj, head).items(), key=lambda kv: kv[1])
+        return {v: (i + 1) % len(order) for i, (v, _) in enumerate(order)}
+
+    monkeypatch.setattr(wheel_partition, "_place_slots", middle)
+    with pytest.raises(StructureViolation, match="^theorem1-cover: ") as exc:
+        build_wheel_partition(builtin_tree("doublestar", 4), 4)
+    assert exc.value.witness == {"missing": [], "extra": [],
+                                 "duplicated": [(0, 1), (0, 6), (1, 2), (4, 5), (5, 6)]}
+    monkeypatch.undo()
+    # with every pair of the label tree listed twice, each copy holds every
+    # edge twice, the spoke 1-7 among them
+    prove = wheel_partition.turned_partition
+    monkeypatch.setattr(wheel_partition, "turned_partition",
+                        lambda ps, edges, *args: prove(ps, [*edges, *edges], *args))
     with pytest.raises(StructureViolation, match="^theorem1-cover: ") as exc:
         build_wheel_partition(builtin_tree("doublestar", 4), 4)
     assert (1, 7) in exc.value.witness["duplicated"]
