@@ -96,7 +96,8 @@ def parse_pointset(text: str) -> PointSet:
             raise ParseError(f"non-finite coordinate in {line!r}", line=lineno)
         pts.append(pt)
     if len(set(pts)) != len(pts):
-        dup = next(p for i, p in enumerate(pts) if p in pts[:i])
+        seen = set()
+        dup = next(p for p in pts if p in seen or seen.add(p))
         raise InvariantViolation(f"duplicate point {dup}")
     n = wheel_tag(tag)
     if n is None and tag not in ("general", "convex"):
@@ -396,10 +397,7 @@ def _report(args, payload: dict, human: str | None = None) -> None:
 # subcommands
 
 def _cmd_generate(args) -> int:
-    if (args.config is None) == (args.preset is None):
-        raise InvalidParameter("generate needs exactly one of --config and --preset")
-    value = args.preset if args.config is None else args.config
-    ps = load_pointset(value, "--config", args.radius, args.seed)
+    ps = load_pointset(args.config, "--config", args.radius, args.seed)
     _write(args, emit_pointset(ps))
     _report(args, {"count": len(ps), "config_tag": ps.config_tag, "points": list(ps.points)})
     return 0
@@ -550,8 +548,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", parents=[common],
                        help="emit a point set (wheel<n>, gon<m>, random<m>, or preset)")
-    p.add_argument("--config", help="wheel<n> | gon<m> | random<m>")
-    p.add_argument("--preset", choices=presets.POINT_PRESETS)
+    p.add_argument("--config", required=True,
+                   help=" | ".join(("wheel<n>", "gon<m>", "random<m>", *presets.POINT_PRESETS)))
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=None, help="RNG seed for random<m>")
     p.add_argument("--out")

@@ -24,7 +24,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import cached_property, cmp_to_key
+from functools import cmp_to_key
 
 from .errors import (DegenerateInput, InvalidParameter, NoHLabeling,
                      NoWLabeling, OddPointCount)
@@ -104,14 +104,14 @@ def _check_k(npts: int, k: int) -> None:
 class HalvingProfile:
     """The k of every point pair of one PointSet.
 
-    ks[i * npts + j] == ks[j * npts + i] is the k of the line through
-    points i and j, as balance(ps, min(i, j), max(i, j)) counts it; the
-    diagonal holds -1. On path "sweep" ks is the swept array. On path
-    "wheel-index" or "convex-order" the profile keeps the verified order
-    and by_gap (by_gap[g] == by_gap[-g]: the k of a chord g positions
-    round the circle; by_gap[0] == -1), reads every answer off them in
-    O(N), and builds ks only on its first read, which no library path
-    makes. Build it with halving_profile, which caches it.
+    k(i, j) is the k of the line through points i and j, as
+    balance(ps, min(i, j), max(i, j)) counts it. On path "sweep",
+    swept[i * npts + j] == swept[j * npts + i] holds it, with -1 on the
+    diagonal. On path "wheel-index" or "convex-order" the profile keeps
+    the verified order and by_gap (by_gap[g] == by_gap[-g]: the k of a
+    chord g positions round the circle; by_gap[0] == -1), reads every
+    answer off them in O(N), and holds no N^2 array. Build it with
+    halving_profile, which caches it.
     """
 
     npts: int
@@ -119,10 +119,6 @@ class HalvingProfile:
     order: CyclicOrder | None = None
     by_gap: tuple[int, ...] = ()
     swept: array | None = None
-
-    @cached_property
-    def ks(self) -> array:
-        return self.swept if self.order is None else _order_ks(self.order, self.by_gap)
 
     def k(self, i: int, j: int) -> int:
         _check_pair(self.npts, i, j)
@@ -140,8 +136,8 @@ class HalvingProfile:
         return [counts[r] for r in row_of]
 
     def _rows(self) -> tuple[Iterable[Sequence[int]], Sequence[int]]:
-        """The distinct rows of ks as multisets, and the index of each
-        point's row among them. On the sweep, each point's slice of ks.
+        """The distinct rows of k's as multisets, and the index of each
+        point's row among them. On the sweep, each point's slice of swept.
         On a cyclic order, two rows: each circle point sees every gap
         once, plus on a wheel a spoke of k 0 (npts - size is 1 there, 0
         on a convex order); a wheel's centre sees only spokes."""
@@ -188,20 +184,8 @@ def _sweep(ps: PointSet) -> HalvingProfile:
     return HalvingProfile(npts, order.kind, order, by_gap)
 
 
-def _order_ks(order: CyclicOrder, by_gap: tuple[int, ...]) -> array:
-    """HalvingProfile.ks from circle positions (a wheel's centre has pos -1)."""
-    pos = order.pos
-    ks = array("i")
-    for pa in pos:
-        if pa < 0:
-            ks.extend([-1 if pb < 0 else 0 for pb in pos])
-        else:
-            ks.extend([0 if pb < 0 else by_gap[pb - pa] for pb in pos])
-    return ks
-
-
 def _angular_sweep(ps: PointSet) -> array:
-    """HalvingProfile.ks: per pivot, sort the others by angle, then rotate
+    """HalvingProfile.swept: per pivot, sort the others by angle, then rotate
     a directed line through the pivot over them.
 
     For the direction at ring position a, ring[a+1 .. e-1] are the points
@@ -397,7 +381,7 @@ def _hypothesis_args(ps: PointSet, r: int) -> int:
 
 def _incidence_scan(profile: HalvingProfile, r: int) -> tuple[list[int], list[bool]]:
     """Per point, its number of halving lines and whether its k's in 1..r
-    are 1, 1, 2, 2, ..., r, r: one sort of each distinct row of ks, then
+    are 1, 1, 2, 2, ..., r, r: one sort of each distinct row of k's, then
     bisect and one list equality. O(N^2 log N) on the sweep, where
     incidence(k) for each k would read every row r + 1 times, O(r N^2);
     O(N log N) on a cyclic order, whose points share two rows."""

@@ -78,14 +78,19 @@ class Partition:
 
     trees is stored as a tuple, so a Partition never changes, and
     verify_partition keeps its report on it: one verification per
-    Partition, written only by the verifier.
+    Partition, written only by the verifier. Every tree is drawn on ps
+    (that object, or one equal to it); InvalidParameter otherwise.
     """
 
     ps: PointSet
     trees: tuple[GeomTree, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "trees", tuple(self.trees))
+        trees = tuple(self.trees)
+        for i, t in enumerate(trees):
+            if t.ps is not self.ps and t.ps != self.ps:
+                raise InvalidParameter(f"tree {i} is drawn on another point set")
+        object.__setattr__(self, "trees", trees)
 
 
 def cover_defect(ps: PointSet, trees: Iterable[GeomTree]) -> dict[str, list[GeomEdge]]:
@@ -345,9 +350,7 @@ class TreeIndex:
             p, nb = parent[v], adj[v]
             ids[v] = 0 if len(nb) == 1 and p is not None else name(
                 sorted([ids[u] for u in nb if u != p]))
-        # vertices with more than two inner neighbours; none in a caterpillar
-        self._overfull = [v for v, nb in adj.items()
-                          if len(nb) > 2 and len([u for u in nb if len(adj[u]) > 1]) > 2]
+        self._overfull = _overfull(adj)
 
     def _id(self, kids: list[int]) -> int:
         key = tuple(kids)
@@ -457,14 +460,17 @@ def rooted_iso_map(index: TreeIndex, a: int, b: int,
     return out
 
 
+def _overfull(adj: dict[int, set[int]]) -> list[int]:
+    """The vertices with more than two inner (non-leaf) neighbours; such a
+    vertex is inner itself. A tree minus its leaves is a subtree, and a
+    path exactly when this is empty."""
+    return [v for v, nb in adj.items()
+            if len(nb) > 2 and len([u for u in nb if len(adj[u]) > 1]) > 2]
+
+
 def is_caterpillar_edges(edges: Iterable[GeomEdge]) -> bool:
     """Caterpillar test: the tree minus its leaves is a path."""
-    adj = adjacency(edges)
-    if len(adj) <= 2:
-        return True
-    inner = {v for v, nb in adj.items() if len(nb) > 1}
-    # removing all leaves of a tree leaves a subtree; a path iff max degree 2
-    return all(sum(1 for u in adj[v] if u in inner) <= 2 for v in inner)
+    return not _overfull(adjacency(edges))
 
 
 def _p4_families(index: TreeIndex) -> list[tuple[int | None, list[int], int, int, list[int]]]:
@@ -544,12 +550,6 @@ def preferred_p4_witness(t: TreeLike | TreeIndex,
     iso = rooted_iso_map(index, cand[2], partner, cand)
     assert iso is not None  # canon equality guaranteed it
     return P4Witness(type=typ, path=cand, iso_witness=iso)
-
-
-def is_w_caterpillar(t: TreeLike | TreeIndex) -> bool:
-    index = tree_index(t)
-    witness = preferred_p4_witness(index)
-    return witness is not None and index.compatible(witness.path)
 
 
 def spine_walk(adj: dict[int, set[int]], head: int) -> list[int] | None:

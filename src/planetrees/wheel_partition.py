@@ -5,12 +5,12 @@ The builder places the designated 4-path u1u2u3u4 as x, v_1, v_{n+1}, v_2
 (indices mod 2n-1), lays the component A of u3 on the arc that runs from
 v_{n+1} down (Type 1) or up (Type 2), and copies it onto the opposite arc
 shifted by n-1 steps to realize B. A is laid by _place_slots, the one
-graceful placement, which place_caterpillar_on_chain also uses (anchor
-"last" reads its chain reversed): it gives A's edges pairwise distinct
-arc gaps, which is exactly what makes the turned copies edge-disjoint.
-tree_taxonomy.turned_partition proves that on the labels, not assumes
-it: it names any edge two copies share, writes the n-1 turned copies,
-and takes the pairs no copy holds as the final tree. The builder checks
+graceful placement, which place_caterpillar_on_chain also uses: it gives
+A's edges pairwise distinct arc gaps, which is exactly what makes the
+turned copies edge-disjoint. tree_taxonomy.turned_partition proves that
+on the labels, not assumes it: it names any edge two copies share,
+writes the n-1 turned copies, and takes the pairs no copy holds as the
+final tree. The builder checks
 Theorem 1's claims on that tree's shape (caterpillar, one boundary
 edge, n consecutive radials); verify_partition decides that every tree
 is plane and spanning.
@@ -79,15 +79,14 @@ def _place_slots(adj, head) -> dict[int, int]:
 
 
 def place_caterpillar_on_chain(c: TreeLike, ps: PointSet, chain: list[int],
-                               anchor: str = "first",
                                head: int | None = None) -> GeomTree:
     """Plane drawing of caterpillar c on the convex chain of point indices.
 
-    anchor picks which chain end receives the spine head. The drawing is
-    graceful (edge chain-distances are exactly {1..N-1}); consequently it
-    has exactly one chain-consecutive edge and, together with the always
-    present end-to-end edge, exactly two boundary edges on the closed
-    convex polygon of the chain.
+    The spine head goes to chain[0]; pass chain[::-1] to put it on the
+    other end. The drawing is graceful (edge chain-distances are exactly
+    {1..N-1}); consequently it has exactly one chain-consecutive edge
+    and, together with the always present end-to-end edge, exactly two
+    boundary edges on the closed convex polygon of the chain.
     """
     edges = as_edges(c)
     adj = TreeIndex(edges).adj
@@ -95,14 +94,10 @@ def place_caterpillar_on_chain(c: TreeLike, ps: PointSet, chain: list[int],
         raise SizeMismatch(f"chain has {len(chain)} slots, tree has {len(adj)} vertices")
     if len(set(chain)) != len(chain) or not all(0 <= i < len(ps) for i in chain):
         raise InvalidParameter("chain must be distinct valid point indices")
-    if anchor not in ("first", "last"):
-        raise InvalidParameter(f"anchor must be 'first' or 'last', got {anchor!r}")
     if not is_caterpillar_edges(edges):
         raise InvalidParameter("input is not a caterpillar")
     if head is None:
         head = next(v for v in sorted(adj) if spine_walk(adj, v) is not None)
-    if anchor == "last":
-        chain = chain[::-1]
     pos = _place_slots(adj, head)
     return GeomTree(ps, tuple((chain[pos[a]], chain[pos[b]]) for a, b in edges))
 

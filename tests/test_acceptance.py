@@ -16,7 +16,7 @@ from planetrees import (ConstructionChoices, InvalidParameter, boundary_edges,
                         segments_cross, theorem2_partition,
                         theorem3_partition, theorem4_partition, tree_canon,
                         verify_partition, w_labeling, wheel_crossing)
-from planetrees.tree_taxonomy import GeomTree, adjacency, is_w_caterpillar
+from planetrees.tree_taxonomy import GeomTree, adjacency
 from planetrees.wheel_partition import Partition, analyze_wheel_partition
 from planetrees.presets import (CHOICES_PRESETS, PRESET_RUNS, builtin_tree,
                                 construction_pointset)
@@ -50,7 +50,7 @@ def test_criterion_1_exhaustive_wheel_builds():
     expected_counts = {2: 1, 3: 2, 4: 4, 5: 8, 6: 16}
     for n in range(2, 7):
         cats = [tuple(g.edges()) for g in nx.nonisomorphic_trees(2 * n)
-                if is_w_caterpillar(tuple(g.edges()))]
+                if classify(tuple(g.edges())).w_caterpillar]
         assert len(cats) == expected_counts[n]
         for edges in cats:
             p = build_wheel_partition(edges, n)

@@ -537,8 +537,13 @@ def test_cli_generate_and_halving(tmp_path, capsys):
 
 
 def test_cli_generate_usage_error(capsys):
-    assert run_cli("generate") == 2
-    assert "InvalidParameter" in capsys.readouterr().err
+    """--config is required, and names every source, presets included."""
+    with pytest.raises(SystemExit) as exc:
+        main(["generate"])
+    assert exc.value.code == 2
+    assert "required: --config" in capsys.readouterr().err
+    assert run_cli("generate", "--config", "fig5") == 0
+    assert parse_pointset(capsys.readouterr().out).points == figure_pointset("fig5").points
 
 
 def test_cli_halving_collinear_general_file(tmp_path, capsys):
@@ -927,7 +932,8 @@ def test_cli_oracle_rejects_a_negative_limit(tmp_path, capsys):
      "--out", "{tmp}/t2"],
     ["halving-partition", "--input", "fig5", "--theorem", "2", "--choices", "fig7",
      "--out", "{tmp}/t2"],
-    ["generate", "--config", "wheel3", "--preset", "fig5"],
+    ["halving-partition", "--input", "gon8", "--theorem", "3", "--r", "2", "--t", "1",
+     "--out", "{tmp}/t2"],
     ["halving-partition", "--input", "wheel4", "--theorem", "4", "--r", "2", "--t", "1",
      "--out", "{tmp}/t2"],
     ["halving", "--input", "wheel4", "--labeling", "w", "--k", "3"],

@@ -20,7 +20,7 @@ from planetrees.geom_core import cyclic_order, edge
 from planetrees.presets import builtin_tree, figure_pointset
 from planetrees.tree_taxonomy import (TreeIndex, adjacency, as_edges,
                                       cover_defect, crossing_pair,
-                                      is_caterpillar_edges, is_w_caterpillar,
+                                      is_caterpillar_edges,
                                       p4_witness_paths, preferred_p4_witness,
                                       rooted_canon, rooted_iso_map,
                                       rotate_labels, turned_pairs,
@@ -96,7 +96,7 @@ def test_w_caterpillar_counts():
     expected = {2: 1, 3: 2, 4: 4, 5: 8, 6: 16}
     for n, want in expected.items():
         count = sum(1 for g in nx.nonisomorphic_trees(2 * n)
-                    if is_w_caterpillar(tuple(g.edges())))
+                    if classify(tuple(g.edges())).w_caterpillar)
         assert count == want, (n, count)
 
 
@@ -104,7 +104,7 @@ def test_w_caterpillar_needs_caterpillar_after_deletion():
     # spider on 7 vertices: three legs of length 2 from a hub
     spider = ((0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6))
     assert not is_caterpillar_edges(spider)
-    assert not is_w_caterpillar(spider)
+    assert not classify(spider).w_caterpillar
 
 
 def test_tree_canon_is_label_invariant():
@@ -446,7 +446,7 @@ def test_kernel_matches_brute_force_on_all_small_trees():
             ((typ, path) for typ, path, _ in brute), key=lambda w: w[1]), edges
 
         preferred = preferred_p4_witness(edges)
-        assert is_w_caterpillar(edges) == any(not bf_rank(edges, w)[0] for w in brute)
+        assert classify(edges).w_caterpillar == any(not bf_rank(edges, w)[0] for w in brute)
         if not brute:
             assert preferred is None
         else:

@@ -116,6 +116,19 @@ def test_verify_predicate_none_before_planarity():
     assert verify_partition(Partition(regular_gon(5), ())).predicate is None
 
 
+def test_partition_refuses_trees_on_another_point_set():
+    """verify_partition checks spanning on each tree's point set and cover
+    and planarity on the partition's, so a Partition holds one point set:
+    the same object, or an equal one."""
+    p = build_wheel_partition(builtin_tree("fig2i", 3), 3)
+    with pytest.raises(InvalidParameter, match="tree 0 is drawn on another point set"):
+        Partition(p.ps, tuple(GeomTree(make_wheel(4), t.edges) for t in p.trees))
+    with pytest.raises(InvalidParameter, match="tree 2 is drawn on another point set"):
+        Partition(p.ps, p.trees[:2] + (GeomTree(make_wheel(4), p.trees[2].edges),))
+    again = Partition(make_wheel(3), tuple(GeomTree(make_wheel(3), t.edges) for t in p.trees))
+    assert verify_partition(again).ok
+
+
 def test_verify_odd_point_count():
     ps = regular_gon(5)
     rep = verify_partition(Partition(ps, ()))
