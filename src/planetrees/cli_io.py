@@ -316,17 +316,23 @@ def _read(value: str, flag: str) -> str:
         raise ParseError(f"{flag} {value!r}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
-def load_pointset(value: str, flag: str = "--input", radius: float = 1.0,
+def load_pointset(value: str, flag: str = "--input", radius: float | None = None,
                   seed: int | None = None) -> PointSet:
     """The point set a name stands for: a pointset file, a packaged preset,
     wheel<n>, gon<m> (m points evenly on a circle) or random<m> (m points
     at uniform random angles on a circle, drawn once from seed; None draws
     afresh).
-    radius is the circle's; flag names the option in error messages."""
-    if Path(value).is_file():
-        return parse_pointset(_read(value, flag))
-    if value in presets.POINT_PRESETS:
-        return presets.figure_pointset(value)
+    radius is the circle's (None: 1); flag names the option in error
+    messages. InvalidParameter when the name would ignore radius or seed:
+    a file or preset takes neither, and only random<m> takes a seed."""
+    is_file = Path(value).is_file()
+    if is_file or value in presets.POINT_PRESETS:
+        if radius is not None or seed is not None:
+            raise InvalidParameter(f"{flag} {value} takes neither --radius nor --seed")
+        return parse_pointset(_read(value, flag)) if is_file else presets.figure_pointset(value)
+    if seed is not None and not value.startswith("random"):
+        raise InvalidParameter(f"{flag} {value} takes no --seed: only random<m> does")
+    radius = 1.0 if radius is None else radius
     if not 0 < radius < math.inf:
         raise InvalidParameter(f"--radius must be finite and positive, got {radius}")
     if (n := wheel_tag(value)) is not None:
@@ -550,8 +556,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="emit a point set (wheel<n>, gon<m>, random<m>, or preset)")
     p.add_argument("--config", required=True,
                    help=" | ".join(("wheel<n>", "gon<m>", "random<m>", *presets.POINT_PRESETS)))
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=None, help="RNG seed for random<m>")
+    p.add_argument("--radius", type=float,
+                   help="circle radius for wheel<n>, gon<m> and random<m>; default 1")
+    p.add_argument("--seed", type=int, help="RNG seed for random<m>")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_generate)
 

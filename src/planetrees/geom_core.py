@@ -16,8 +16,9 @@ gets a cyclic order when the hull holds every point, and a wheel<n> tag
 earns exact index arithmetic when the hull is the 2n-1 circle points in
 index order and the centre lies strictly left of every near-diameter
 (make_wheel's own points earn their tag the same way). On such an order
-CyclicOrder.plane decides whether an edge set is crossing-free in
-O(E log E); a set with no order is left to the pairwise predicates. The
+one stack pass, CyclicOrder.plane_sorted, decides whether an edge set is
+crossing-free in O(E log E); a set with no order is left to the pairwise
+predicates. The
 order also settles collinear_triple. Only this module knows the tag syntax and wheel labels.
 """
 from __future__ import annotations
@@ -28,7 +29,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from .errors import DegenerateInput, InvalidParameter
 
@@ -331,52 +333,76 @@ class CyclicOrder:
         steps = list(zip(at, at[1:] + at[:1]))
         return frozenset(steps + [(b, a) for a, b in steps])
 
-    def plane(self, edges: Iterable[GeomEdge]) -> bool:
-        """True iff no two of the edges cross.
+    @cached_property
+    def turned(self) -> bool:
+        """True when the circle is the index order turned, s, s + 1, ...,
+        size - 1, 0, ..., s - 1: every wheel-index order (the centre is then
+        index size), and a convex set listed round its hull."""
+        at = self.circle
+        return at == (*range(at[0], self.size), *range(at[0]))
 
-        Chords of a strictly convex polygon cross iff their position
-        intervals interleave, so after sorting by (start, -end) a stack of
-        open interval ends finds any pair that neither nests nor is
-        disjoint; the stack's top is kept in a local, over the sentinel
-        end m, which no chord reaches or starts past. A spoke to circle
-        point s (wheel only) crosses a chord iff s lies strictly inside
-        the chord's short arc, the side away from the centre, and the same
-        stack pass checks spokes too: a short chord lo..hi (2(hi - lo) <
-        m) by a prefix count of spoke positions, a long one by the least
-        and greatest spoke. Also False when an index is no point of the
-        set or an edge is a loop, so that the caller's pairwise scan
-        reports it.
-        """
-        pos, m = self.pos, self.size
-        npts = len(pos)
-        chords: list[tuple[int, int]] = []  # (start, -end)
-        spokes: list[int] = []
+    def plane(self, edges: Iterable[GeomEdge]) -> bool:
+        """True iff no two of the edges cross: each edge is range-checked
+        and normalized once, and the sorted pairs go to plane_sorted. Also
+        False when an index is no point of the set or an edge is a loop, so
+        that the caller's pairwise scan reports it."""
+        npts = len(self.pos)
+        pairs = []
         for a, b in edges:
             if not (0 <= a < npts and 0 <= b < npts) or a == b:
                 return False
-            pa, pb = pos[a], pos[b]
-            if pa < 0 or pb < 0:  # one end is the centre, at position -1
-                spokes.append(pb if pa < 0 else pa)
-            else:
-                chords.append((pa, -pb) if pa < pb else (pb, -pa))
-        chords.sort()
-        if spokes:
+            pairs.append((a, b) if a < b else (b, a))
+        pairs.sort()
+        return self.plane_sorted(pairs)
+
+    def plane_sorted(self, edges: Sequence[GeomEdge]) -> bool:
+        """plane for sorted point pairs a < b, as a GeomTree's are once
+        cover_defect has accepted them; the one stack pass of every
+        planarity check on an order.
+
+        Chords of a strictly convex polygon cross iff their intervals
+        interleave, and interleaving does not change under a turn, so on a
+        turned order the indices serve as positions (others map through
+        pos). Sorted by start, then by end descending, a stack of open
+        interval ends finds any pair that neither nests nor is disjoint;
+        the stack's top is kept in a local, over the sentinel end m, which
+        no chord reaches or starts past. A spoke (wheel only: a pair
+        (s, m), m the centre) crosses a chord iff s lies strictly inside
+        the chord's short arc, the side away from the centre. The same
+        pass tests each chord against the spokes: with one spoke by
+        comparison, with more a short chord lo..hi (2(hi - lo) < m) by a
+        prefix count of spoke positions and a long one by the least and
+        greatest spoke.
+        """
+        m = self.size
+        if not self.turned:  # a convex set: no centre
+            pos = self.pos
+            edges = sorted((pa, pb) if pa < pb else (pb, pa)
+                           for pa, pb in ((pos[a], pos[b]) for a, b in edges))
+        chords = sorted(reversed(edges), key=itemgetter(0))
+        spokes = [a for a, b in edges if b == m] if self.wheel else []
+        # with no spoke, (m, -1) makes neither spoke test fire
+        least, most = (spokes[0], spokes[-1]) if spokes else (m, -1)
+        below = None
+        if len(spokes) > 1:
             mark = [0] * m
             for s in spokes:
                 mark[s] = 1
             below = [0, *accumulate(mark)]  # below[i]: spoke positions < i
-            least, most = min(spokes), max(spokes)
         top, ends = m, []  # ends: the open ends below top
-        for lo, neg_hi in chords:
-            hi = -neg_hi
+        for lo, hi in chords:
+            if hi == m:  # a spoke
+                continue
             while top <= lo:
                 top = ends.pop()
             if top < hi:
                 return False
             ends.append(top)
             top = hi
-            if spokes and (below[hi] > below[lo + 1] if 2 * (hi - lo) < m
-                           else least < lo or most > hi):
+            if 2 * (hi - lo) > m:
+                if least < lo or most > hi:
+                    return False
+            elif lo < least < hi if below is None else below[hi] > below[lo + 1]:
                 return False
         return True
 

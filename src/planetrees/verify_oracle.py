@@ -9,9 +9,11 @@ a report naming the first failed check (coverage, then spanning, then
 plane) with a concrete witness, and keeps it on the frozen Partition, so
 each Partition is verified once. The report says which planarity
 predicate ran: "wheel-index" on a verified wheel, "convex-order" on a
-set in convex position (both through the point set's cyclic order), or
-"pairwise" coordinate tests; segments_cross names a crossing pair on
-every set.
+set in convex position (both the stack pass of the point set's cyclic
+order, CyclicOrder.plane_sorted, which takes each tree's sorted edges as
+they are once the cover is accepted), or "pairwise" coordinate tests;
+segments_cross names the first crossing pair of the first tree that is
+not plane, on every set.
 The enumerator, exhaustive up to n = 4, fills its crossing table (one
 int bitmask per edge) through the same crossing_pair and places the
 edges of K_2n in lexicographic order into tree slots held as edge
@@ -70,7 +72,9 @@ def _verify(p: Partition) -> VerifyReport:
     order = cyclic_order(p.ps)
     predicate = "pairwise" if order is None else order.kind
     for i, t in enumerate(p.trees):
-        bad = crossing_pair(p.ps, t.edges)
+        if order is not None and order.plane_sorted(t.edges):
+            continue
+        bad = crossing_pair(p.ps, t.edges)  # on an order, only to name the pair
         if bad is not None:
             return VerifyReport(False, "plane", (i, *bad), predicate)
     return VerifyReport(True, predicate=predicate)

@@ -29,6 +29,14 @@ def regular_gon(m: int, phase: float = 0.3, radius: float = 1.0) -> PointSet:
     return PointSet(pts, "convex")
 
 
+def shuffled_gon(m: int, seed: int = 5) -> PointSet:
+    """regular_gon(m) with its labels shuffled: in convex position, but
+    its circle is not the index order turned."""
+    perm = list(range(m))
+    random.Random(seed).shuffle(perm)
+    return PointSet(tuple(regular_gon(m).points[i] for i in perm), "convex")
+
+
 COCIRCULAR_DRAWS = 1000
 
 

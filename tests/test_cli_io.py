@@ -937,8 +937,17 @@ def test_cli_oracle_rejects_a_negative_limit(tmp_path, capsys):
     ["halving-partition", "--input", "wheel4", "--theorem", "4", "--r", "2", "--t", "1",
      "--out", "{tmp}/t2"],
     ["halving", "--input", "wheel4", "--labeling", "w", "--k", "3"],
+    ["generate", "--config", "fig5", "--radius", "2", "--out", "{tmp}/t2"],
+    ["generate", "--config", "fig5", "--radius", "1", "--out", "{tmp}/t2"],
+    ["generate", "--config", "fig5", "--radius", "inf", "--out", "{tmp}/t2"],
+    ["generate", "--config", "fig5", "--seed", "3", "--out", "{tmp}/t2"],
+    ["generate", "--config", "{tmp}/gon8.points", "--radius", "1", "--out", "{tmp}/t2"],
+    ["generate", "--config", "{tmp}/gon8.points", "--seed", "3", "--out", "{tmp}/t2"],
+    ["generate", "--config", "wheel4", "--seed", "3", "--out", "{tmp}/t2"],
+    ["generate", "--config", "gon8", "--seed", "3", "--out", "{tmp}/t2"],
 ])
 def test_cli_rejects_flags_it_would_ignore(tmp_path, capsys, argv):
+    (tmp_path / "gon8.points").write_text(emit_pointset(load_pointset("gon8")))
     assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("InvalidParameter: "), err

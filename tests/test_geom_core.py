@@ -11,9 +11,10 @@ from planetrees import (DegenerateInput, GeomTree, InvalidParameter,
                         Orientation, PointSet, collinear_triple, convex_hull,
                         cyclic_order, edge, is_plane, make_wheel, orientation,
                         segments_cross, wheel_crossing, wheel_n)
+from planetrees.cli_io import emit_pointset, load_pointset, parse_pointset
 from planetrees.presets import figure_pointset
 
-from conftest import regular_gon
+from conftest import regular_gon, shuffled_gon
 
 
 def test_orientation_signs():
@@ -354,6 +355,18 @@ def test_cyclic_order_convex_position():
     for ps in (inside, on_edge, repeated, PointSet(((0.0, 0.0), (1.0, 0.0)))):
         assert cyclic_order(ps) is None
     assert cyclic_order(figure_pointset("fig5")) is None
+
+
+def test_cyclic_order_knows_a_turned_index_order():
+    gon = load_pointset("gon8")
+    turned = [make_wheel(2), make_wheel(5, seed_angle=2.0), gon,
+              load_pointset("random8", seed=3), parse_pointset(emit_pointset(gon))]
+    for ps in turned:
+        assert cyclic_order(ps).turned, ps.points
+    # labels shuffled, or listed clockwise: the same circle, off the index order
+    for ps in (shuffled_gon(8), PointSet(gon.points[::-1], "convex")):
+        order = cyclic_order(ps)
+        assert order.kind == "convex-order" and not order.turned
 
 
 def wheel_by_definition(pts, n):

@@ -13,7 +13,8 @@ from planetrees import (GeomTree, InvalidParameter, NotATree, NotWheelConfig,
                         build_wheel_partition, check_observation1, classify,
                         is_plane, is_spanning_tree, make_wheel,
                         observation1_splits, radial_edges, rotate_tree,
-                        segments_cross, theorem2_partition, tree_canon, unique_path,
+                        segments_cross, theorem2_partition, theorem4_partition,
+                        tree_canon, unique_path,
                         verify_partition, wheel_crossing)
 from planetrees import geom_core
 from planetrees.geom_core import cyclic_order, edge
@@ -270,6 +271,28 @@ def test_crossing_pair_matches_pairwise_on_wheels():
                 want = pairwise_crossing(ps, edges, n)
                 assert crossing_pair(ps, edges) == want
                 assert cyclic_order(ps).plane(edges) == (want is None)
+
+
+def test_plane_matches_pairwise_on_single_spoke_wheel_trees():
+    # every other chord added to each one-spoke tree, and alone beside its
+    # spoke: the kernel's comparison path, with the spoke on either side
+    for n in range(3, 8):
+        ps, m = make_wheel(n), 2 * n - 1
+        order = cyclic_order(ps)
+        partitions = [theorem4_partition(ps, r) for r in range(2, n)]
+        partitions.append(build_wheel_partition(builtin_tree("doublestar", n), n))
+        for t in (t for p in partitions for t in p.trees):
+            spokes = [e for e in t.edges if e[1] == m]
+            if len(spokes) != 1:
+                continue
+            spoke = spokes[0]
+            for chord in combinations(range(m), 2):
+                if chord in t.edges:
+                    continue
+                for edges in (t.edges + (chord,), (spoke, chord)):
+                    want = pairwise_crossing(ps, edges, n) is None
+                    assert order.plane(edges) is want, (edges, want)
+                    assert order.plane_sorted(sorted(edges)) is want, (edges, want)
 
 
 def test_crossing_pair_matches_pairwise_on_convex_sets():

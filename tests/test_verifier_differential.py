@@ -4,7 +4,8 @@ The references share nothing with the library's fast paths: coverage is
 a Counter over every held edge, spanning is networkx's is_tree over all
 N points, planarity is the first pair of edges, in combinations order,
 that segments_cross reports. Partitions start valid (wheel, convex and
-fig5 constructions) and are corrupted by moving, duplicating, dropping
+fig5 constructions, on sets whose circle is the index order turned and
+on one that is not) and are corrupted by moving, duplicating, dropping
 or swapping edges, or by adding a pair that joins no two points.
 """
 from collections import Counter
@@ -16,11 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planetrees import (GeomTree, Partition, build_wheel_partition,
-                        is_spanning_tree, segments_cross, theorem2_partition,
-                        verify_partition)
+                        is_spanning_tree, make_wheel, segments_cross,
+                        theorem2_partition, theorem4_partition, verify_partition)
 from planetrees.presets import builtin_tree, figure_pointset
 
-from conftest import regular_gon
+from conftest import regular_gon, shuffled_gon
 
 
 @cache
@@ -30,6 +31,10 @@ def bases() -> tuple[tuple[Partition, str], ...]:
     for n in range(2, 11):
         out.append((build_wheel_partition(builtin_tree("doublestar", n), n), "wheel-index"))
         out.append((theorem2_partition(regular_gon(2 * n), n % 2), "convex-order"))
+    # a convex set off the index order; wheel trees with one spoke and with many
+    out += [(theorem2_partition(shuffled_gon(12), t), "convex-order") for t in (0, 1)]
+    out += [(theorem4_partition(make_wheel(n), r), "wheel-index")
+            for n in (3, 5, 7) for r in range(2, n)]
     fig5 = figure_pointset("fig5")
     out += [(theorem2_partition(fig5, t), "pairwise") for t in (0, 1)]
     return tuple(out)

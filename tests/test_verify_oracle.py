@@ -15,7 +15,7 @@ from planetrees import (GeomTree, OddPointCount, Partition, TooLarge,
                         theorem4_partition, tree_canon, verify_partition)
 from planetrees.cli_io import emit_partition, parse_partition
 from planetrees.errors import InvalidParameter
-from planetrees.geom_core import PointSet
+from planetrees.geom_core import CyclicOrder, PointSet
 from planetrees.presets import builtin_tree
 from planetrees.tree_taxonomy import p4_witness_paths
 
@@ -136,7 +136,7 @@ def test_verify_odd_point_count():
 
 
 def test_analyze_then_verify_runs_each_check_once(monkeypatch):
-    calls = {"cover": 0, "spanning": 0, "plane": 0}
+    calls = {"cover": 0, "spanning": 0, "kernel": 0, "pairwise": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -148,14 +148,17 @@ def test_analyze_then_verify_runs_each_check_once(monkeypatch):
                         counted("cover", verify_oracle.cover_defect))
     monkeypatch.setattr(verify_oracle, "is_spanning_tree",
                         counted("spanning", verify_oracle.is_spanning_tree))
+    monkeypatch.setattr(CyclicOrder, "plane_sorted",
+                        counted("kernel", CyclicOrder.plane_sorted))
     monkeypatch.setattr(verify_oracle, "crossing_pair",
-                        counted("plane", verify_oracle.crossing_pair))
+                        counted("pairwise", verify_oracle.crossing_pair))
     p = build_wheel_partition(builtin_tree("doublestar", 5), 5)
     analyze_wheel_partition(p)
     rep = verify_partition(p)
     assert rep.ok and rep.predicate == "wheel-index"
+    assert calls == {"cover": 1, "spanning": 5, "kernel": 5, "pairwise": 0}
     assert verify_partition(p) is rep
-    assert calls == {"cover": 1, "spanning": 5, "plane": 5}
+    assert calls == {"cover": 1, "spanning": 5, "kernel": 5, "pairwise": 0}
 
 
 def test_failed_report_is_kept_too():
