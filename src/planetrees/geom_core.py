@@ -26,9 +26,9 @@ from __future__ import annotations
 import enum
 import math
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -369,10 +369,9 @@ class CyclicOrder:
         no chord reaches or starts past. A spoke (wheel only: a pair
         (s, m), m the centre) crosses a chord iff s lies strictly inside
         the chord's short arc, the side away from the centre. The same
-        pass tests each chord against the spokes: with one spoke by
-        comparison, with more a short chord lo..hi (2(hi - lo) < m) by a
-        prefix count of spoke positions and a long one by the least and
-        greatest spoke.
+        pass tests each chord against the sorted spoke positions: a short
+        chord lo..hi (2(hi - lo) < m) by bisecting for a spoke strictly
+        between its ends, a long one by the least and greatest spoke.
         """
         m = self.size
         if not self.turned:  # a convex set: no centre
@@ -381,14 +380,6 @@ class CyclicOrder:
                            for pa, pb in ((pos[a], pos[b]) for a, b in edges))
         chords = sorted(reversed(edges), key=itemgetter(0))
         spokes = [a for a, b in edges if b == m] if self.wheel else []
-        # with no spoke, (m, -1) makes neither spoke test fire
-        least, most = (spokes[0], spokes[-1]) if spokes else (m, -1)
-        below = None
-        if len(spokes) > 1:
-            mark = [0] * m
-            for s in spokes:
-                mark[s] = 1
-            below = [0, *accumulate(mark)]  # below[i]: spoke positions < i
         top, ends = m, []  # ends: the open ends below top
         for lo, hi in chords:
             if hi == m:  # a spoke
@@ -399,10 +390,9 @@ class CyclicOrder:
                 return False
             ends.append(top)
             top = hi
-            if 2 * (hi - lo) > m:
-                if least < lo or most > hi:
-                    return False
-            elif lo < least < hi if below is None else below[hi] > below[lo + 1]:
+            if spokes and (bisect_right(spokes, lo) < bisect_left(spokes, hi)
+                           if 2 * (hi - lo) < m
+                           else spokes[0] < lo or spokes[-1] > hi):
                 return False
         return True
 
