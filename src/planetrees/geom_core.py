@@ -16,10 +16,11 @@ gets a cyclic order when the hull holds every point, and a wheel<n> tag
 earns exact index arithmetic when the hull is the 2n-1 circle points in
 index order and the centre lies strictly left of every near-diameter
 (make_wheel's own points earn their tag the same way). On such an order
-one stack pass, CyclicOrder.plane_sorted, decides whether an edge set is
-crossing-free in O(E log E); a set with no order is left to the pairwise
-predicates. The
-order also settles collinear_triple. Only this module knows the tag syntax and wheel labels.
+one stack pass, CyclicOrder.plane_sorted, decides whether sorted in-range
+edges are crossing-free in O(E log E); it is the only planarity kernel
+here, and a set with no order is left to the pairwise predicate
+segments_cross. The order also settles collinear_triple. Only this module
+knows the tag syntax and wheel labels.
 """
 from __future__ import annotations
 
@@ -341,24 +342,12 @@ class CyclicOrder:
         at = self.circle
         return at == (*range(at[0], self.size), *range(at[0]))
 
-    def plane(self, edges: Iterable[GeomEdge]) -> bool:
-        """True iff no two of the edges cross: each edge is range-checked
-        and normalized once, and the sorted pairs go to plane_sorted. Also
-        False when an index is no point of the set or an edge is a loop, so
-        that the caller's pairwise scan reports it."""
-        npts = len(self.pos)
-        pairs = []
-        for a, b in edges:
-            if not (0 <= a < npts and 0 <= b < npts) or a == b:
-                return False
-            pairs.append((a, b) if a < b else (b, a))
-        pairs.sort()
-        return self.plane_sorted(pairs)
-
     def plane_sorted(self, edges: Sequence[GeomEdge]) -> bool:
-        """plane for sorted point pairs a < b, as a GeomTree's are once
-        cover_defect has accepted them; the one stack pass of every
-        planarity check on an order.
+        """True iff no two of the edges cross, for sorted point pairs
+        a < b of indices 0..N-1: a GeomTree's edges once they are known to
+        be in range (cover_defect accepted them, or is_plane tested the
+        ends). The one stack pass of every planarity check on an order;
+        other input is outside its contract, and is_plane takes any tree.
 
         Chords of a strictly convex polygon cross iff their intervals
         interleave, and interleaving does not change under a turn, so on a

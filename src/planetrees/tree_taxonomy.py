@@ -14,14 +14,15 @@ here, so the verifier needs nothing from the builders it checks.
 Tree recognizers and witnesses: paths, stars, double stars, S_k(m,n),
 caterpillars, P4-symmetric trees, w-caterpillars, and symmetric trees.
 All classification is purely combinatorial; geometry enters only through
-crossing_pair / is_plane / boundary_edges / radial_edges, and all four
-read the point set's verified cyclic order (geom_core.cyclic_order):
-wheel index arithmetic runs only after the coordinates have confirmed
-the wheel<n> tag (wheel_tag_n raises NotWheelConfig on a tag they
-refute), and a set without an order falls back to coordinate
-predicates. Functions accepting a tree take a GeomTree, a bare
-iterable of index pairs (the wheel builder works on abstract trees) or,
-to ask several questions of one tree, its TreeIndex.
+is_plane / boundary_edges / radial_edges, which read the point set's
+verified cyclic order (geom_core.cyclic_order), and crossing_pair, the
+pairwise segments_cross scan that names a crossing. Wheel index
+arithmetic runs only after the coordinates have confirmed the wheel<n>
+tag (wheel_tag_n raises NotWheelConfig on a tag they refute), and a set
+without an order falls back to coordinate predicates. Functions
+accepting a tree take a GeomTree, a bare iterable of index pairs (the
+wheel builder works on abstract trees) or, to ask several questions of
+one tree, its TreeIndex.
 
 A TreeIndex roots the tree at a centroid and names every subtree by its
 AHU canon id, so a rooted-isomorphism question is an integer comparison.
@@ -105,18 +106,18 @@ def cover_defect(ps: PointSet, trees: Iterable[GeomTree]) -> dict[str, list[Geom
     so with the least a >= 0 and the greatest b < N = len(ps) they lie in
     E(K), and C(N, 2) distinct ones, as many as the trees hold, are E(K)
     once each. A GeomTree's edges are sorted, so the least a is some
-    tree's first. Only when that test (a set, a min, a max, all in C)
-    fails are the edges counted and the defects listed, O(E log E).
+    tree's first. The test reads the trees' own edge tuples; only when it
+    (a set, a min, a max, all in C) fails are the edges counted and the
+    defects listed, O(E log E).
     """
     npts = len(ps)
-    trees = tuple(trees)
-    held = list(chain.from_iterable(t.edges for t in trees))
-    distinct = set(held)
-    if (len(distinct) == len(held) == npts * (npts - 1) // 2
-            and (not held or (min(t.edges[0][0] for t in trees if t.edges) >= 0
-                              and max(map(itemgetter(1), distinct)) < npts))):
+    edge_sets = [t.edges for t in trees]
+    distinct = set(chain.from_iterable(edge_sets))
+    if (len(distinct) == sum(map(len, edge_sets)) == npts * (npts - 1) // 2
+            and (not distinct or (min(es[0][0] for es in edge_sets if es) >= 0
+                                  and max(map(itemgetter(1), distinct)) < npts))):
         return {"missing": [], "extra": [], "duplicated": []}
-    count = Counter(held)
+    count = Counter(chain.from_iterable(edge_sets))
     return {"missing": [e for e in combinations(range(npts), 2) if e not in count],
             "extra": sorted(e for e in count if not 0 <= e[0] < e[1] < npts),
             "duplicated": sorted(e for e, c in count.items() if c > 1)}
@@ -593,22 +594,24 @@ def is_spanning_tree(t: GeomTree) -> bool:
 def crossing_pair(ps: PointSet, edges) -> tuple[GeomEdge, GeomEdge] | None:
     """The first two edges, in combinations order, that cross; None if none do.
 
-    On a PointSet with a cyclic order (geom_core.cyclic_order) a
-    crossing-free edge set is recognised in O(E log E). The pairwise
-    segments_cross scan, exact on every set, runs only without an order
-    or to name the first crossing pair.
+    The pairwise segments_cross scan, exact on every set and O(E^2): the
+    witness scan, run once a plane check has failed, or as the check
+    itself where is_plane finds no cyclic order.
     """
-    edges = tuple(edges)
-    order = cyclic_order(ps)
-    if order is not None and order.plane(edges):
-        return None
     return next(((e1, e2) for e1, e2 in combinations(edges, 2)
                  if segments_cross(e1, e2, ps)), None)
 
 
 def is_plane(t: GeomTree) -> bool:
-    """No two edges cross."""
-    return crossing_pair(t.ps, t.edges) is None
+    """No two edges cross. On a cyclic order (geom_core.cyclic_order),
+    with every end in 0..N-1, the stack pass CyclicOrder.plane_sorted
+    decides in O(E log E), as verify_partition does; otherwise the
+    crossing_pair scan, which raises on an index that is no point."""
+    order, edges = cyclic_order(t.ps), t.edges
+    if (order is not None and edges and edges[0][0] >= 0
+            and max(map(itemgetter(1), edges)) < len(t.ps)):
+        return order.plane_sorted(edges)
+    return crossing_pair(t.ps, edges) is None
 
 
 def classify(t: TreeLike) -> TreeClassReport:

@@ -12,14 +12,15 @@ predicate ran: "wheel-index" on a verified wheel, "convex-order" on a
 set in convex position (both the stack pass of the point set's cyclic
 order, CyclicOrder.plane_sorted, which takes each tree's sorted edges as
 they are once the cover is accepted), or "pairwise" coordinate tests;
-segments_cross names the first crossing pair of the first tree that is
-not plane, on every set.
+the crossing_pair scan names the first crossing pair of the first tree
+that is not plane, on every set, and is the check itself without an
+order.
 The enumerator, exhaustive up to n = 4, fills its crossing table (one
-int bitmask per edge) through the same crossing_pair and places the
-edges of K_2n in lexicographic order into tree slots held as edge
-bitmasks, with first-free-slot symmetry breaking, so each unordered
-partition appears exactly once. Observation 1 holds only on a verified
-wheel.
+int bitmask per edge) straight from segments_cross, so the ground truth
+shares no code with the stack pass it checks, and places the edges of
+K_2n in lexicographic order into tree slots held as edge bitmasks, with
+first-free-slot symmetry breaking, so each unordered partition appears
+exactly once. Observation 1 holds only on a verified wheel.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InvalidParameter, OddPointCount, TooLarge
-from .geom_core import GeomEdge, PointSet, cyclic_order
+from .geom_core import GeomEdge, PointSet, cyclic_order, segments_cross
 from .tree_taxonomy import (GeomTree, Partition, cover_defect, crossing_pair,
                             is_spanning_tree, wheel_tag_n)
 
@@ -131,7 +132,7 @@ def brute_force_partitions(ps: PointSet, limit: int | None = 10_000) -> list[tup
 
     edges = list(combinations(range(npts), 2))
     # cross[i]: the earlier edges that cross edge i; star[a]: the edges at a
-    cross = [sum(1 << j for j, f in enumerate(edges[:i]) if crossing_pair(ps, (f, e)))
+    cross = [sum(1 << j for j, f in enumerate(edges[:i]) if segments_cross(f, e, ps))
              for i, e in enumerate(edges)]
     star = [sum(1 << i for i, e in enumerate(edges) if a in e) for a in range(npts)]
     masks = [0] * n

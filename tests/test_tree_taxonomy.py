@@ -270,7 +270,9 @@ def test_crossing_pair_matches_pairwise_on_wheels():
             for edges in random_edge_sets(2 * n, trees, rng, 25):
                 want = pairwise_crossing(ps, edges, n)
                 assert crossing_pair(ps, edges) == want
-                assert cyclic_order(ps).plane(edges) == (want is None)
+                t = GeomTree(ps, edges)
+                assert is_plane(t) is (want is None)
+                assert cyclic_order(ps).plane_sorted(t.edges) is (want is None)
 
 
 def test_plane_matches_pairwise_on_single_spoke_wheel_trees():
@@ -291,8 +293,9 @@ def test_plane_matches_pairwise_on_single_spoke_wheel_trees():
                     continue
                 for edges in (t.edges + (chord,), (spoke, chord)):
                     want = pairwise_crossing(ps, edges, n) is None
-                    assert order.plane(edges) is want, (edges, want)
-                    assert order.plane_sorted(sorted(edges)) is want, (edges, want)
+                    drawn = GeomTree(ps, edges)
+                    assert is_plane(drawn) is want, (edges, want)
+                    assert order.plane_sorted(drawn.edges) is want, (edges, want)
 
 
 def test_crossing_pair_matches_pairwise_on_convex_sets():
@@ -311,7 +314,9 @@ def test_crossing_pair_matches_pairwise_on_convex_sets():
             for edges in random_edge_sets(m, trees, rng, 25):
                 want = pairwise_crossing(ps, edges, None)
                 assert crossing_pair(ps, edges) == want
-                assert cyclic_order(ps).plane(edges) == (want is None)
+                t = GeomTree(ps, edges)
+                assert is_plane(t) is (want is None)
+                assert cyclic_order(ps).plane_sorted(t.edges) is (want is None)
 
 
 def test_crossing_pair_matches_pairwise_without_order():
@@ -329,6 +334,19 @@ def test_crossing_pair_keeps_pairwise_errors():
         crossing_pair(make_wheel(3), [(0, 1), (2, 9)])
     with pytest.raises(InvalidParameter):
         crossing_pair(regular_gon(6), [(0, 1), (2, 9)])
+
+
+def test_is_plane_leaves_an_index_past_the_points_to_the_scan():
+    # a GeomTree keeps any ordered pair, so is_plane hands a tree with an
+    # end outside 0..N-1 to the pairwise scan: its InvalidParameter, or
+    # False when a pair before the bad edge already crosses
+    for ps in (make_wheel(3), regular_gon(6)):
+        assert cyclic_order(ps) is not None
+        for edges in (((0, 1), (2, 9)), ((0, 1), (-1, 2)), ((0, 6), (1, 2))):
+            with pytest.raises(InvalidParameter, match="out of range"):
+                is_plane(GeomTree(ps, edges))
+        assert not is_plane(GeomTree(ps, ((0, 2), (1, 3), (4, 9))))
+        assert is_plane(GeomTree(ps, ((0, 9),)))  # one edge: no pair to test
 
 
 def check_wheel_partition():

@@ -6,14 +6,14 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from planetrees import halving_partition, verify_oracle
+from planetrees import halving_partition, tree_taxonomy, verify_oracle
 from planetrees import (GeomTree, OddPointCount, Partition, TooLarge,
                         analyze_wheel_partition, brute_force_partitions,
                         build_wheel_partition, check_observation1, classify,
                         collinear_triple, cyclic_order, make_wheel,
                         segments_cross, theorem2_partition, theorem3_partition,
                         theorem4_partition, tree_canon, verify_partition)
-from planetrees.cli_io import emit_partition, parse_partition
+from planetrees.cli_io import emit_partition, load_pointset, parse_partition
 from planetrees.errors import InvalidParameter
 from planetrees.geom_core import CyclicOrder, PointSet
 from planetrees.presets import builtin_tree
@@ -286,6 +286,27 @@ def test_size_guards():
     assert len(brute_force_partitions(make_wheel(4), limit=None)) == 56
     with pytest.raises(OddPointCount):
         brute_force_partitions(regular_gon(5))
+
+
+def test_oracle_and_witness_scan_run_no_kernel(monkeypatch):
+    # the ground truth shares no code with the stack pass it checks, and
+    # crossing_pair is the pairwise scan alone
+    wheel4, gon8 = make_wheel(4), load_pointset("gon8")  # each builds its order
+
+    def refuse(*args):
+        raise AssertionError("the stack pass or an order lookup ran")
+
+    monkeypatch.setattr(CyclicOrder, "plane_sorted", refuse)
+    monkeypatch.setattr(tree_taxonomy, "cyclic_order", refuse)
+    monkeypatch.setattr(verify_oracle, "crossing_pair", refuse)
+    assert not hasattr(CyclicOrder, "plane")
+    assert len(brute_force_partitions(wheel4, limit=None)) == 56
+    assert len(brute_force_partitions(gon8, limit=None)) == 8
+    crossing_pair = tree_taxonomy.crossing_pair
+    assert crossing_pair(wheel4, [(0, 1), (2, 7), (1, 3), (0, 5), (4, 6)]) == ((2, 7), (1, 3))
+    assert crossing_pair(wheel4, [(0, 1), (1, 2), (2, 7)]) is None
+    assert crossing_pair(gon8, [(0, 1), (1, 2), (2, 6), (3, 7), (0, 4)]) == ((2, 6), (3, 7))
+    assert crossing_pair(gon8, iter([(0, 1), (1, 2)])) is None
 
 
 @pytest.mark.parametrize("limit", [None, 0, 1])
