@@ -16,18 +16,18 @@ gets a cyclic order when the hull holds every point, and a wheel<n> tag
 earns exact index arithmetic when the hull is the 2n-1 circle points in
 index order and the centre lies strictly left of every near-diameter
 (make_wheel's own points earn their tag the same way). On such an order
-one stack pass, CyclicOrder.plane_sorted, decides whether sorted in-range
-edges are crossing-free in O(E log E); it is the only planarity kernel
-here, and a set with no order is left to the pairwise predicate
-segments_cross. The order also settles collinear_triple. Only this module
-knows the tag syntax and wheel labels.
+one stack pass, CyclicOrder.plane_tree, reads sorted in-range edges once
+and says whether they are crossing-free, in O(E log E), and whether they
+are also a spanning tree, by a union-find in the same pass; it is the
+only planarity kernel here, and a set with no order is left to the
+pairwise predicate segments_cross. The order also settles
+collinear_triple. Only this module knows the tag syntax and wheel labels.
 """
 from __future__ import annotations
 
 import enum
 import math
 import re
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -125,7 +125,9 @@ def segments_cross(e1: GeomEdge, e2: GeomEdge, ps: PointSet) -> bool:
 
     Edges sharing an endpoint never cross. Any collinear triple among
     the four endpoints makes the question ill-posed here and raises
-    DegenerateInput.
+    DegenerateInput. A loop (a, a) is no edge and raises InvalidParameter,
+    as edge() does; it shares its point with the other edge or makes a
+    collinear triple, so only those two paths test for one.
     """
     a, b = e1
     c, d = e2
@@ -133,6 +135,8 @@ def segments_cross(e1: GeomEdge, e2: GeomEdge, ps: PointSet) -> bool:
         if not 0 <= i < len(ps):
             raise InvalidParameter(f"point index {i} out of range")
     if a in (c, d) or b in (c, d):
+        if a == b or c == d:
+            raise InvalidParameter(f"degenerate edge {(a, b) if a == b else (c, d)}")
         return False
     p, q, r, s = ps.points[a], ps.points[b], ps.points[c], ps.points[d]
     o1 = orientation(r, s, p)
@@ -140,6 +144,8 @@ def segments_cross(e1: GeomEdge, e2: GeomEdge, ps: PointSet) -> bool:
     o3 = orientation(p, q, r)
     o4 = orientation(p, q, s)
     if Orientation.COLLINEAR in (o1, o2, o3, o4):
+        if a == b or c == d:
+            raise InvalidParameter(f"degenerate edge {(a, b) if a == b else (c, d)}")
         raise DegenerateInput(
             f"three of the endpoints of {e1} and {e2} are collinear")
     return o1 != o2 and o3 != o4
@@ -342,12 +348,15 @@ class CyclicOrder:
         at = self.circle
         return at == (*range(at[0], self.size), *range(at[0]))
 
-    def plane_sorted(self, edges: Sequence[GeomEdge]) -> bool:
-        """True iff no two of the edges cross, for sorted point pairs
-        a < b of indices 0..N-1: a GeomTree's edges once they are known to
-        be in range (cover_defect accepted them, or is_plane tested the
-        ends). The one stack pass of every planarity check on an order;
-        other input is outside its contract, and is_plane takes any tree.
+    def plane_tree(self, edges: Sequence[GeomEdge]) -> tuple[bool, bool]:
+        """(plane, tree) for sorted point pairs a < b of indices 0..N-1:
+        plane says that no two of the edges cross, tree that they are also
+        a spanning tree of the N points. A GeomTree's edges qualify once
+        they are known to be in range (cover_defect accepted them, or
+        is_plane tested the ends); other input is outside the contract,
+        and is_plane takes any tree. The one stack pass of every planarity
+        check on an order, reading each edge once; a crossing stops it at
+        (False, False).
 
         Chords of a strictly convex polygon cross iff their intervals
         interleave, and interleaving does not change under a turn, so on a
@@ -357,10 +366,17 @@ class CyclicOrder:
         the stack's top is kept in a local, over the sentinel end m, which
         no chord reaches or starts past. A spoke (wheel only: a pair
         (s, m), m the centre) crosses a chord iff s lies strictly inside
-        the chord's short arc, the side away from the centre. The same
-        pass tests each chord against the sorted spoke positions: a short
-        chord lo..hi (2(hi - lo) < m) by bisecting for a spoke strictly
-        between its ends, a long one by the least and greatest spoke.
+        the chord's short arc, the side away from the centre: inside a
+        short chord lo..hi (2(hi - lo) < m), outside a long one. Spoke s
+        comes before every chord that starts at s or later, and after all
+        that start before it, so the pass keeps three positions: the least
+        spoke so far, which crosses a long chord that starts past it; the
+        greatest end of a short chord so far, which a later spoke crosses
+        when it lies before that end; and the least end of a long chord so
+        far, which a later spoke crosses when it lies past that end.
+        The same pass joins each edge's ends, spokes included, in a
+        path-halving union-find: N - 1 edges that close no cycle span the
+        N points.
         """
         m = self.size
         if not self.turned:  # a convex set: no centre
@@ -368,22 +384,39 @@ class CyclicOrder:
             edges = sorted((pa, pb) if pa < pb else (pb, pa)
                            for pa, pb in ((pos[a], pos[b]) for a, b in edges))
         chords = sorted(reversed(edges), key=itemgetter(0))
-        spokes = [a for a, b in edges if b == m] if self.wheel else []
-        top, ends = m, []  # ends: the open ends below top
+        wheel, half = self.wheel, (m + 1) // 2  # a chord is short iff hi - lo < half
+        parent = [*range(len(self.pos))]
+        acyclic, top, ends = True, m, []  # ends: the open ends below top
+        spoke, reach, close = m, 0, m  # least spoke, short end, long end so far
         for lo, hi in chords:
             if hi == m:  # a spoke
-                continue
-            while top <= lo:
-                top = ends.pop()
-            if top < hi:
-                return False
-            ends.append(top)
-            top = hi
-            if spokes and (bisect_right(spokes, lo) < bisect_left(spokes, hi)
-                           if 2 * (hi - lo) < m
-                           else spokes[0] < lo or spokes[-1] > hi):
-                return False
-        return True
+                if reach > lo or close < lo:
+                    return False, False
+                if lo < spoke:
+                    spoke = lo
+            else:
+                while top <= lo:
+                    top = ends.pop()
+                if top < hi:
+                    return False, False
+                ends.append(top)
+                top = hi
+                if wheel:
+                    if hi - lo < half:
+                        if hi > reach:
+                            reach = hi
+                    elif spoke < lo:
+                        return False, False
+                    elif hi < close:
+                        close = hi
+            while lo != parent[lo]:  # path halving, on the chord's own ends
+                parent[lo] = lo = parent[parent[lo]]
+            while hi != parent[hi]:
+                parent[hi] = hi = parent[parent[hi]]
+            if lo == hi:
+                acyclic = False
+            parent[lo] = hi
+        return True, acyclic and len(edges) == len(parent) - 1
 
 
 def cyclic_order(ps: PointSet) -> CyclicOrder | None:

@@ -3,7 +3,8 @@
 A GeomTree is an edge set drawn on a PointSet; a Partition is the trees
 claimed to split E(K_2n) on one PointSet, and cover_defect, the
 verifier's cover check, says how a set of trees fails to hold every
-edge exactly once. Every builder draws one tree on labels and makes its
+edge exactly once (list_cover_defects lists the ways, a pair with an
+end that is no int as extra). Every builder draws one tree on labels and makes its
 Partition in turned_partition, which proves on the labels alone, in
 O(n log n), that the tree's turns hold each pair at most once, takes the
 pairs none holds as the last tree round a fixed centre and refuses them
@@ -15,8 +16,11 @@ Tree recognizers and witnesses: paths, stars, double stars, S_k(m,n),
 caterpillars, P4-symmetric trees, w-caterpillars, and symmetric trees.
 All classification is purely combinatorial; geometry enters only through
 is_plane / boundary_edges / radial_edges, which read the point set's
-verified cyclic order (geom_core.cyclic_order), and crossing_pair, the
-pairwise segments_cross scan that names a crossing. Wheel index
+verified cyclic order (geom_core.cyclic_order; is_plane takes the
+planarity answer of its stack pass, CyclicOrder.plane_tree), and
+crossing_pair, the pairwise segments_cross scan that names a crossing.
+is_spanning_tree is the union-find alone, for a set with no order and
+for naming the first tree that does not span. Wheel index
 arithmetic runs only after the coordinates have confirmed the wheel<n>
 tag (wheel_tag_n raises NotWheelConfig on a tag they refute), and a set
 without an order falls back to coordinate predicates. Functions
@@ -95,20 +99,18 @@ class Partition:
 
 
 def cover_defect(ps: PointSet, trees: Iterable[GeomTree]) -> dict[str, list[GeomEdge]]:
-    """How the trees' edges fail to hold each edge of K on ps exactly once.
-
-    "missing": point pairs no tree holds, in combinations order; "extra":
-    edges that join no two points of ps; "duplicated": edges held more
-    than once. Every list is sorted, and all are empty exactly when the
-    trees cover E(K) once.
+    """How the trees' edges fail to hold each edge of K on ps exactly once:
+    list_cover_defects' lists, all empty exactly when the trees cover
+    E(K) once.
 
     A cover is accepted by its size: GeomTree edges are int pairs a < b,
     so with the least a >= 0 and the greatest b < N = len(ps) they lie in
     E(K), and C(N, 2) distinct ones, as many as the trees hold, are E(K)
     once each. A GeomTree's edges are sorted, so the least a is some
-    tree's first. The test reads the trees' own edge tuples; only when it
-    (a set, a min, a max, all in C) fails are the edges counted and the
-    defects listed, O(E log E).
+    tree's first. The test reads the trees' own edge tuples and not the
+    types of their ends (verify_partition names a non-int end when its
+    passes meet one); only when it (a set, a min, a max, all in C) fails
+    are the defects listed.
     """
     npts = len(ps)
     edge_sets = [t.edges for t in trees]
@@ -117,9 +119,22 @@ def cover_defect(ps: PointSet, trees: Iterable[GeomTree]) -> dict[str, list[Geom
             and (not distinct or (min(es[0][0] for es in edge_sets if es) >= 0
                                   and max(map(itemgetter(1), distinct)) < npts))):
         return {"missing": [], "extra": [], "duplicated": []}
+    return list_cover_defects(ps, edge_sets)
+
+
+def list_cover_defects(ps: PointSet, edge_sets: Iterable[Iterable[GeomEdge]]
+                       ) -> dict[str, list[GeomEdge]]:
+    """Every way the edge sets miss holding each edge of K on ps exactly
+    once, O(E log E), in sorted lists. "missing": point pairs no set holds,
+    in combinations order; "extra": pairs that join no two points of ps,
+    and pairs with an end that is no int; "duplicated": pairs held more
+    than once.
+    """
+    npts = len(ps)
     count = Counter(chain.from_iterable(edge_sets))
     return {"missing": [e for e in combinations(range(npts), 2) if e not in count],
-            "extra": sorted(e for e in count if not 0 <= e[0] < e[1] < npts),
+            "extra": sorted(e for e in count
+                            if not (type(e[0]) is type(e[1]) is int and 0 <= e[0] < e[1] < npts)),
             "duplicated": sorted(e for e, c in count.items() if c > 1)}
 
 
@@ -604,13 +619,14 @@ def crossing_pair(ps: PointSet, edges) -> tuple[GeomEdge, GeomEdge] | None:
 
 def is_plane(t: GeomTree) -> bool:
     """No two edges cross. On a cyclic order (geom_core.cyclic_order),
-    with every end in 0..N-1, the stack pass CyclicOrder.plane_sorted
-    decides in O(E log E), as verify_partition does; otherwise the
-    crossing_pair scan, which raises on an index that is no point."""
+    with every end in 0..N-1, the planarity answer of the stack pass
+    CyclicOrder.plane_tree, O(E log E), the pass verify_partition runs;
+    otherwise the crossing_pair scan, which raises on an index that is no
+    point."""
     order, edges = cyclic_order(t.ps), t.edges
     if (order is not None and edges and edges[0][0] >= 0
             and max(map(itemgetter(1), edges)) < len(t.ps)):
-        return order.plane_sorted(edges)
+        return order.plane_tree(edges)[0]
     return crossing_pair(t.ps, edges) is None
 
 

@@ -10,11 +10,15 @@ plane) with a concrete witness, and keeps it on the frozen Partition, so
 each Partition is verified once. The report says which planarity
 predicate ran: "wheel-index" on a verified wheel, "convex-order" on a
 set in convex position (both the stack pass of the point set's cyclic
-order, CyclicOrder.plane_sorted, which takes each tree's sorted edges as
-they are once the cover is accepted), or "pairwise" coordinate tests;
-the crossing_pair scan names the first crossing pair of the first tree
-that is not plane, on every set, and is the check itself without an
-order.
+order, CyclicOrder.plane_tree, which takes each tree's sorted edges as
+they are once the cover is accepted and says in one read whether the
+tree is plane and spans), or "pairwise" coordinate tests. On an order
+the verifier accepts when the pass accepts every tree; from the first
+tree it rejects on, is_spanning_tree and then the crossing_pair scan
+name the failure, so spanning is still reported before plane. Without
+an order they are the checks themselves. A pair with an end that is no
+int, which the cover's size test does not read, is named as extra under
+coverage.
 The enumerator, exhaustive up to n = 4, fills its crossing table (one
 int bitmask per edge) straight from segments_cross, so the ground truth
 shares no code with the stack pass it checks, and places the edges of
@@ -30,7 +34,7 @@ from itertools import combinations
 from .errors import InvalidParameter, OddPointCount, TooLarge
 from .geom_core import GeomEdge, PointSet, cyclic_order, segments_cross
 from .tree_taxonomy import (GeomTree, Partition, cover_defect, crossing_pair,
-                            is_spanning_tree, wheel_tag_n)
+                            is_spanning_tree, list_cover_defects, wheel_tag_n)
 
 
 # Partition.__dict__ key of the kept VerifyReport (as geom_core's cyclic order)
@@ -61,21 +65,41 @@ def verify_partition(p: Partition) -> VerifyReport:
 
 
 def _verify(p: Partition) -> VerifyReport:
-    npts = len(p.ps)
+    npts, trees = len(p.ps), p.trees
     if npts % 2:
         return VerifyReport(False, "coverage", f"odd point count {npts}")
-    defect = cover_defect(p.ps, p.trees)
-    if len(p.trees) != npts // 2 or any(defect.values()):
-        return VerifyReport(False, "coverage", {"trees": len(p.trees), **defect})
-    for i, t in enumerate(p.trees):
-        if not is_spanning_tree(t):
+    defect = cover_defect(p.ps, trees)
+    if len(trees) == npts // 2 and not any(defect.values()):
+        try:
+            return _verify_trees(p)
+        except TypeError:  # an end that is no int, which the size test took for one
+            defect = list_cover_defects(p.ps, [t.edges for t in trees])
+            if not defect["extra"]:
+                raise
+    return VerifyReport(False, "coverage", {"trees": len(trees), **defect})
+
+
+def _verify_trees(p: Partition) -> VerifyReport:
+    """Spanning, then plane, on trees that cover E(K) once. On an order
+    the pass accepts trees until it rejects one; only from that tree on do
+    is_spanning_tree and crossing_pair name the failure. TypeError on an
+    end that is no int, as indexing by it raises."""
+    trees, order, start = p.trees, cyclic_order(p.ps), 0
+    if order is not None:
+        start = next((i for i, t in enumerate(trees) if not order.plane_tree(t.edges)[1]),
+                     len(trees))
+        if start == len(trees):
+            return VerifyReport(True, predicate=order.kind)
+    for i in range(start, len(trees)):
+        if not is_spanning_tree(trees[i]):
+            # it reads no end of a tree whose edge count is wrong, and no
+            # later tree was read at all
+            if not all(type(a) is type(b) is int for t in trees[i:] for a, b in t.edges):
+                raise TypeError("an end that is no int")
             return VerifyReport(False, "spanning", i)
-    order = cyclic_order(p.ps)
     predicate = "pairwise" if order is None else order.kind
-    for i, t in enumerate(p.trees):
-        if order is not None and order.plane_sorted(t.edges):
-            continue
-        bad = crossing_pair(p.ps, t.edges)  # on an order, only to name the pair
+    for i in range(start, len(trees)):
+        bad = crossing_pair(p.ps, trees[i].edges)  # on an order, only to name the pair
         if bad is not None:
             return VerifyReport(False, "plane", (i, *bad), predicate)
     return VerifyReport(True, predicate=predicate)

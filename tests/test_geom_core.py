@@ -13,6 +13,7 @@ from planetrees import (DegenerateInput, GeomTree, InvalidParameter,
                         segments_cross, wheel_crossing, wheel_n)
 from planetrees.cli_io import emit_pointset, load_pointset, parse_pointset
 from planetrees.presets import figure_pointset
+from planetrees.tree_taxonomy import crossing_pair
 
 from conftest import regular_gon, shuffled_gon
 
@@ -125,6 +126,18 @@ def test_segments_cross_collinear_raises():
     ps = PointSet(((0.0, 0.0), (2.0, 0.0), (1.0, 0.0), (1.0, 1.0)))
     with pytest.raises(DegenerateInput):
         segments_cross((0, 1), (2, 3), ps)
+
+
+def test_segments_cross_refuses_a_loop(wheel3):
+    # as edge() does, whether the loop shares its point with the other
+    # edge or not; crossing_pair takes bare pairs, so it meets loops too
+    for e1, e2 in (((0, 1), (3, 3)), ((3, 3), (0, 1)), ((3, 4), (3, 3)), ((3, 3), (3, 3))):
+        with pytest.raises(InvalidParameter, match=r"degenerate edge \(3, 3\)"):
+            segments_cross(e1, e2, wheel3)
+    with pytest.raises(InvalidParameter, match=r"degenerate edge \(3, 3\)"):
+        crossing_pair(wheel3, [(0, 1), (3, 3)])
+    with pytest.raises(InvalidParameter, match=r"degenerate edge \(2, 2\)"):
+        segments_cross((2, 2), (0, 1), regular_gon(6))
 
 
 def test_segments_cross_validates_indices(wheel3):

@@ -272,7 +272,7 @@ def test_crossing_pair_matches_pairwise_on_wheels():
                 assert crossing_pair(ps, edges) == want
                 t = GeomTree(ps, edges)
                 assert is_plane(t) is (want is None)
-                assert cyclic_order(ps).plane_sorted(t.edges) is (want is None)
+                assert cyclic_order(ps).plane_tree(t.edges)[0] is (want is None)
 
 
 def test_plane_matches_pairwise_on_single_spoke_wheel_trees():
@@ -295,7 +295,7 @@ def test_plane_matches_pairwise_on_single_spoke_wheel_trees():
                     want = pairwise_crossing(ps, edges, n) is None
                     drawn = GeomTree(ps, edges)
                     assert is_plane(drawn) is want, (edges, want)
-                    assert order.plane_sorted(drawn.edges) is want, (edges, want)
+                    assert order.plane_tree(drawn.edges)[0] is want, (edges, want)
 
 
 def test_crossing_pair_matches_pairwise_on_convex_sets():
@@ -316,7 +316,7 @@ def test_crossing_pair_matches_pairwise_on_convex_sets():
                 assert crossing_pair(ps, edges) == want
                 t = GeomTree(ps, edges)
                 assert is_plane(t) is (want is None)
-                assert cyclic_order(ps).plane_sorted(t.edges) is (want is None)
+                assert cyclic_order(ps).plane_tree(t.edges)[0] is (want is None)
 
 
 def test_crossing_pair_matches_pairwise_without_order():

@@ -1,4 +1,5 @@
-"""verify_partition and is_spanning_tree against test-local references.
+"""verify_partition, is_spanning_tree and the stack pass
+CyclicOrder.plane_tree against test-local references.
 
 The references share nothing with the library's fast paths: coverage is
 a Counter over every held edge, spanning is networkx's is_tree over all
@@ -8,6 +9,7 @@ fig5 constructions, on sets whose circle is the index order turned and
 on one that is not) and are corrupted by moving, duplicating, dropping
 or swapping edges, or by adding a pair that joins no two points.
 """
+import random
 from collections import Counter
 from functools import cache
 from itertools import combinations
@@ -16,12 +18,12 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planetrees import (GeomTree, Partition, build_wheel_partition,
+from planetrees import (GeomTree, Partition, build_wheel_partition, cyclic_order,
                         is_spanning_tree, make_wheel, segments_cross,
                         theorem2_partition, theorem4_partition, verify_partition)
 from planetrees.presets import builtin_tree, figure_pointset
 
-from conftest import regular_gon, shuffled_gon
+from conftest import random_plane_convex_tree, regular_gon, shuffled_gon
 
 
 @cache
@@ -133,3 +135,58 @@ def test_is_spanning_tree_matches_networkx(npts, data):
             and all(0 <= v < npts for e in t.edges for v in e)
             and spans(t.edges, npts))
     assert is_spanning_tree(t) is want
+
+
+def plane(edges, ps) -> bool:
+    return not any(segments_cross(e1, e2, ps) for e1, e2 in combinations(edges, 2))
+
+
+def check_plane_tree(ps, edges) -> None:
+    """The pass against the pairwise scan and networkx, on GeomTree edges."""
+    edges = GeomTree(ps, edges).edges
+    want = plane(edges, ps)
+    got = cyclic_order(ps).plane_tree(edges)
+    assert got == (want, want and spans(edges, len(ps))), (edges, got)
+
+
+def test_plane_tree_matches_references_on_every_spanning_size_subset():
+    # every 5 of the 15 pairs of K_6: wheel trees with no spoke and with
+    # all five, convex ones, forests and cycles, plane or not
+    for ps in (make_wheel(3), regular_gon(6)):
+        every = list(combinations(range(6), 2))
+        for edges in combinations(every, 5):
+            check_plane_tree(ps, edges)
+
+
+def test_plane_tree_matches_references_on_random_edge_sets():
+    rng = random.Random(28)
+    sets = [make_wheel(n) for n in range(4, 8)]
+    sets += [regular_gon(m) for m in range(8, 15)] + [shuffled_gon(12)]
+    for ps in sets:
+        npts = len(ps)
+        every = list(combinations(range(npts), 2))
+        # plane spanning trees (a valid partition's, else greedy ones on the
+        # circle, which is the index order there), and random spanning trees
+        plane_trees = [list(t.edges) for p, _ in bases() if p.ps == ps for t in p.trees]
+        plane_trees = plane_trees or [sorted(random_plane_convex_tree(npts, rng))
+                                      for _ in range(5)]
+        for _ in range(60):
+            check_plane_tree(ps, rng.sample(every, rng.randint(0, npts + 1)))
+            for tree in (rng.choice(plane_trees), random_spanning_tree(npts, rng)):
+                check_plane_tree(ps, tree)
+                swapped = list(tree)
+                swapped[rng.randrange(len(tree))] = rng.choice(
+                    [e for e in every if e not in tree])
+                check_plane_tree(ps, swapped)
+
+
+def random_spanning_tree(npts: int, rng: random.Random) -> list[tuple[int, int]]:
+    """Kruskal on K_N in a random edge order."""
+    every = list(combinations(range(npts), 2))
+    rng.shuffle(every)
+    g, tree = nx.utils.UnionFind(range(npts)), []
+    for a, b in every:
+        if g[a] != g[b]:
+            g.union(a, b)
+            tree.append((a, b))
+    return tree

@@ -1,6 +1,6 @@
 import ast
 import random
-from itertools import combinations
+from itertools import combinations, product, starmap
 from pathlib import Path
 
 import networkx as nx
@@ -10,14 +10,14 @@ from planetrees import halving_partition, tree_taxonomy, verify_oracle
 from planetrees import (GeomTree, OddPointCount, Partition, TooLarge,
                         analyze_wheel_partition, brute_force_partitions,
                         build_wheel_partition, check_observation1, classify,
-                        collinear_triple, cyclic_order, make_wheel,
-                        segments_cross, theorem2_partition, theorem3_partition,
+                        collinear_triple, cyclic_order, is_plane, is_spanning_tree,
+                        make_wheel, segments_cross, theorem2_partition, theorem3_partition,
                         theorem4_partition, tree_canon, verify_partition)
 from planetrees.cli_io import emit_partition, load_pointset, parse_partition
 from planetrees.errors import InvalidParameter
 from planetrees.geom_core import CyclicOrder, PointSet
-from planetrees.presets import builtin_tree
-from planetrees.tree_taxonomy import p4_witness_paths
+from planetrees.presets import builtin_tree, figure_pointset
+from planetrees.tree_taxonomy import cover_defect, p4_witness_paths
 
 from conftest import regular_gon
 
@@ -61,6 +61,61 @@ def test_verify_spanning_failure():
     bad2 = GeomTree(p.ps, tuple(t2 - {(1, 2)} | {(2, 3)}))
     rep = verify_partition(Partition(p.ps, (bad0, p.trees[1], bad2)))
     assert rep.reason == "spanning" and rep.witness == 0
+
+
+def test_verify_names_a_later_spanning_failure_before_a_crossing():
+    # on an order the pass rejects tree 0, which crosses but spans; the
+    # fallback still checks spanning on every tree before it names a crossing
+    p = build_wheel_partition(builtin_tree("doublestar", 4), 4)
+    t0, t1, t2, t3 = (list(t.edges) for t in p.trees)
+
+    def exchanged(i, j):
+        return (GeomTree(p.ps, t0[:i] + t0[i + 1:] + [t1[j]]),
+                GeomTree(p.ps, t1[:j] + t1[j + 1:] + [t0[i]]))
+
+    bad0, bad1 = next(pair for pair in starmap(exchanged, product(range(7), repeat=2))
+                      if all(map(is_spanning_tree, pair)) and not is_plane(pair[0]))
+    crossing = Partition(p.ps, (bad0, bad1) + p.trees[2:])
+    assert verify_partition(crossing).reason == "plane"
+    later = Partition(p.ps, (bad0, bad1, GeomTree(p.ps, t2[1:]), GeomTree(p.ps, t3 + t2[:1])))
+    rep = verify_partition(later)
+    assert (rep.reason, rep.witness, rep.predicate) == ("spanning", 2, None)
+
+
+def test_verify_names_a_non_int_end_as_extra():
+    # a GeomTree keeps any ordered pair, and the cover's size test does not
+    # read the ends' types: the checks after it name such a pair as extra
+    p = build_wheel_partition(builtin_tree("fig2i", 3), 3)
+    t0, t1, t2 = (list(t.edges) for t in p.trees)
+    assert (0, 4) in t0 and (2, 4) in t0 and (4, 5) in t2
+
+    def report(*trees):
+        rep = verify_partition(Partition(p.ps, tuple(GeomTree(p.ps, t) for t in trees)))
+        return rep.reason, rep.witness
+
+    def swap(edges, old, new):
+        return [new if e == old else e for e in edges]
+
+    for new, missing in (((0, 4.5), [(0, 4)]), ((0, 4.0), [])):
+        assert report(swap(t0, (0, 4), new), t1, t2) == ("coverage", {
+            "trees": 3, "missing": missing, "extra": [new], "duplicated": []})
+    # past a tree the pass rejects (tree 0 lost (2, 4) to tree 1), in a tree
+    # whose edge count alone would fail it
+    short0 = [e for e in t0 if e != (2, 4)]
+    assert report(short0, t1 + [(2, 4)], swap(t2, (4, 5), (4, 5.5))) == (
+        "coverage", {"trees": 3, "missing": [(4, 5)], "extra": [(4, 5.5)], "duplicated": []})
+    # with no order: the pairwise path
+    fig5 = figure_pointset("fig5")
+    q = theorem2_partition(fig5, 0)
+    a, b = q.trees[1].edges[0]
+    odd = GeomTree(fig5, swap(q.trees[1].edges, (a, b), (a, b - 0.5)))
+    rep = verify_partition(Partition(fig5, q.trees[:1] + (odd,) + q.trees[2:]))
+    assert (rep.reason, rep.witness["missing"], rep.witness["extra"]) == (
+        "coverage", [(a, b)], [(a, b - 0.5)])
+    # and cover_defect's listing, once its size test fails
+    trees = (swap(t0, (0, 4), (0, 4.5)), t1[1:], t2)
+    assert cover_defect(p.ps, [GeomTree(p.ps, t) for t in trees]) == {
+        "missing": [(0, 1), (0, 4)], "extra": [(0, 4.5)], "duplicated": []}
 
 
 def test_verify_plane_failure_square_diagonals():
@@ -148,17 +203,17 @@ def test_analyze_then_verify_runs_each_check_once(monkeypatch):
                         counted("cover", verify_oracle.cover_defect))
     monkeypatch.setattr(verify_oracle, "is_spanning_tree",
                         counted("spanning", verify_oracle.is_spanning_tree))
-    monkeypatch.setattr(CyclicOrder, "plane_sorted",
-                        counted("kernel", CyclicOrder.plane_sorted))
+    monkeypatch.setattr(CyclicOrder, "plane_tree",
+                        counted("kernel", CyclicOrder.plane_tree))
     monkeypatch.setattr(verify_oracle, "crossing_pair",
                         counted("pairwise", verify_oracle.crossing_pair))
     p = build_wheel_partition(builtin_tree("doublestar", 5), 5)
     analyze_wheel_partition(p)
     rep = verify_partition(p)
     assert rep.ok and rep.predicate == "wheel-index"
-    assert calls == {"cover": 1, "spanning": 5, "kernel": 5, "pairwise": 0}
+    assert calls == {"cover": 1, "spanning": 0, "kernel": 5, "pairwise": 0}
     assert verify_partition(p) is rep
-    assert calls == {"cover": 1, "spanning": 5, "kernel": 5, "pairwise": 0}
+    assert calls == {"cover": 1, "spanning": 0, "kernel": 5, "pairwise": 0}
 
 
 def test_failed_report_is_kept_too():
@@ -296,10 +351,10 @@ def test_oracle_and_witness_scan_run_no_kernel(monkeypatch):
     def refuse(*args):
         raise AssertionError("the stack pass or an order lookup ran")
 
-    monkeypatch.setattr(CyclicOrder, "plane_sorted", refuse)
+    monkeypatch.setattr(CyclicOrder, "plane_tree", refuse)
     monkeypatch.setattr(tree_taxonomy, "cyclic_order", refuse)
     monkeypatch.setattr(verify_oracle, "crossing_pair", refuse)
-    assert not hasattr(CyclicOrder, "plane")
+    assert not hasattr(CyclicOrder, "plane") and not hasattr(CyclicOrder, "plane_sorted")
     assert len(brute_force_partitions(wheel4, limit=None)) == 56
     assert len(brute_force_partitions(gon8, limit=None)) == 8
     crossing_pair = tree_taxonomy.crossing_pair
