@@ -453,16 +453,17 @@ def _cmd_classify(args) -> int:
 
 
 def _write_partition_dir(args, p: Partition, extra: dict, files: dict[str, str]) -> None:
-    """p's files, the SVG under --svg and files (name -> text) into --out."""
+    """p's files, the SVG under --svg and files (name -> text) into --out,
+    each written as soon as its text is made."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for i, t in enumerate(p.trees):
-        files[f"tree_{i}.edges"] = emit_edgelist(t.edges)
-    files["partition.txt"] = emit_partition(p)
-    if args.svg:
-        files["partition.svg"] = render_svg(p)
     for name, text in files.items():
         (out / name).write_text(text)
+    for i, t in enumerate(p.trees):
+        (out / f"tree_{i}.edges").write_text(emit_edgelist(t.edges))
+    (out / "partition.txt").write_text(emit_partition(p))
+    if args.svg:
+        (out / "partition.svg").write_text(render_svg(p))
     _report(args, {"out": str(out), "trees": len(p.trees), **extra},
             f"wrote {len(p.trees)} trees to {out}")
 

@@ -10,18 +10,22 @@ means exactly collinear, and the callers that require general position
 raise DegenerateInput instead of guessing.
 
 A configuration tag is a claim, not a fact, and cyclic_order alone
-decides it, once per PointSet, from one strict-hull pass (Andrew's
-monotone chain, O(n log n)) for every tag: a set without a wheel tag
-gets a cyclic order when the hull holds every point, and a wheel<n> tag
-earns exact index arithmetic when the hull is the 2n-1 circle points in
-index order and the centre lies strictly left of every near-diameter
-(make_wheel's own points earn their tag the same way). On such an order
-one stack pass, CyclicOrder.plane_tree, reads sorted in-range edges once
-and says whether they are crossing-free, in O(E log E), and whether they
-are also a spanning tree, by a union-find in the same pass; it is the
-only planarity kernel here, and a set with no order is left to the
-pairwise predicate segments_cross. The order also settles
-collinear_triple. Only this module knows the tag syntax and wheel labels.
+decides it, once per PointSet. It first walks the points in their listed
+order, one orientation call per point: a list that turns left at every
+point and winds once is a strictly convex polygon, anticlockwise, and is
+its own order. A wheel<n> tag needs no hull: it earns exact index
+arithmetic when the 2n-1 circle points pass the walk in index order and
+the centre lies strictly left of every near-diameter (make_wheel's own
+points earn their tag the same way), and a failed walk refutes it. A set
+without a wheel tag that the walk rejects gets one strict-hull pass
+(Andrew's monotone chain, O(n log n)), and a cyclic order when the hull
+holds every point. On such an order one stack pass,
+CyclicOrder.plane_tree, reads sorted in-range edges once and says whether
+they are crossing-free, in O(E log E), and whether they are also a
+spanning tree, by a union-find in the same pass; it is the only planarity
+kernel here, and a set with no order is left to the pairwise predicate
+segments_cross. The order also settles collinear_triple. Only this
+module knows the tag syntax and wheel labels.
 """
 from __future__ import annotations
 
@@ -192,8 +196,8 @@ def make_wheel(n: int, radius: float = 1.0, seed_angle: float | None = None) -> 
     v_0..v_{2n-2} coincide with indices. seed_angle defaults to
     -pi/2 + pi/(2n-1), which roughly matches the usual drawn orientation.
     The points earn their tag as any wheel<n> set does, through
-    cyclic_order's one strict-hull pass, O(n log n); InvalidParameter
-    when the rounded points form no wheel.
+    cyclic_order's walk of the circle in index order, O(n), with no hull;
+    InvalidParameter when the rounded points form no wheel.
     """
     if n < 2:
         raise InvalidParameter(f"n must be >= 2, got {n}")
@@ -245,8 +249,9 @@ def collinear_triple(points: Iterable[Point] | PointSet) -> tuple[int, int, int]
 
     A set with a cyclic order (a verified wheel, or strictly convex
     position) has no collinear triple: a PointSet takes its order's
-    verdict, bare points cost one O(n log n) hull pass. Other sets are
-    scanned triple by triple, O(n^3).
+    verdict, and bare points cost cyclic_order's walk of their listed
+    order, O(n), plus one O(n log n) hull pass when the walk rejects them.
+    Other sets are scanned triple by triple, O(n^3).
     """
     ps = points if isinstance(points, PointSet) else PointSet(tuple(points))
     return None if cyclic_order(ps) is not None else _scan_triples(ps.points)
@@ -264,12 +269,19 @@ def _scan_triples(pts: tuple[Point, ...]) -> tuple[int, int, int] | None:
 def convex_hull(ps: PointSet) -> list[int]:
     """Hull vertex indices, anticlockwise, starting at the lexicographic minimum.
 
-    Requires at least 3 points in general position; a collinear triple
-    anywhere in the set raises DegenerateInput (fail loudly rather than
-    return a hull whose boundary classification is ambiguous).
+    A set with a cyclic order reads it: the circle, turned to start at
+    its lexicographic minimum. Other sets run the strict hull. Requires
+    at least 3 points in general position; a collinear triple anywhere in
+    the set raises DegenerateInput (fail loudly rather than return a hull
+    whose boundary classification is ambiguous).
     """
     if len(ps) < 3:
         raise InvalidParameter("convex hull needs at least 3 points")
+    order = cyclic_order(ps)
+    if order is not None:
+        at = order.circle
+        k = at.index(min(at, key=ps.points.__getitem__))
+        return [*at[k:], *at[:k]]
     hull = _strict_hull(ps.points)
     bad = None if len(hull) == len(ps) else collinear_triple(ps)
     if bad is not None:
@@ -302,10 +314,12 @@ class CyclicOrder:
     """Positions of a PointSet's circle points around a strictly convex
     polygon, anticlockwise.
 
-    Built only by cyclic_order, from one strict-hull pass for every tag.
-    On a verified wheel<n> set pos[i] == i for the 2n-1 circle points,
-    the centre (index 2n-1) has pos -1, and wheel == n. On a set in
-    convex position every point is on the circle and wheel is None.
+    Built only by cyclic_order: from the walk of the listed order when
+    the points pass it, which decides every wheel<n> tag, else from one
+    strict-hull pass. On a verified wheel<n> set pos[i] == i for the 2n-1
+    circle points, the centre (index 2n-1) has pos -1, and wheel == n. On
+    a set in convex position every point is on the circle and wheel is
+    None.
     """
 
     pos: tuple[int, ...]
@@ -422,14 +436,17 @@ class CyclicOrder:
 def cyclic_order(ps: PointSet) -> CyclicOrder | None:
     """The verified cyclic order of ps, built on first use and kept on ps.
 
-    One strict-hull pass, O(n log n), decides every tag. A wheel<n> tag
-    yields a "wheel-index" order only when the hull is exactly the 2n-1
-    circle points, anticlockwise in index order, and the centre lies
-    strictly left of every near-diameter v_i -> v_{i+n-1}; a set without
-    a wheel tag yields a "convex-order" order when every point is a
-    strict hull vertex. Otherwise (a wheel tag the coordinates refute
-    included) None. Raises InvalidParameter when a wheel tag disagrees
-    with the point count.
+    A walk of the points in their listed order (_listed_start), one
+    orientation call per point, comes first. A wheel<n> tag yields a
+    "wheel-index" order only when the 2n-1 circle points pass the walk,
+    a strictly convex polygon anticlockwise in index order, and the centre
+    lies strictly left of every near-diameter v_i -> v_{i+n-1}: O(n), no
+    hull. A set without a wheel tag yields a "convex-order" order when its
+    points pass the walk, pos[i] = (i - s) mod N for s the lexicographic
+    minimum, or else when one strict-hull pass, O(n log n), finds every
+    point a strict hull vertex. Otherwise (a wheel tag the coordinates
+    refute included) None. Raises InvalidParameter when a wheel tag
+    disagrees with the point count.
     """
     if _ORDER_ATTR not in ps.__dict__:
         ps.__dict__[_ORDER_ATTR] = _build_order(ps)
@@ -440,23 +457,52 @@ def _build_order(ps: PointSet) -> CyclicOrder | None:
     n = wheel_n(ps)
     if len(ps) < 3:
         return None
+    if n is not None:
+        # a circle that is a convex polygon in index order, with the centre
+        # strictly left of every near-diameter v_i -> v_{i+n-1}: the centre is
+        # then strictly inside, for the two near-diameters through the ends of
+        # an edge v_j v_{j+1} cross inside the polygon, and the wedge left of
+        # both lies strictly left of that edge
+        m = 2 * n - 1
+        circle, centre = ps.points[:m], ps.points[m]
+        if _listed_start(circle) is not None and all(
+                orientation(circle[i], circle[(i + n - 1) % m], centre) is _CCW
+                for i in range(m)):
+            return CyclicOrder(tuple(range(m)) + (-1,), m, n)
+        return None
+    count, s = len(ps), _listed_start(ps.points)
+    if s is not None:  # pos[i] = (i - s) mod count
+        return CyclicOrder((*range(count - s, count), *range(count - s)), count)
     hull = _strict_hull(ps.points)
-    if n is None:
-        if len(hull) != len(ps):
+    if len(hull) != count:
+        return None
+    pos = [0] * count
+    for k, i in enumerate(hull):
+        pos[i] = k
+    return CyclicOrder(tuple(pos), count)
+
+
+def _listed_start(points: Sequence[Point]) -> int | None:
+    """The index of the lexicographic minimum when the points, in their
+    listed order, are the vertices of a strictly convex polygon wound once
+    anticlockwise, else None: one walk of len(points) >= 3 orientation
+    calls, stopped at the first turn that is not a left turn.
+
+    Every turn a left turn makes the directions of the edges p_i -> p_{i+1}
+    turn anticlockwise by less than pi at each vertex, 2 pi k in all, for k
+    windings. An edge is ascending when p_{i+1} > p_i as (x, y) tuples, a
+    half-open half-plane of directions, so no turn steps over it or over its
+    complement, and the walk enters it exactly k times: at the vertices
+    below both neighbours. With k = 1 the polygon is strictly convex, and
+    that one vertex is its lexicographic minimum.
+    """
+    start, a, b = None, points[-2], points[-1]
+    for i, c in enumerate(points):
+        if orientation(a, b, c) is not _CCW:
             return None
-        pos = [0] * len(ps)
-        for k, i in enumerate(hull):
-            pos[i] = k
-        return CyclicOrder(tuple(pos), len(ps))
-    # a hull of just the circle in index order puts the centre in the closed
-    # polygon (outside, it would be a hull vertex); strictly left of every
-    # near-diameter keeps it off the boundary, for a point on edge
-    # v_j v_{j+1} is right of v_{j-n+2} -> v_{j+1}, and so strictly on the
-    # long side of every chord
-    m, s = 2 * n - 1, hull[0]
-    circle, centre = ps.points[:m], ps.points[m]
-    if hull == [*range(s, m), *range(s)] and all(
-            orientation(circle[i], circle[(i + n - 1) % m], centre) is _CCW
-            for i in range(m)):
-        return CyclicOrder(tuple(range(m)) + (-1,), m, n)
-    return None
+        if a > b < c:
+            if start is not None:
+                return None
+            start = i - 1 if i else len(points) - 1
+        a, b = b, c
+    return start

@@ -59,7 +59,10 @@ from .geom_core import (GeomEdge, PointSet, convex_hull, cyclic_order, edge,
 class GeomTree:
     """Edge set drawn on a point set; edges are normalized sorted pairs.
     The caller's pairs are kept, and only sorted, when each is a tuple
-    (a, b) with a < b (a zip's items are tuples); else all are rebuilt."""
+    (a, b) with a < b (a zip's items are tuples); else all are rebuilt.
+    InvalidParameter names a pair that is not two int ends when its ends
+    and the others' do not compare (a str and an int); ends that compare
+    are kept, and the verifier names them."""
 
     ps: PointSet
     edges: tuple[GeomEdge, ...]
@@ -71,10 +74,30 @@ class GeomTree:
                     == len(pairs)) and all(starmap(lt, pairs))
         except TypeError:
             keep = False
-        if not keep:  # edge() runs only to raise on a loop
-            pairs = [(a, b) if a < b else (b, a) if a > b else edge(a, b) for a, b in pairs]
-        pairs.sort()
+        try:
+            if not keep:  # edge() runs only to raise on a loop
+                pairs = [(a, b) if a < b else (b, a) if a > b else edge(a, b)
+                         for a, b in pairs]
+            pairs.sort()
+        except TypeError:  # ends that do not compare, as a str and an int
+            _refuse_non_int_pair(pairs)
+            raise
         object.__setattr__(self, "edges", tuple(pairs))
+
+
+def _refuse_non_int_pair(pairs: Iterable) -> None:
+    """InvalidParameter naming the first of pairs that is not two int ends,
+    if one is: run where a TypeError, raised by comparing or indexing by
+    an end, has shown that there may be one, so that no accepted pair
+    pays for a type test."""
+    for pair in pairs:
+        try:
+            a, b = pair
+            ints = type(a) is type(b) is int
+        except (TypeError, ValueError):
+            ints = False
+        if not ints:
+            raise InvalidParameter(f"edge {pair!r} is not two int ends") from None
 
 
 @dataclass(frozen=True)
@@ -115,10 +138,13 @@ def cover_defect(ps: PointSet, trees: Iterable[GeomTree]) -> dict[str, list[Geom
     npts = len(ps)
     edge_sets = [t.edges for t in trees]
     distinct = set(chain.from_iterable(edge_sets))
-    if (len(distinct) == sum(map(len, edge_sets)) == npts * (npts - 1) // 2
-            and (not distinct or (min(es[0][0] for es in edge_sets if es) >= 0
-                                  and max(map(itemgetter(1), distinct)) < npts))):
-        return {"missing": [], "extra": [], "duplicated": []}
+    try:  # an end that is no int may not compare with 0 or npts
+        if (len(distinct) == sum(map(len, edge_sets)) == npts * (npts - 1) // 2
+                and (not distinct or (min(es[0][0] for es in edge_sets if es) >= 0
+                                      and max(map(itemgetter(1), distinct)) < npts))):
+            return {"missing": [], "extra": [], "duplicated": []}
+    except TypeError:
+        pass
     return list_cover_defects(ps, edge_sets)
 
 
@@ -133,9 +159,20 @@ def list_cover_defects(ps: PointSet, edge_sets: Iterable[Iterable[GeomEdge]]
     npts = len(ps)
     count = Counter(chain.from_iterable(edge_sets))
     return {"missing": [e for e in combinations(range(npts), 2) if e not in count],
-            "extra": sorted(e for e in count
-                            if not (type(e[0]) is type(e[1]) is int and 0 <= e[0] < e[1] < npts)),
-            "duplicated": sorted(e for e, c in count.items() if c > 1)}
+            "extra": _sorted_pairs(e for e in count if not (
+                type(e[0]) is type(e[1]) is int and 0 <= e[0] < e[1] < npts)),
+            "duplicated": _sorted_pairs(e for e, c in count.items() if c > 1)}
+
+
+def _sorted_pairs(pairs: Iterable[tuple]) -> list[tuple]:
+    """The pairs sorted; where their ends do not compare (a str end among
+    int ones), sorted on the ends' type names first."""
+    out = list(pairs)
+    try:
+        out.sort()
+    except TypeError:
+        out.sort(key=lambda pair: [(type(end).__name__, end) for end in pair])
+    return out
 
 
 def rotate_labels(edges: Iterable[tuple[int, int]], q: int, m: int) -> list[tuple[int, int]]:
@@ -622,12 +659,17 @@ def is_plane(t: GeomTree) -> bool:
     with every end in 0..N-1, the planarity answer of the stack pass
     CyclicOrder.plane_tree, O(E log E), the pass verify_partition runs;
     otherwise the crossing_pair scan, which raises on an index that is no
-    point."""
+    point. InvalidParameter on an end that is no int, once comparing or
+    indexing by it has raised TypeError."""
     order, edges = cyclic_order(t.ps), t.edges
-    if (order is not None and edges and edges[0][0] >= 0
-            and max(map(itemgetter(1), edges)) < len(t.ps)):
-        return order.plane_tree(edges)[0]
-    return crossing_pair(t.ps, edges) is None
+    try:
+        if (order is not None and edges and edges[0][0] >= 0
+                and max(map(itemgetter(1), edges)) < len(t.ps)):
+            return order.plane_tree(edges)[0]
+        return crossing_pair(t.ps, edges) is None
+    except TypeError:  # an end that is no int, compared or indexed by
+        _refuse_non_int_pair(edges)
+        raise
 
 
 def classify(t: TreeLike) -> TreeClassReport:

@@ -25,7 +25,7 @@ from planetrees.cli_io import (emit_edgelist, emit_partition, emit_pointset,
 from planetrees.presets import (CHOICES_PRESETS, POINT_PRESETS, PRESET_RUNS,
                                 builtin_tree, construction_pointset, figure_pointset)
 
-from conftest import regular_gon
+from conftest import regular_gon, shuffled_gon
 
 FIG2I_SVG_SHA = "9c03434cb3dccd8479ea11221b4579437343a91ec6d495a21d99706e8ac379da"
 
@@ -453,7 +453,7 @@ def test_preset_names_resolve_with_their_labels():
     assert load_pointset("fig4").label(1) == "u"
 
 
-def test_parsed_convex_file_runs_one_hull_pass(monkeypatch):
+def test_parsed_convex_file_runs_a_hull_pass_only_when_shuffled(monkeypatch):
     sizes = []
     strict_hull = geom_core._strict_hull
 
@@ -462,12 +462,15 @@ def test_parsed_convex_file_runs_one_hull_pass(monkeypatch):
         return strict_hull(points)
 
     monkeypatch.setattr(geom_core, "_strict_hull", counted)
+    # a gon listed round its hull: the walk of the listed order is its order
     ps = parse_pointset(emit_pointset(regular_gon(16)))
     assert ps.config_tag == "convex"
     assert verify_partition(theorem2_partition(ps, 0)).predicate == "convex-order"
-    assert sizes == [16]
-    sizes.clear()
     assert len(convex_hull(regular_gon(16))) == 16
+    assert sizes == []
+    # the same points shuffled: the walk fails and one hull pass orders them
+    ps = parse_pointset(emit_pointset(shuffled_gon(16)))
+    assert cyclic_order(ps).kind == "convex-order" and len(convex_hull(ps)) == 16
     assert sizes == [16]
 
 

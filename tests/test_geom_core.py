@@ -445,3 +445,104 @@ def test_wheel_verdict_matches_the_definition(n):
         assert verdicts[-1] == wheel_by_definition(pts, n), pts
         assert order is None or order.pos == tuple(range(2 * n - 1)) + (-1,)
     assert True in verdicts and False in verdicts
+
+
+def hull_order(ps):
+    """cyclic_order by the strict hull alone, for every tag: a set without a
+    wheel tag is ordered when every point is a hull vertex; a wheel<n> tag
+    holds when the hull is the circle in index order, turned, and the centre
+    is strictly left of every near-diameter."""
+    n = wheel_n(ps)
+    if len(ps) < 3:
+        return None
+    hull = geom_core._strict_hull(ps.points)
+    if n is None:
+        if len(hull) != len(ps):
+            return None
+        pos = [0] * len(ps)
+        for k, i in enumerate(hull):
+            pos[i] = k
+        return geom_core.CyclicOrder(tuple(pos), len(ps))
+    m, s = 2 * n - 1, hull[0]
+    circle, centre = ps.points[:m], ps.points[m]
+    if hull == [*range(s, m), *range(s)] and all(
+            orientation(circle[i], circle[(i + n - 1) % m], centre) is Orientation.CCW
+            for i in range(m)):
+        return geom_core.CyclicOrder(tuple(range(m)) + (-1,), m, n)
+    return None
+
+
+def listed_variants(pts, rng):
+    """pts, a list in convex position anticlockwise, turned, clockwise,
+    shuffled and wound more than once, then with a repeated point, a chord
+    midpoint and an interior point put in at random places."""
+    m = len(pts)
+    k = rng.randrange(m)
+    shuffled = pts[:]
+    rng.shuffle(shuffled)
+    out = [pts, pts[k:] + pts[:k], pts[::-1], shuffled]
+    out += [[pts[w * i % m] for i in range(m)] for w in (2, 3) if math.gcd(w, m) == 1]
+    a, b = rng.sample(range(m), 2)
+    middle = ((pts[a][0] + pts[b][0]) / 2, (pts[a][1] + pts[b][1]) / 2)
+    inner = (sum(x for x, _ in pts) / m, sum(y for _, y in pts) / m)
+    for extra in (pts[a], middle, inner, (0.01, -0.02)):
+        at = rng.randrange(m + 1)
+        out.append(pts[:at] + [extra] + pts[at:])
+    return out
+
+
+def test_cyclic_order_matches_the_hull_order():
+    rng = random.Random(29)
+    sets = []
+    for m in range(3, 25):
+        gon = list(regular_gon(m, phase=rng.uniform(-math.pi, math.pi)).points)
+        bumpy = [(math.cos(a) * r, math.sin(a) * r) for a, r in (
+            (2 * math.pi * (i + rng.uniform(-0.2, 0.2)) / m, rng.uniform(0.9, 1.1))
+            for i in range(m))]
+        square = [(float(x), float(y)) for x, y in ((0, 0), (4, 0), (4, 4), (0, 4))]
+        for pts in (gon, bumpy, square):
+            sets += [(tuple(v), tag) for v in listed_variants(pts, rng)
+                     for tag in ("convex", "general")]
+    for n in range(2, 7):
+        sets += [(pts, f"wheel{n}") for pts in moved_wheels(n, rng)]
+    for n in range(2, 41):
+        pts = make_wheel(n, seed_angle=rng.uniform(-math.pi, math.pi)).points
+        m = 2 * n - 1
+        j = rng.randrange(m)
+        swapped = pts[:j] + pts[m:] + pts[j + 1:m] + pts[j:j + 1]
+        sets += [(pts, f"wheel{n}"), (swapped, f"wheel{n}"), (pts, "general"),
+                 (pts[:m], "convex"), (pts[m - 1::-1], "convex")]
+    verdicts = set()
+    for pts, tag in sets:
+        order = cyclic_order(PointSet(pts, tag))
+        assert order == hull_order(PointSet(pts, tag)), (pts, tag)
+        verdicts.add(None if order is None else order.kind)
+    assert verdicts == {None, "convex-order", "wheel-index"}
+
+
+def test_a_listed_order_costs_one_walk(monkeypatch):
+    calls, hulls = [], []
+    exact, strict_hull = geom_core.orientation, geom_core._strict_hull
+
+    def counted(p, q, r):
+        calls.append(1)
+        return exact(p, q, r)
+
+    def counted_hull(points):
+        hulls.append(len(points))
+        return strict_hull(points)
+
+    monkeypatch.setattr(geom_core, "orientation", counted)
+    monkeypatch.setattr(geom_core, "_strict_hull", counted_hull)
+    for m in (3, 16, 40):
+        gon = regular_gon(m)
+        calls.clear()
+        assert cyclic_order(PointSet(gon.points, "convex")).turned
+        assert (len(calls), hulls) == (m, [])
+    for n in (2, 8, 40):
+        wheel = make_wheel(n, seed_angle=0.1 * n)
+        calls.clear()
+        assert cyclic_order(PointSet(wheel.points, wheel.config_tag)).wheel == n
+        assert (len(calls), hulls) == (2 * (2 * n - 1), [])
+    assert cyclic_order(shuffled_gon(16)).kind == "convex-order"
+    assert hulls == [16]

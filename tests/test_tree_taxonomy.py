@@ -957,9 +957,16 @@ def test_turned_pairs_is_rotate_then_look_up():
 
 
 def _normalized_by_rebuilding(edges):
-    """GeomTree's edges as every pair rebuilt: the reference for its keep path."""
-    return tuple(sorted([(a, b) if a < b else (b, a) if a > b else edge(a, b)
-                         for a, b in edges]))
+    """GeomTree's edges as every pair rebuilt: the reference for its keep
+    path. Ends that do not compare name the first pair not two ints."""
+    edges = list(edges)
+    try:
+        return tuple(sorted([(a, b) if a < b else (b, a) if a > b else edge(a, b)
+                             for a, b in edges]))
+    except TypeError:
+        bad = next(e for e in edges if not (isinstance(e, (tuple, list)) and len(e) == 2
+                                            and type(e[0]) is type(e[1]) is int))
+        raise InvalidParameter(f"edge {bad!r} is not two int ends") from None
 
 
 def _outcome(make):

@@ -1,5 +1,6 @@
 import ast
 import random
+import re
 from itertools import combinations, product, starmap
 from pathlib import Path
 
@@ -468,3 +469,33 @@ def test_brute_force_limit_must_not_be_negative():
     with pytest.raises(InvalidParameter, match="limit must be None or >= 0, got -1"):
         brute_force_partitions(make_wheel(2), limit=-1)
     assert brute_force_partitions(make_wheel(2), limit=0) == []
+
+
+def test_an_end_that_does_not_compare_is_named():
+    wheel = make_wheel(3)
+    with pytest.raises(InvalidParameter, match=r"edge \('0', '4'\) is not two int ends"):
+        GeomTree(wheel, [(0, 1), ("0", "4")])
+    with pytest.raises(InvalidParameter, match=r"edge \(0, '4'\) is not two int ends"):
+        GeomTree(wheel, [(0, "4")])
+
+
+def test_is_plane_names_an_end_that_is_no_int():
+    wheel, fig5 = make_wheel(3), figure_pointset("fig5")
+    # on an order, and with none (the pairwise scan reads ends only in pairs)
+    for ps, edges in ((wheel, [(0, 4.5)]), (wheel, [("0", "4")]), (fig5, [(0, 1), (2.0, 3)])):
+        with pytest.raises(InvalidParameter, match=re.escape(f"edge {edges[-1]!r} is not")):
+            is_plane(GeomTree(ps, edges))
+
+
+def test_verify_reports_a_str_tree_as_extra():
+    p = build_wheel_partition(builtin_tree("fig2i", 3), 3)
+    t0, t1, t2 = (t.edges for t in p.trees)
+    spelled = [(str(a), str(b)) for a, b in t0]
+    rep = verify_partition(Partition(p.ps, (GeomTree(p.ps, spelled),
+                                            *p.trees[1:])))
+    assert (rep.reason, rep.witness) == ("coverage", {
+        "trees": 3, "missing": list(t0), "extra": sorted(spelled), "duplicated": []})
+    # with an int pair out of range as well: both are listed, str ends last
+    rep = verify_partition(Partition(p.ps, (GeomTree(p.ps, spelled),
+                                            GeomTree(p.ps, [*t1[1:], (0, 9)]), p.trees[2])))
+    assert rep.witness["extra"] == [(0, 9), *sorted(spelled)]
