@@ -196,20 +196,14 @@ def parse_partition(text: str, ps: PointSet) -> Partition:
 def emit_partition(p: Partition) -> str:
     # _emitted_trees reads exactly this spelling in bulk; change both together.
     # Each line is spelled from one str(i) table per partition (heads[a] is
-    # "a "); a tree with a label outside 0..N-1 keeps the f-string spelling
+    # "a "), which holds every end, as a GeomTree's are point indices
     npts = len(p.ps)
     names = [str(i) for i in range(npts)]
     heads = [s + " " for s in names]
     out = [f"partition {npts} {len(p.trees)}"]
     for i, t in enumerate(p.trees):
         out.append(f"tree {i}")
-        edges = t.edges  # GeomTree keeps them sorted, a < b: edges[0][0] is the least
-        try:
-            if edges and edges[0][0] < 0:
-                raise IndexError  # names[-1] would spell N - 1
-            out += [heads[a] + names[b] for a, b in edges]
-        except (IndexError, TypeError):  # a label outside 0..N-1, or not an int
-            out += [f"{a} {b}" for a, b in edges]
+        out += [heads[a] + names[b] for a, b in t.edges]
     return "\n".join(out) + "\n"
 
 
@@ -316,6 +310,20 @@ def _read(value: str, flag: str) -> str:
         raise ParseError(f"{flag} {value!r}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
+def _write_out(value: str, text: str, name: str | None = None) -> None:
+    """text into the file --out names or, given name, into the file of
+    that name in the directory --out names, made if need be;
+    InvalidParameter when it cannot be written."""
+    path = Path(value)
+    try:
+        if name is not None:
+            path.mkdir(parents=True, exist_ok=True)
+            path /= name
+        path.write_text(text)
+    except OSError as exc:
+        raise InvalidParameter(f"--out {value!r}: {exc.strerror or exc}") from None
+
+
 def load_pointset(value: str, flag: str = "--input", radius: float | None = None,
                   seed: int | None = None) -> PointSet:
     """The point set a name stands for: a pointset file, a packaged preset,
@@ -382,7 +390,7 @@ def _load_choices(value: str | None) -> ConstructionChoices | None:
 def _write(args, text: str) -> None:
     """text into --out, else onto stdout, which --json keeps for its object."""
     if args.out is not None:
-        Path(args.out).write_text(text)
+        _write_out(args.out, text)
     elif args.json:
         raise InvalidParameter(f"{args.command} --json needs --out:"
                                " stdout holds only the JSON object")
@@ -453,17 +461,14 @@ def _cmd_classify(args) -> int:
 
 
 def _write_partition_dir(args, p: Partition, extra: dict, files: dict[str, str]) -> None:
-    """p's files, the SVG under --svg and files (name -> text) into --out,
-    each written as soon as its text is made."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    """files (name -> text), partition.txt and, under --svg, partition.svg
+    into --out, each written as soon as its text is made."""
     for name, text in files.items():
-        (out / name).write_text(text)
-    for i, t in enumerate(p.trees):
-        (out / f"tree_{i}.edges").write_text(emit_edgelist(t.edges))
-    (out / "partition.txt").write_text(emit_partition(p))
+        _write_out(args.out, text, name)
+    _write_out(args.out, emit_partition(p), "partition.txt")
     if args.svg:
-        (out / "partition.svg").write_text(render_svg(p))
+        _write_out(args.out, render_svg(p), "partition.svg")
+    out = Path(args.out)
     _report(args, {"out": str(out), "trees": len(p.trees), **extra},
             f"wrote {len(p.trees)} trees to {out}")
 
@@ -520,11 +525,10 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle(args) -> int:
     ps = load_pointset(args.input)
     found = brute_force_partitions(ps, limit=args.limit)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "partitions.txt").write_text("\n".join(
+    _write_out(args.out, "\n".join(
         emit_partition(Partition(ps, tuple(GeomTree(ps, t) for t in trees)))
-        for trees in found))
+        for trees in found), "partitions.txt")
+    out = Path(args.out)
     _report(args, {"count": len(found), "out": str(out)},
             f"{len(found)} partitions -> {out}/partitions.txt")
     return 0

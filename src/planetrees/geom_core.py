@@ -20,11 +20,11 @@ points earn their tag the same way), and a failed walk refutes it. A set
 without a wheel tag that the walk rejects gets one strict-hull pass
 (Andrew's monotone chain, O(n log n)), and a cyclic order when the hull
 holds every point. On such an order one stack pass,
-CyclicOrder.plane_tree, reads sorted in-range edges once and says whether
-they are crossing-free, in O(E log E), and whether they are also a
-spanning tree, by a union-find in the same pass; it is the only planarity
-kernel here, and a set with no order is left to the pairwise predicate
-segments_cross. The order also settles collinear_triple. Only this
+CyclicOrder.plane_tree, reads a tree's sorted point pairs once and says
+whether they are crossing-free, in O(E log E), and whether they are
+also a spanning tree, by a union-find in the same pass; it is the only
+planarity kernel here, and a set with no order is left to the pairwise
+predicate segments_cross. The order also settles collinear_triple. Only this
 module knows the tag syntax and wheel labels.
 """
 from __future__ import annotations
@@ -365,10 +365,9 @@ class CyclicOrder:
     def plane_tree(self, edges: Sequence[GeomEdge]) -> tuple[bool, bool]:
         """(plane, tree) for sorted point pairs a < b of indices 0..N-1:
         plane says that no two of the edges cross, tree that they are also
-        a spanning tree of the N points. A GeomTree's edges qualify once
-        they are known to be in range (cover_defect accepted them, or
-        is_plane tested the ends); other input is outside the contract,
-        and is_plane takes any tree. The one stack pass of every planarity
+        a spanning tree of the N points. A GeomTree's edges are such
+        pairs, as the tree checks where it is built; other input is
+        outside the contract. The one stack pass of every planarity
         check on an order, reading each edge once; a crossing stops it at
         (False, False).
 

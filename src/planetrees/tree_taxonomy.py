@@ -1,15 +1,16 @@
 """The partition model and the tree kernel.
 
-A GeomTree is an edge set drawn on a PointSet; a Partition is the trees
-claimed to split E(K_2n) on one PointSet, and cover_defect, the
-verifier's cover check, says how a set of trees fails to hold every
-edge exactly once (list_cover_defects lists the ways, a pair with an
-end that is no int as extra). Every builder draws one tree on labels and makes its
-Partition in turned_partition, which proves on the labels alone, in
-O(n log n), that the tree's turns hold each pair at most once, takes the
-pairs none holds as the last tree round a fixed centre and refuses them
-without one, and writes each turned copy once as point pairs
-(turned_pairs). Builders and verify_oracle both take these types from
+A GeomTree is an edge set drawn on a PointSet: sorted pairs a < b of
+point indices, checked once where the tree is built, so every reader
+of a tree (the cover, spanning and plane checks, the file writer) takes
+them as such. A Partition is the trees claimed to split E(K_2n) on one
+PointSet, and cover_defect, the verifier's cover check, says how a set
+of trees fails to hold every edge exactly once. Every builder draws one
+tree on labels and makes its Partition in turned_partition, which
+proves on the labels alone, in O(n log n), that the tree's turns hold
+each pair at most once, takes the pairs none holds as the last tree
+round a fixed centre and refuses them without one, and writes each
+turned copy once as point pairs (turned_pairs). Builders and verify_oracle both take these types from
 here, so the verifier needs nothing from the builders it checks.
 
 Tree recognizers and witnesses: paths, stars, double stars, S_k(m,n),
@@ -42,11 +43,11 @@ recurses.
 """
 from __future__ import annotations
 
+import operator
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, starmap
-from operator import itemgetter, lt
+from itertools import chain, combinations
 from typing import Collection, Iterable, Sequence, Union
 
 from .errors import (InvalidParameter, NotATree, NotWheelConfig,
@@ -57,47 +58,41 @@ from .geom_core import (GeomEdge, PointSet, convex_hull, cyclic_order, edge,
 
 @dataclass(frozen=True)
 class GeomTree:
-    """Edge set drawn on a point set; edges are normalized sorted pairs.
-    The caller's pairs are kept, and only sorted, when each is a tuple
-    (a, b) with a < b (a zip's items are tuples); else all are rebuilt.
-    InvalidParameter names a pair that is not two int ends when its ends
-    and the others' do not compare (a str and an int); ends that compare
-    are kept, and the verifier names them."""
+    """Edge set drawn on a point set: sorted pairs (a, b) of point indices,
+    0 <= a < b < N = len(ps), checked here once so that no reader of a
+    tree checks them again. The caller's pairs are kept, and only sorted,
+    when each is such a tuple of two ints (a zip's items are tuples); else
+    each is rebuilt from operator.index of its ends, so a NumPy integer is
+    stored as an int. InvalidParameter names the first pair that is not
+    two point indices (a float, str or None end, an end outside 0..N-1, a
+    non-pair), and a loop is a degenerate edge, as edge() says."""
 
     ps: PointSet
     edges: tuple[GeomEdge, ...]
 
     def __post_init__(self):
-        pairs = list(self.edges)
-        try:  # a pair of another length, or with no order, raises again below
-            keep = (type(self.edges) is zip or list(map(type, pairs)).count(tuple)
-                    == len(pairs)) and all(starmap(lt, pairs))
-        except TypeError:
+        pairs, npts = list(self.edges), len(self.ps)
+        try:  # a tuple of another length raises ValueError; _point_pair names it
+            keep = ((type(self.edges) is zip or list(map(type, pairs)).count(tuple) == len(pairs))
+                    and all(type(a) is type(b) is int and -1 < a < b < npts for a, b in pairs))
+        except ValueError:
             keep = False
-        try:
-            if not keep:  # edge() runs only to raise on a loop
-                pairs = [(a, b) if a < b else (b, a) if a > b else edge(a, b)
-                         for a, b in pairs]
-            pairs.sort()
-        except TypeError:  # ends that do not compare, as a str and an int
-            _refuse_non_int_pair(pairs)
-            raise
+        if not keep:
+            pairs = [_point_pair(pair, npts) for pair in pairs]
+        pairs.sort()
         object.__setattr__(self, "edges", tuple(pairs))
 
 
-def _refuse_non_int_pair(pairs: Iterable) -> None:
-    """InvalidParameter naming the first of pairs that is not two int ends,
-    if one is: run where a TypeError, raised by comparing or indexing by
-    an end, has shown that there may be one, so that no accepted pair
-    pays for a type test."""
-    for pair in pairs:
-        try:
-            a, b = pair
-            ints = type(a) is type(b) is int
-        except (TypeError, ValueError):
-            ints = False
-        if not ints:
-            raise InvalidParameter(f"edge {pair!r} is not two int ends") from None
+def _point_pair(pair, npts: int) -> GeomEdge:
+    """pair as a normalized pair of point indices 0..npts-1, each end read
+    by operator.index; InvalidParameter naming pair when it is none."""
+    try:
+        a, b = map(operator.index, pair)
+    except (TypeError, ValueError):  # no pair, or an end that is no integer
+        a = b = -1
+    if not (-1 < a < npts and -1 < b < npts):
+        raise InvalidParameter(f"edge {pair!r} is not two int ends in 0..{npts - 1}")
+    return edge(a, b)
 
 
 @dataclass(frozen=True)
@@ -122,57 +117,24 @@ class Partition:
 
 
 def cover_defect(ps: PointSet, trees: Iterable[GeomTree]) -> dict[str, list[GeomEdge]]:
-    """How the trees' edges fail to hold each edge of K on ps exactly once:
-    list_cover_defects' lists, all empty exactly when the trees cover
-    E(K) once.
+    """How the trees' edges fail to hold each edge of K on ps exactly once,
+    in sorted lists, all empty exactly when they cover E(K) once:
+    "missing", point pairs no tree holds, in combinations order, and
+    "duplicated", pairs held more than once. "extra" is always empty, as
+    a GeomTree holds only point pairs.
 
-    A cover is accepted by its size: GeomTree edges are int pairs a < b,
-    so with the least a >= 0 and the greatest b < N = len(ps) they lie in
-    E(K), and C(N, 2) distinct ones, as many as the trees hold, are E(K)
-    once each. A GeomTree's edges are sorted, so the least a is some
-    tree's first. The test reads the trees' own edge tuples and not the
-    types of their ends (verify_partition names a non-int end when its
-    passes meet one); only when it (a set, a min, a max, all in C) fails
-    are the defects listed.
+    A cover is accepted by its size: C(N, 2) distinct point pairs, as
+    many as the trees hold, are E(K) once each. Only when that test fails
+    are the defects listed, in O(E log E).
     """
     npts = len(ps)
     edge_sets = [t.edges for t in trees]
     distinct = set(chain.from_iterable(edge_sets))
-    try:  # an end that is no int may not compare with 0 or npts
-        if (len(distinct) == sum(map(len, edge_sets)) == npts * (npts - 1) // 2
-                and (not distinct or (min(es[0][0] for es in edge_sets if es) >= 0
-                                      and max(map(itemgetter(1), distinct)) < npts))):
-            return {"missing": [], "extra": [], "duplicated": []}
-    except TypeError:
-        pass
-    return list_cover_defects(ps, edge_sets)
-
-
-def list_cover_defects(ps: PointSet, edge_sets: Iterable[Iterable[GeomEdge]]
-                       ) -> dict[str, list[GeomEdge]]:
-    """Every way the edge sets miss holding each edge of K on ps exactly
-    once, O(E log E), in sorted lists. "missing": point pairs no set holds,
-    in combinations order; "extra": pairs that join no two points of ps,
-    and pairs with an end that is no int; "duplicated": pairs held more
-    than once.
-    """
-    npts = len(ps)
+    if len(distinct) == sum(map(len, edge_sets)) == npts * (npts - 1) // 2:
+        return {"missing": [], "extra": [], "duplicated": []}
     count = Counter(chain.from_iterable(edge_sets))
-    return {"missing": [e for e in combinations(range(npts), 2) if e not in count],
-            "extra": _sorted_pairs(e for e in count if not (
-                type(e[0]) is type(e[1]) is int and 0 <= e[0] < e[1] < npts)),
-            "duplicated": _sorted_pairs(e for e, c in count.items() if c > 1)}
-
-
-def _sorted_pairs(pairs: Iterable[tuple]) -> list[tuple]:
-    """The pairs sorted; where their ends do not compare (a str end among
-    int ones), sorted on the ends' type names first."""
-    out = list(pairs)
-    try:
-        out.sort()
-    except TypeError:
-        out.sort(key=lambda pair: [(type(end).__name__, end) for end in pair])
-    return out
+    return {"missing": [e for e in combinations(range(npts), 2) if e not in count], "extra": [],
+            "duplicated": sorted(e for e, c in count.items() if c > 1)}
 
 
 def rotate_labels(edges: Iterable[tuple[int, int]], q: int, m: int) -> list[tuple[int, int]]:
@@ -625,14 +587,14 @@ def spine_walk(adj: dict[int, set[int]], head: int) -> list[int] | None:
 # public operations
 
 def is_spanning_tree(t: GeomTree) -> bool:
-    """Connected, acyclic, and covering every point of t.ps."""
+    """Connected, acyclic, and covering every point of t.ps: N - 1 edges
+    that close no cycle in a union-find over the point indices, which is
+    all a GeomTree holds."""
     npts = len(t.ps)
     if len(t.edges) != npts - 1:
         return False
     parent = list(range(npts))
-    for a, b in t.edges:  # a < b, as GeomTree keeps them
-        if a < 0 or b >= npts:
-            return False
+    for a, b in t.edges:
         while a != parent[a]:  # path halving
             parent[a] = a = parent[parent[a]]
         while b != parent[b]:
@@ -656,20 +618,13 @@ def crossing_pair(ps: PointSet, edges) -> tuple[GeomEdge, GeomEdge] | None:
 
 def is_plane(t: GeomTree) -> bool:
     """No two edges cross. On a cyclic order (geom_core.cyclic_order),
-    with every end in 0..N-1, the planarity answer of the stack pass
-    CyclicOrder.plane_tree, O(E log E), the pass verify_partition runs;
-    otherwise the crossing_pair scan, which raises on an index that is no
-    point. InvalidParameter on an end that is no int, once comparing or
-    indexing by it has raised TypeError."""
-    order, edges = cyclic_order(t.ps), t.edges
-    try:
-        if (order is not None and edges and edges[0][0] >= 0
-                and max(map(itemgetter(1), edges)) < len(t.ps)):
-            return order.plane_tree(edges)[0]
-        return crossing_pair(t.ps, edges) is None
-    except TypeError:  # an end that is no int, compared or indexed by
-        _refuse_non_int_pair(edges)
-        raise
+    the planarity answer of the stack pass CyclicOrder.plane_tree,
+    O(E log E), the pass verify_partition runs; otherwise the
+    crossing_pair scan."""
+    order = cyclic_order(t.ps)
+    if order is not None:
+        return order.plane_tree(t.edges)[0]
+    return crossing_pair(t.ps, t.edges) is None
 
 
 def classify(t: TreeLike) -> TreeClassReport:

@@ -16,9 +16,8 @@ tree is plane and spans), or "pairwise" coordinate tests. On an order
 the verifier accepts when the pass accepts every tree; from the first
 tree it rejects on, is_spanning_tree and then the crossing_pair scan
 name the failure, so spanning is still reported before plane. Without
-an order they are the checks themselves. A pair with an end that is no
-int, which the cover's size test does not read, is named as extra under
-coverage.
+an order they are the checks themselves. A GeomTree holds only pairs of
+point indices, so the checks judge only the mathematics.
 The enumerator, exhaustive up to n = 4, fills its crossing table (one
 int bitmask per edge) straight from segments_cross, so the ground truth
 shares no code with the stack pass it checks, and places the edges of
@@ -34,7 +33,7 @@ from itertools import combinations
 from .errors import InvalidParameter, OddPointCount, TooLarge
 from .geom_core import GeomEdge, PointSet, cyclic_order, segments_cross
 from .tree_taxonomy import (GeomTree, Partition, cover_defect, crossing_pair,
-                            is_spanning_tree, list_cover_defects, wheel_tag_n)
+                            is_spanning_tree, wheel_tag_n)
 
 
 # Partition.__dict__ key of the kept VerifyReport (as geom_core's cyclic order)
@@ -70,20 +69,14 @@ def _verify(p: Partition) -> VerifyReport:
         return VerifyReport(False, "coverage", f"odd point count {npts}")
     defect = cover_defect(p.ps, trees)
     if len(trees) == npts // 2 and not any(defect.values()):
-        try:
-            return _verify_trees(p)
-        except TypeError:  # an end that is no int, which the size test took for one
-            defect = list_cover_defects(p.ps, [t.edges for t in trees])
-            if not defect["extra"]:
-                raise
+        return _verify_trees(p)
     return VerifyReport(False, "coverage", {"trees": len(trees), **defect})
 
 
 def _verify_trees(p: Partition) -> VerifyReport:
     """Spanning, then plane, on trees that cover E(K) once. On an order
     the pass accepts trees until it rejects one; only from that tree on do
-    is_spanning_tree and crossing_pair name the failure. TypeError on an
-    end that is no int, as indexing by it raises."""
+    is_spanning_tree and crossing_pair name the failure."""
     trees, order, start = p.trees, cyclic_order(p.ps), 0
     if order is not None:
         start = next((i for i, t in enumerate(trees) if not order.plane_tree(t.edges)[1]),
@@ -92,10 +85,6 @@ def _verify_trees(p: Partition) -> VerifyReport:
             return VerifyReport(True, predicate=order.kind)
     for i in range(start, len(trees)):
         if not is_spanning_tree(trees[i]):
-            # it reads no end of a tree whose edge count is wrong, and no
-            # later tree was read at all
-            if not all(type(a) is type(b) is int for t in trees[i:] for a, b in t.edges):
-                raise TypeError("an end that is no int")
             return VerifyReport(False, "spanning", i)
     predicate = "pairwise" if order is None else order.kind
     for i in range(start, len(trees)):

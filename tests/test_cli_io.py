@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -264,29 +265,31 @@ def test_emitted_partitions_take_the_bulk_reader():
         assert parse_partition(emit_partition(p), p.ps) == p
 
 
-def _emit_by_fstring(p: Partition) -> str:
-    """emit_partition's spelling, one f-string per line."""
-    out = [f"partition {len(p.ps)} {len(p.trees)}"]
-    for i, t in enumerate(p.trees):
+def _spell_by_fstring(npts: int, edge_sets) -> str:
+    """emit_partition's spelling of edge_sets on npts points, one f-string
+    per line."""
+    out = [f"partition {npts} {len(edge_sets)}"]
+    for i, edges in enumerate(edge_sets):
         out.append(f"tree {i}")
-        out += [f"{a} {b}" for a, b in t.edges]
+        out += [f"{a} {b}" for a, b in edges]
     return "\n".join(out) + "\n"
 
 
 def test_emit_partition_spells_each_line_as_the_fstring():
     for p in BUILT:  # theorems 1 to 4
         text = emit_partition(p)
-        assert text == _emit_by_fstring(p)
+        assert text == _spell_by_fstring(len(p.ps), [t.edges for t in p.trees])
         read = cli_io._emitted_trees(text, len(p.ps))
         assert [list(edges) for edges in read] == [list(t.edges) for t in p.trees]
-    # labels below 0 and at or past N are spelled as they are, and only the
-    # line reader, which rejects them, reads the file
+    # labels below 0 and at or past N are refused where the tree is built,
+    # so emit_partition never spells one; a file that does is left by the
+    # bulk reader to the line reader, which rejects it
     ps = make_wheel(3)
     good = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5))
     for bad in (((-1, 2), (0, 1)), ((0, 6), (1, 2)), ((-3, 9),), ((-2, -1), (5, 7))):
-        p = Partition(ps, (GeomTree(ps, good), GeomTree(ps, bad), GeomTree(ps, good)))
-        text = emit_partition(p)
-        assert text == _emit_by_fstring(p)
+        with pytest.raises(InvalidParameter, match=re.escape(f"edge {bad[0]!r} is not")):
+            GeomTree(ps, bad)
+        text = _spell_by_fstring(len(ps), [good, bad, good])
         assert cli_io._emitted_trees(text, len(ps)) is None
         with pytest.raises(ParseError):
             parse_partition(text, ps)
@@ -620,8 +623,8 @@ def test_cli_wheel_partition(tmp_path, wheel3, capsys):
     code = run_cli("wheel-partition", "--n", "3", "--tree", "builtin:fig2i",
                    "--out", str(out), "--svg")
     assert code == 0
-    for i in range(3):
-        assert (out / f"tree_{i}.edges").is_file()
+    assert sorted(f.name for f in out.iterdir()) == ["analysis.txt", "partition.svg",
+                                                     "partition.txt"]
     assert (out / "partition.svg").read_text().startswith("<svg")
     analysis = (out / "analysis.txt").read_text().splitlines()
     assert analysis[0] == "verify: pass"
@@ -903,6 +906,24 @@ def test_cli_json_without_out_exits_2(tmp_path, capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"InvalidParameter: {argv[0]} --json needs --out"), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--config", "wheel3", "--out", "{tmp}"],
+    ["render", "--input", "wheel3", "--tree", "{tmp}/chair.edges", "--out", "{tmp}"],
+    ["wheel-partition", "--n", "3", "--tree", "builtin:fig2i", "--out", "{tmp}/chair.edges"],
+    ["halving-partition", "--input", "gon8", "--theorem", "2",
+     "--out", "{tmp}/chair.edges/sub"],
+    ["oracle", "--input", "wheel2", "--out", "{tmp}/chair.edges"],
+])
+def test_cli_out_that_cannot_be_written_exits_2(tmp_path, capsys, argv):
+    # a directory where a file goes, a file where a directory goes, and a
+    # file on the way to one: the OS reason, named against --out
+    (tmp_path / "chair.edges").write_text(emit_edgelist(builtin_tree("fig2i", 3)))
+    assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("InvalidParameter: --out '"), err
 
 
 def test_cli_input_takes_every_generated_name(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import namedtuple
 from itertools import combinations
 
@@ -28,6 +29,11 @@ from planetrees.tree_taxonomy import (TreeIndex, adjacency, as_edges,
                                       turned_partition)
 
 from conftest import random_convex, random_plane_convex_tree, regular_gon
+
+try:
+    import numpy
+except ImportError:
+    numpy = None
 
 
 def path_edges(k):
@@ -197,6 +203,12 @@ def _random_edge_list(npts, rng):
     return [(rng.choice(ends), rng.choice(ends)) for _ in range(rng.randrange(3 * npts))]
 
 
+def _point_pairs(edges, npts):
+    """The pairs of edges that a GeomTree on npts points takes: two
+    distinct ends in 0..npts-1."""
+    return [(a, b) for a, b in edges if a != b and 0 <= min(a, b) and max(a, b) < npts]
+
+
 def test_hull_edges_match_the_position_formula():
     rng = random.Random(19)
     sets = [make_wheel(n) for n in range(2, 12)]
@@ -208,14 +220,14 @@ def test_hull_edges_match_the_position_formula():
         for _ in range(30):
             edges = _random_edge_list(len(ps), rng)
             assert order.hull_edges(edges) == _hull_edges_by_formula(order, edges), edges
-            tree = GeomTree(ps, [e for e in edges if e[0] != e[1]])
+            tree = GeomTree(ps, _point_pairs(edges, len(ps)))
             assert boundary_edges(tree) == _hull_edges_by_formula(order, tree.edges)
     # an unearned wheel tag has no order: boundary_edges takes the hull's pairs
     ps = swapped_wheel4()
     hull = [3, 1, 2, 0, 4, 5, 6]  # make_wheel(4)'s circle with 0 and 3 swapped
     pairs = {frozenset(p) for p in zip(hull, hull[1:] + hull[:1])}
     for _ in range(30):
-        tree = GeomTree(ps, [e for e in _random_edge_list(len(ps), rng) if e[0] != e[1]])
+        tree = GeomTree(ps, _point_pairs(_random_edge_list(len(ps), rng), len(ps)))
         assert boundary_edges(tree) == [e for e in tree.edges if frozenset(e) in pairs]
 
 
@@ -337,16 +349,24 @@ def test_crossing_pair_keeps_pairwise_errors():
 
 
 def test_is_plane_leaves_an_index_past_the_points_to_the_scan():
-    # a GeomTree keeps any ordered pair, so is_plane hands a tree with an
-    # end outside 0..N-1 to the pairwise scan: its InvalidParameter, or
-    # False when a pair before the bad edge already crosses
+    # a GeomTree refuses an end outside 0..N-1 where it is built, so no
+    # tree that is_plane reads holds one; a bare edge list still reaches
+    # the pairwise scan, which raises its InvalidParameter, or returns the
+    # pair that crosses before the bad edge
     for ps in (make_wheel(3), regular_gon(6)):
         assert cyclic_order(ps) is not None
+        for edges, bad in ((((0, 1), (2, 9)), (2, 9)), (((0, 1), (-1, 2)), (-1, 2)),
+                           (((0, 6), (1, 2)), (0, 6)), (((0, 2), (1, 3), (4, 9)), (4, 9)),
+                           (((0, 9),), (0, 9))):
+            with pytest.raises(InvalidParameter, match=re.escape(f"edge {bad!r} is not")):
+                GeomTree(ps, edges)
         for edges in (((0, 1), (2, 9)), ((0, 1), (-1, 2)), ((0, 6), (1, 2))):
             with pytest.raises(InvalidParameter, match="out of range"):
-                is_plane(GeomTree(ps, edges))
-        assert not is_plane(GeomTree(ps, ((0, 2), (1, 3), (4, 9))))
-        assert is_plane(GeomTree(ps, ((0, 9),)))  # one edge: no pair to test
+                crossing_pair(ps, edges)
+        assert crossing_pair(ps, ((0, 2), (1, 3), (4, 9))) == ((0, 2), (1, 3))
+        assert crossing_pair(ps, ((0, 9),)) is None  # one edge: no pair to test
+        assert not is_plane(GeomTree(ps, ((0, 2), (1, 3), (4, 5))))
+        assert is_plane(GeomTree(ps, ((0, 5),)))
 
 
 def check_wheel_partition():
@@ -816,7 +836,9 @@ def test_cover_defect_matches_sorted_multiset(data):
     end = st.integers(min_value=-2, max_value=npts + 2)
     far = st.tuples(end, end).filter(
         lambda e: e[0] != e[1] and not (0 <= min(e) and max(e) < npts))
-    edges += data.draw(st.lists(far, max_size=3))
+    for e in data.draw(st.lists(far, max_size=3)):  # refused, so no cover holds one
+        with pytest.raises(InvalidParameter, match=re.escape(f"edge {e!r} is not")):
+            GeomTree(ps, [*edges[:2], e])
     cuts = sorted(data.draw(st.lists(st.integers(0, len(edges)), max_size=4)))
     bounds = [0] + cuts + [len(edges)]
     trees = [GeomTree(ps, tuple(edges[a:b])) for a, b in zip(bounds, bounds[1:])]
@@ -945,7 +967,7 @@ def test_turned_pairs_is_rotate_then_look_up():
             if fixed:
                 template += [(mod, rng.randrange(mod)), (rng.randrange(mod), mod)]
             turns = list(range(-mod, 2 * mod + 1))
-            ps = make_wheel(2)  # GeomTree only keeps it
+            ps = regular_gon(3 * labels)  # a point for every index the table names
             for q, got in zip(turns, turned_pairs(template, point, mod, turns)):
                 want = GeomTree(ps, [(point[a], point[b]) for a, b in rotate_labels(template, q, mod)])
                 assert all(a < b for a, b in got)
@@ -956,17 +978,17 @@ def test_turned_pairs_is_rotate_then_look_up():
     assert turned_pairs([(0, 1)], [5, 6], 2, []) == []
 
 
-def _normalized_by_rebuilding(edges):
+def _normalized_by_rebuilding(edges, npts):
     """GeomTree's edges as every pair rebuilt: the reference for its keep
-    path. Ends that do not compare name the first pair not two ints."""
-    edges = list(edges)
-    try:
-        return tuple(sorted([(a, b) if a < b else (b, a) if a > b else edge(a, b)
-                             for a, b in edges]))
-    except TypeError:
-        bad = next(e for e in edges if not (isinstance(e, (tuple, list)) and len(e) == 2
-                                            and type(e[0]) is type(e[1]) is int))
-        raise InvalidParameter(f"edge {bad!r} is not two int ends") from None
+    path. In the listed order, a pair that is not two int ends in
+    0..npts-1 is named, and a loop is a degenerate edge."""
+    out = []
+    for e in edges:
+        if not (isinstance(e, (tuple, list)) and len(e) == 2
+                and all(type(v) is int and 0 <= v < npts for v in e)):
+            raise InvalidParameter(f"edge {e!r} is not two int ends in 0..{npts - 1}")
+        out.append(edge(*e))
+    return tuple(sorted(out))
 
 
 def _outcome(make):
@@ -985,19 +1007,43 @@ def test_geomtree_keeps_only_normalized_tuples():
     for edges in cases:
         for given in (list(edges), tuple(edges), iter(edges)):
             got = _outcome(lambda: GeomTree(ps, given).edges)
-            want = _outcome(lambda: _normalized_by_rebuilding(edges))
+            want = _outcome(lambda: _normalized_by_rebuilding(edges, len(ps)))
             assert got == want, edges
             assert got[0] == "raised" or all(type(e) is tuple for e in got[1])
     for a, b in [([0, 2, 1], [1, 3, 4]), ([0, 3], [1, 2]), ([0, 2], [0, 3])]:
         got = _outcome(lambda: GeomTree(ps, zip(a, b)).edges)
-        assert got == _outcome(lambda: _normalized_by_rebuilding(zip(a, b)))
+        assert got == _outcome(lambda: _normalized_by_rebuilding(zip(a, b), len(ps)))
     assert _outcome(lambda: GeomTree(ps, zip([0, 1], [1, 2], [2, 3]))) == (
-        "raised", ValueError, "too many values to unpack (expected 2)")
+        "raised", InvalidParameter, "edge (0, 1, 2) is not two int ends in 0..5")
     kept = [(2, 3), (0, 1)]
     assert [id(e) for e in GeomTree(ps, kept).edges] == [id(kept[1]), id(kept[0])]
     # one pair out of order: every pair is rebuilt, equal but not the same
     rebuilt = GeomTree(ps, [(0, 1), (3, 2)]).edges
     assert rebuilt == ((0, 1), (2, 3))
+
+
+@pytest.mark.parametrize("pair, refusal", [
+    *(((pair, "edge " + re.escape(repr(pair)) + r" is not two int ends in 0\.\.5$")
+      for pair in [(0, 4.5), (0, 4.0), ("0", "4"), (0, "4"), (0, None), (-1, 2), (0, 6),
+                   (1, 2, 3), (2,), 5])),
+    ((2, 2), r"^degenerate edge \(2, 2\)$"),
+    pytest.param(numpy and (numpy.int64(4), numpy.int64(0)), None, id="numpy-int64",
+                 marks=pytest.mark.skipif(numpy is None, reason="NumPy is absent")),
+])
+def test_geomtree_takes_only_pairs_of_point_indices(pair, refusal):
+    # the one check of a pair: a tree holds point indices 0..N-1 or is
+    # not built, whatever path (kept or rebuilt) its pairs take, and a
+    # refusal names the first pair that is none
+    ps = make_wheel(3)
+    later = [] if refusal is None else [(2, 9)]
+    for edges in ([pair], [(3, 4), pair], [(0, 1), pair, (1, 2), *later]):
+        for given in (edges, tuple(edges), iter(edges)):
+            if refusal is None:
+                t = GeomTree(ps, given)
+                assert (0, 4) in t.edges and all(type(v) is int for e in t.edges for v in e)
+            else:
+                with pytest.raises(InvalidParameter, match=refusal):
+                    GeomTree(ps, given)
 
 
 def stripped_reference(g):

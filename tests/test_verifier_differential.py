@@ -7,18 +7,21 @@ N points, planarity is the first pair of edges, in combinations order,
 that segments_cross reports. Partitions start valid (wheel, convex and
 fig5 constructions, on sets whose circle is the index order turned and
 on one that is not) and are corrupted by moving, duplicating, dropping
-or swapping edges, or by adding a pair that joins no two points.
+or swapping edges, or by adding a pair that joins no two points, which
+GeomTree must refuse where the tree is built.
 """
 import random
+import re
 from collections import Counter
 from functools import cache
 from itertools import combinations
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planetrees import (GeomTree, Partition, build_wheel_partition, cyclic_order,
+from planetrees import (GeomTree, InvalidParameter, Partition, build_wheel_partition, cyclic_order,
                         is_spanning_tree, make_wheel, segments_cross,
                         theorem2_partition, theorem4_partition, verify_partition)
 from planetrees.presets import builtin_tree, figure_pointset
@@ -109,9 +112,22 @@ def test_verify_partition_matches_reference(data):
     trees = [list(t.edges) for t in base.trees]
     for _ in range(data.draw(st.integers(0, 3))):
         corrupt(data, trees, len(base.ps))
+    trees = [refuse_far_pairs(base.ps, t) for t in trees]
     p = Partition(base.ps, tuple(GeomTree(base.ps, t) for t in trees))
     rep = verify_partition(p)
     assert (rep.ok, rep.reason, rep.witness, rep.predicate) == reference(p, predicate)
+
+
+def refuse_far_pairs(ps, edges):
+    """edges without the pairs that join no two points of ps, once
+    GeomTree has refused edges, naming the first of them."""
+    npts = len(ps)
+    near = [e for e in edges if 0 <= min(e) and max(e) < npts]
+    if len(near) < len(edges):
+        far = next(e for e in edges if e not in near)
+        with pytest.raises(InvalidParameter, match=re.escape(f"edge {far!r} is not")):
+            GeomTree(ps, edges)
+    return near
 
 
 def test_verify_partition_matches_reference_on_valid_bases():
@@ -130,7 +146,8 @@ def test_is_spanning_tree_matches_networkx(npts, data):
     edges = data.draw(st.lists(pairs, min_size=size, max_size=size))
     if data.draw(st.booleans()) and edges:  # a repeated edge
         edges[-1] = edges[0][::-1]
-    t = GeomTree(regular_gon(npts), edges)
+    ps = regular_gon(npts)
+    t = GeomTree(ps, refuse_far_pairs(ps, edges))
     want = (len(t.edges) == npts - 1
             and all(0 <= v < npts for e in t.edges for v in e)
             and spans(t.edges, npts))

@@ -84,8 +84,10 @@ def test_verify_names_a_later_spanning_failure_before_a_crossing():
 
 
 def test_verify_names_a_non_int_end_as_extra():
-    # a GeomTree keeps any ordered pair, and the cover's size test does not
-    # read the ends' types: the checks after it name such a pair as extra
+    # a GeomTree refuses a pair with an end that is no int where it is
+    # built, and names it, so the verifier never meets one and coverage's
+    # "extra" is always empty; the in-range defects beside such a pair are
+    # reported as before
     p = build_wheel_partition(builtin_tree("fig2i", 3), 3)
     t0, t1, t2 = (list(t.edges) for t in p.trees)
     assert (0, 4) in t0 and (2, 4) in t0 and (4, 5) in t2
@@ -97,26 +99,29 @@ def test_verify_names_a_non_int_end_as_extra():
     def swap(edges, old, new):
         return [new if e == old else e for e in edges]
 
-    for new, missing in (((0, 4.5), [(0, 4)]), ((0, 4.0), [])):
-        assert report(swap(t0, (0, 4), new), t1, t2) == ("coverage", {
-            "trees": 3, "missing": missing, "extra": [new], "duplicated": []})
-    # past a tree the pass rejects (tree 0 lost (2, 4) to tree 1), in a tree
-    # whose edge count alone would fail it
+    def refused(ps, edges, bad):
+        with pytest.raises(InvalidParameter, match=re.escape(f"edge {bad!r} is not two int ends")):
+            GeomTree(ps, edges)
+
+    for new in ((0, 4.5), (0, 4.0)):
+        refused(p.ps, swap(t0, (0, 4), new), new)
+    assert report([e for e in t0 if e != (0, 4)], t1, t2) == ("coverage", {
+        "trees": 3, "missing": [(0, 4)], "extra": [], "duplicated": []})
+    # past a tree the pass rejects (tree 0 lost (2, 4) to tree 1)
     short0 = [e for e in t0 if e != (2, 4)]
-    assert report(short0, t1 + [(2, 4)], swap(t2, (4, 5), (4, 5.5))) == (
-        "coverage", {"trees": 3, "missing": [(4, 5)], "extra": [(4, 5.5)], "duplicated": []})
+    refused(p.ps, swap(t2, (4, 5), (4, 5.5)), (4, 5.5))
+    assert report(short0, t1 + [(2, 4)], t2) == ("spanning", 0)
+    assert report(short0, t1 + [(2, 4)], [e for e in t2 if e != (4, 5)]) == (
+        "coverage", {"trees": 3, "missing": [(4, 5)], "extra": [], "duplicated": []})
     # with no order: the pairwise path
     fig5 = figure_pointset("fig5")
     q = theorem2_partition(fig5, 0)
     a, b = q.trees[1].edges[0]
-    odd = GeomTree(fig5, swap(q.trees[1].edges, (a, b), (a, b - 0.5)))
-    rep = verify_partition(Partition(fig5, q.trees[:1] + (odd,) + q.trees[2:]))
-    assert (rep.reason, rep.witness["missing"], rep.witness["extra"]) == (
-        "coverage", [(a, b)], [(a, b - 0.5)])
+    refused(fig5, swap(q.trees[1].edges, (a, b), (a, b - 0.5)), (a, b - 0.5))
     # and cover_defect's listing, once its size test fails
-    trees = (swap(t0, (0, 4), (0, 4.5)), t1[1:], t2)
+    trees = ([e for e in t0 if e != (0, 4)], t1[1:], t2)
     assert cover_defect(p.ps, [GeomTree(p.ps, t) for t in trees]) == {
-        "missing": [(0, 1), (0, 4)], "extra": [(0, 4.5)], "duplicated": []}
+        "missing": [(0, 1), (0, 4)], "extra": [], "duplicated": []}
 
 
 def test_verify_plane_failure_square_diagonals():
@@ -488,14 +493,19 @@ def test_is_plane_names_an_end_that_is_no_int():
 
 
 def test_verify_reports_a_str_tree_as_extra():
+    # a tree spelled in str ends, or holding an int pair out of range, is
+    # refused where it is built, naming its first such pair; with an empty
+    # tree in its place the verifier lists the pairs that are missing
     p = build_wheel_partition(builtin_tree("fig2i", 3), 3)
     t0, t1, t2 = (t.edges for t in p.trees)
     spelled = [(str(a), str(b)) for a, b in t0]
-    rep = verify_partition(Partition(p.ps, (GeomTree(p.ps, spelled),
-                                            *p.trees[1:])))
+    with pytest.raises(InvalidParameter, match=re.escape(f"edge {spelled[0]!r} is not")):
+        GeomTree(p.ps, spelled)
+    with pytest.raises(InvalidParameter, match=re.escape("edge (0, 9) is not")):
+        GeomTree(p.ps, [*t1[1:], (0, 9)])
+    empty = GeomTree(p.ps, [])
+    rep = verify_partition(Partition(p.ps, (empty, *p.trees[1:])))
     assert (rep.reason, rep.witness) == ("coverage", {
-        "trees": 3, "missing": list(t0), "extra": sorted(spelled), "duplicated": []})
-    # with an int pair out of range as well: both are listed, str ends last
-    rep = verify_partition(Partition(p.ps, (GeomTree(p.ps, spelled),
-                                            GeomTree(p.ps, [*t1[1:], (0, 9)]), p.trees[2])))
-    assert rep.witness["extra"] == [(0, 9), *sorted(spelled)]
+        "trees": 3, "missing": list(t0), "extra": [], "duplicated": []})
+    rep = verify_partition(Partition(p.ps, (empty, GeomTree(p.ps, t1[1:]), p.trees[2])))
+    assert rep.witness["missing"] == sorted([*t0, t1[0]])

