@@ -11,7 +11,7 @@ from .errors import (DegenerateInput, HypothesisViolated, InvalidChoices,
 from .geom_core import (CyclicOrder, Orientation, Point, PointSet,
                         collinear_triple, convex_hull, cyclic_order, edge,
                         make_wheel, orientation, segments_cross,
-                        wheel_crossing, wheel_n)
+                        wheel_crossing)
 from .halving import (HalvingLine, HalvingProfile, HLabeling,
                       HypothesisReport, WLabeling, balance,
                       check_theorem3_hypothesis, check_theorem4_hypothesis,
@@ -23,7 +23,7 @@ from .halving_partition import (ConstructionChoices, lemma6_tree,
 from .tree_taxonomy import (GeomTree, P4Witness, Partition, SymmetricWitness,
                             TreeClassReport, boundary_edges, classify,
                             is_plane, is_spanning_tree, radial_edges,
-                            tree_canon, unique_path)
+                            tree_canon)
 from .verify_oracle import (VerifyReport, brute_force_partitions,
                             check_observation1, observation1_splits,
                             verify_partition)

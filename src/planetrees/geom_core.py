@@ -25,7 +25,9 @@ whether they are crossing-free, in O(E log E), and whether they are
 also a spanning tree, by a union-find in the same pass; it is the only
 planarity kernel here, and a set with no order is left to the pairwise
 predicate segments_cross. The order also settles collinear_triple. Only this
-module knows the tag syntax and wheel labels.
+module knows the tag syntax (wheel_tag) and wheel labels, and wheel_tag_n,
+the order's verdict, is the one way to read a wheel's n that index
+arithmetic may trust.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .errors import DegenerateInput, InvalidParameter
+from .errors import DegenerateInput, InvalidParameter, NotWheelConfig
 
 Point = tuple[float, float]
 GeomEdge = tuple[int, int]
@@ -228,19 +230,6 @@ def wheel_tag(tag: str) -> int | None:
 def wheel_labels(n: int) -> tuple[str, ...]:
     """Display names of a wheel's points: v0..v_{2n-2}, then the centre x."""
     return tuple(f"v{i}" for i in range(2 * n - 1)) + ("x",)
-
-
-def wheel_n(ps: PointSet) -> int | None:
-    """Wheel parameter n if ps carries a wheel tag of matching size, else None.
-
-    Raises InvalidParameter on a wheel tag with n < 2, as make_wheel does."""
-    n = wheel_tag(ps.config_tag)
-    if n is not None and n < 2:
-        raise InvalidParameter(f"config tag {ps.config_tag}: a wheel needs n >= 2")
-    if n is not None and len(ps) != 2 * n:
-        raise InvalidParameter(
-            f"config tag {ps.config_tag} disagrees with point count {len(ps)}")
-    return n
 
 
 def collinear_triple(points: Iterable[Point] | PointSet) -> tuple[int, int, int] | None:
@@ -444,19 +433,33 @@ def cyclic_order(ps: PointSet) -> CyclicOrder | None:
     points pass the walk, pos[i] = (i - s) mod N for s the lexicographic
     minimum, or else when one strict-hull pass, O(n log n), finds every
     point a strict hull vertex. Otherwise (a wheel tag the coordinates
-    refute included) None. Raises InvalidParameter when a wheel tag
-    disagrees with the point count.
+    refute included) None. Raises InvalidParameter when a wheel tag names
+    n < 2 or disagrees with the point count.
     """
     if _ORDER_ATTR not in ps.__dict__:
         ps.__dict__[_ORDER_ATTR] = _build_order(ps)
     return ps.__dict__[_ORDER_ATTR]
 
 
+def wheel_tag_n(ps: PointSet) -> int:
+    """The n of ps's wheel<n> tag once its cyclic order confirms it;
+    NotWheelConfig without a tag or on one the coordinates refute. The one
+    accessor of the wheel parameter that wheel index arithmetic may trust."""
+    order = cyclic_order(ps)
+    if order is None or order.wheel is None:
+        claim = "not a wheel" if wheel_tag(ps.config_tag) is None else "refuted by the coordinates"
+        raise NotWheelConfig(f"config tag {ps.config_tag!r} is {claim}")
+    return order.wheel
+
+
 def _build_order(ps: PointSet) -> CyclicOrder | None:
-    n = wheel_n(ps)
-    if len(ps) < 3:
-        return None
+    n = wheel_tag(ps.config_tag)
     if n is not None:
+        if n < 2:  # as make_wheel refuses it
+            raise InvalidParameter(f"config tag {ps.config_tag}: a wheel needs n >= 2")
+        if len(ps) != 2 * n:
+            raise InvalidParameter(
+                f"config tag {ps.config_tag} disagrees with point count {len(ps)}")
         # a circle that is a convex polygon in index order, with the centre
         # strictly left of every near-diameter v_i -> v_{i+n-1}: the centre is
         # then strictly inside, for the two near-diameters through the ends of
@@ -468,6 +471,8 @@ def _build_order(ps: PointSet) -> CyclicOrder | None:
                 orientation(circle[i], circle[(i + n - 1) % m], centre) is _CCW
                 for i in range(m)):
             return CyclicOrder(tuple(range(m)) + (-1,), m, n)
+        return None
+    if len(ps) < 3:
         return None
     count, s = len(ps), _listed_start(ps.points)
     if s is not None:  # pos[i] = (i - s) mod count

@@ -10,8 +10,9 @@ tree on labels and makes its Partition in turned_partition, which
 proves on the labels alone, in O(n log n), that the tree's turns hold
 each pair at most once, takes the pairs none holds as the last tree
 round a fixed centre and refuses them without one, and writes each
-turned copy once as point pairs (turned_pairs). Builders and verify_oracle both take these types from
-here, so the verifier needs nothing from the builders it checks.
+turned copy once as point pairs (turned_pairs). Builders and
+verify_oracle both take these types from here, so the verifier needs
+nothing from the builders it checks.
 
 Tree recognizers and witnesses: paths, stars, double stars, S_k(m,n),
 caterpillars, P4-symmetric trees, w-caterpillars, and symmetric trees.
@@ -22,9 +23,10 @@ planarity answer of its stack pass, CyclicOrder.plane_tree), and
 crossing_pair, the pairwise segments_cross scan that names a crossing.
 is_spanning_tree is the union-find alone, for a set with no order and
 for naming the first tree that does not span. Wheel index
-arithmetic runs only after the coordinates have confirmed the wheel<n>
-tag (wheel_tag_n raises NotWheelConfig on a tag they refute), and a set
-without an order falls back to coordinate predicates. Functions
+arithmetic (radial_edges) runs only after the coordinates have confirmed
+the wheel<n> tag: it reads n from geom_core.wheel_tag_n, which raises
+NotWheelConfig on a tag they refute, and a set without an order falls
+back to coordinate predicates. Functions
 accepting a tree take a GeomTree, a bare iterable of index pairs (the
 wheel builder works on abstract trees) or, to ask several questions of
 one tree, its TreeIndex.
@@ -50,10 +52,9 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Collection, Iterable, Sequence, Union
 
-from .errors import (InvalidParameter, NotATree, NotWheelConfig,
-                     StructureViolation)
+from .errors import InvalidParameter, NotATree, StructureViolation
 from .geom_core import (GeomEdge, PointSet, convex_hull, cyclic_order, edge,
-                        segments_cross, wheel_n)
+                        segments_cross, wheel_tag_n)
 
 
 @dataclass(frozen=True)
@@ -65,13 +66,18 @@ class GeomTree:
     each is rebuilt from operator.index of its ends, so a NumPy integer is
     stored as an int. InvalidParameter names the first pair that is not
     two point indices (a float, str or None end, an end outside 0..N-1, a
-    non-pair), and a loop is a degenerate edge, as edge() says."""
+    non-pair), and a loop is a degenerate edge, as edge() says; edges that
+    are no iterable at all are InvalidParameter too."""
 
     ps: PointSet
     edges: tuple[GeomEdge, ...]
 
     def __post_init__(self):
-        pairs, npts = list(self.edges), len(self.ps)
+        try:
+            pairs = list(self.edges)
+        except TypeError:  # None, an int: no iterable at all
+            raise InvalidParameter(f"edges must be iterable, got {self.edges!r}") from None
+        npts = len(self.ps)
         try:  # a tuple of another length raises ValueError; _point_pair names it
             keep = ((type(self.edges) is zip or list(map(type, pairs)).count(tuple) == len(pairs))
                     and all(type(a) is type(b) is int and -1 < a < b < npts for a, b in pairs))
@@ -102,14 +108,18 @@ class Partition:
     trees is stored as a tuple, so a Partition never changes, and
     verify_partition keeps its report on it: one verification per
     Partition, written only by the verifier. Every tree is drawn on ps
-    (that object, or one equal to it); InvalidParameter otherwise.
+    (that object, or one equal to it); InvalidParameter otherwise, and
+    when trees is no iterable.
     """
 
     ps: PointSet
     trees: tuple[GeomTree, ...]
 
     def __post_init__(self):
-        trees = tuple(self.trees)
+        try:
+            trees = tuple(self.trees)
+        except TypeError:
+            raise InvalidParameter(f"trees must be iterable, got {self.trees!r}") from None
         for i, t in enumerate(trees):
             if t.ps is not self.ps and t.ps != self.ps:
                 raise InvalidParameter(f"tree {i} is drawn on another point set")
@@ -250,17 +260,13 @@ class P4Witness:
 
     type is 1, 2, or None (untyped, only on 4-vertex trees). iso_witness
     maps the component of u3 onto its partner; the partner of u3 itself is
-    u2 for Type-1 and u4 for Type-2. deleted_vertex records which vertex
-    the caterpillar clause removed (always the 4-path's u1 here).
+    u2 for Type-1 and u4 for Type-2. The caterpillar clause of a
+    w-caterpillar deletes the 4-path's u1, path[0].
     """
 
     type: int | None
     path: tuple[int, int, int, int]
     iso_witness: dict[int, int]
-
-    @property
-    def deleted_vertex(self) -> int:
-        return self.path[0]
 
 
 @dataclass(frozen=True)
@@ -662,31 +668,8 @@ def boundary_edges(t: GeomTree) -> list[GeomEdge]:
     return [e for e in t.edges if e in hull_pairs]
 
 
-def wheel_tag_n(ps: PointSet) -> int:
-    """The n of ps's wheel<n> tag once its cyclic order confirms it;
-    NotWheelConfig without a tag or on one the coordinates refute."""
-    order = cyclic_order(ps)
-    if order is None or order.wheel is None:
-        claim = "not a wheel" if wheel_n(ps) is None else "refuted by the coordinates"
-        raise NotWheelConfig(f"config tag {ps.config_tag!r} is {claim}")
-    return order.wheel
-
-
 def radial_edges(t: GeomTree) -> list[GeomEdge]:
     """Center-incident edges, ordered by circle endpoint index: the
     centre is the greatest index, so t's sorted edges hold them in order."""
     center = 2 * wheel_tag_n(t.ps) - 1
     return [e for e in t.edges if center in e]
-
-
-def unique_path(t: GeomTree | TreeIndex, u: int, v: int) -> list[int]:
-    """Vertex sequence of the unique u-v path in the tree; NotATree if t
-    is none."""
-    adj = tree_index(t).adj
-    if u not in adj or v not in adj:
-        raise InvalidParameter(f"vertex {u if u not in adj else v} not in tree")
-    parent = _parents(adj, u)
-    path = [v]
-    while path[-1] != u:
-        path.append(parent[path[-1]])
-    return path[::-1]

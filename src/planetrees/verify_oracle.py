@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InvalidParameter, OddPointCount, TooLarge
-from .geom_core import GeomEdge, PointSet, cyclic_order, segments_cross
+from .geom_core import GeomEdge, PointSet, cyclic_order, segments_cross, wheel_tag_n
 from .tree_taxonomy import (GeomTree, Partition, cover_defect, crossing_pair,
-                            is_spanning_tree, wheel_tag_n)
+                            is_spanning_tree)
 
 
 # Partition.__dict__ key of the kept VerifyReport (as geom_core's cyclic order)
@@ -108,15 +108,15 @@ def _split(a: int, b: int, m: int) -> tuple[GeomEdge, tuple[int, ...], tuple[int
 
 
 def check_observation1(t: GeomTree) -> VerifyReport:
-    """Small-side bounds for every non-radial edge of a wheel tree: the
-    first split that breaks them is the witness, else all the splits."""
-    splits = observation1_splits(t)  # NotWheelConfig on a refuted tag
-    n = len(t.ps) // 2
-    for split in splits:
-        small, big = len(split[1]), len(split[2])
-        if not (small < big and small <= n - 2 and big >= n):
-            return VerifyReport(False, "observation1", split)
-    return VerifyReport(True, witness=splits)
+    """Observation 1 for every non-radial edge of a wheel tree, with all
+    the splits as the witness; NotWheelConfig on a refuted tag.
+
+    It always holds: a GeomTree's ends lie below 2n, so a chord joins two
+    of the 2n - 1 circle points and leaves ccw + cw = 2n - 3 of them on
+    its two sides. The small side has at most n - 2, and the big one,
+    with the centre, at least n.
+    """
+    return VerifyReport(True, witness=observation1_splits(t))
 
 
 def brute_force_partitions(ps: PointSet, limit: int | None = 10_000) -> list[tuple[tuple, ...]]:

@@ -29,12 +29,13 @@ from typing import NamedTuple
 
 from .errors import (InvalidParameter, NotAPartition, NotWCaterpillar,
                      NotWheelConfig, SizeMismatch, StructureViolation)
-from .geom_core import GeomEdge, PointSet, edge, make_wheel, wheel_n
+from .geom_core import (GeomEdge, PointSet, cyclic_order, edge, make_wheel,
+                        wheel_tag, wheel_tag_n)
 from .tree_taxonomy import (GeomTree, Partition, TreeIndex, TreeLike,
                             as_edges, boundary_edges, classify,
                             is_caterpillar_edges, preferred_p4_witness,
                             radial_edges, rotate_labels, spine_walk, tree_canon,
-                            turned_partition, wheel_tag_n)
+                            turned_partition)
 from .verify_oracle import verify_partition
 
 
@@ -199,7 +200,8 @@ def analyze_wheel_partition(p: Partition) -> WheelAnalysis:
     edges, one radial edge, and a 4-path x v_i v_{i+n} v_{i+1} (possibly
     mirrored). Any deviation raises StructureViolation, which on a
     genuinely valid partition would contradict the structural results.
-    Raises NotWheelConfig without a wheel tag, then NotAPartition for the
+    Raises NotWheelConfig without a wheel tag, then InvalidParameter when
+    the tag disagrees with the point count, then NotAPartition for the
     first check verify_partition fails, then NotWheelConfig on a refuted tag.
     The verifier keeps its report on p, so a caller that verified p
     before or verifies it after pays for one verification in all; this
@@ -214,9 +216,10 @@ def analyze_wheel_partition(p: Partition) -> WheelAnalysis:
     at most n - 2, the big one with the centre at least n
     (check_observation1 spells the splits out for any tree).
     """
-    n = wheel_n(p.ps)
+    n = wheel_tag(p.ps.config_tag)
     if n is None:
         raise NotWheelConfig(f"config tag {p.ps.config_tag!r} is not a wheel")
+    cyclic_order(p.ps)  # InvalidParameter when the tag disagrees with the point count
     report = verify_partition(p)
     if not report:
         w = report.witness

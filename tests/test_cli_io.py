@@ -18,7 +18,7 @@ from planetrees import (ConstructionChoices, GeomTree, InvalidParameter, Invaria
                         cli_io, convex_hull, cyclic_order, geom_core,
                         h_labeling, make_wheel, theorem2_partition,
                         theorem3_partition, theorem4_partition,
-                        verify_partition, w_labeling, wheel_n, wheel_partition)
+                        verify_partition, w_labeling, wheel_partition)
 from planetrees.cli_io import (emit_edgelist, emit_partition, emit_pointset,
                                load_pointset, main,
                                parse_edgelist, parse_partition, parse_pointset,
@@ -111,7 +111,7 @@ def test_empty_and_small_wheel_sets_raise_library_errors():
     with pytest.raises(InvalidParameter, match="n >= 2"):
         cyclic_order(PointSet((), "wheel0"))
     with pytest.raises(InvalidParameter, match="n >= 2"):
-        wheel_n(PointSet(((0.0, 0.0), (1.0, 0.0)), "wheel1"))
+        cyclic_order(PointSet(((0.0, 0.0), (1.0, 0.0)), "wheel1"))
 
 
 def test_partition_round_trip(wheel3):

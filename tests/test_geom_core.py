@@ -7,10 +7,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from planetrees import geom_core
-from planetrees import (DegenerateInput, GeomTree, InvalidParameter,
+from planetrees import (DegenerateInput, GeomTree, InvalidParameter, NotWheelConfig,
                         Orientation, PointSet, collinear_triple, convex_hull,
                         cyclic_order, edge, is_plane, make_wheel, orientation,
-                        segments_cross, wheel_crossing, wheel_n)
+                        segments_cross, wheel_crossing)
 from planetrees.cli_io import emit_pointset, load_pointset, parse_pointset
 from planetrees.presets import figure_pointset
 from planetrees.tree_taxonomy import crossing_pair
@@ -153,7 +153,7 @@ def test_make_wheel_shape_and_labels():
     assert ps.points[5] == (0.0, 0.0)
     radii = [math.hypot(x, y) for x, y in ps.points[:5]]
     assert all(abs(r - 1.0) < 1e-12 for r in radii)
-    assert wheel_n(ps) == 3
+    assert cyclic_order(ps).wheel == 3
 
 
 def test_make_wheel_rejects_bad_parameters():
@@ -223,9 +223,10 @@ def test_make_wheel_seed_angle():
 
 def test_wheel_n_rejects_count_mismatch():
     ps = PointSet(((0.0, 0.0), (1.0, 0.0)), "wheel3")
-    with pytest.raises(InvalidParameter):
-        wheel_n(ps)
-    assert wheel_n(figure_pointset("fig5")) is None
+    with pytest.raises(InvalidParameter, match="disagrees with point count 2"):
+        cyclic_order(ps)
+    with pytest.raises(NotWheelConfig, match="'general' is not a wheel"):
+        geom_core.wheel_tag_n(figure_pointset("fig5"))
 
 
 def test_wheel_crossing_radial_pairs_never_cross():
@@ -452,7 +453,7 @@ def hull_order(ps):
     wheel tag is ordered when every point is a hull vertex; a wheel<n> tag
     holds when the hull is the circle in index order, turned, and the centre
     is strictly left of every near-diameter."""
-    n = wheel_n(ps)
+    n = geom_core.wheel_tag(ps.config_tag)
     if len(ps) < 3:
         return None
     hull = geom_core._strict_hull(ps.points)

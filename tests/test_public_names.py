@@ -22,8 +22,8 @@ PUBLIC = [
     "is_plane", "is_spanning_tree", "k_halving_lines", "lemma6_tree", "make_wheel",
     "observation1_splits", "orientation", "place_caterpillar_on_chain", "radial_edges",
     "rotate_tree", "segments_cross", "theorem2_partition", "theorem3_partition",
-    "theorem4_partition", "tree_canon", "tree_taxonomy", "unique_path", "verify_oracle",
-    "verify_partition", "w_labeling", "wheel_crossing", "wheel_n", "wheel_partition",
+    "theorem4_partition", "tree_canon", "tree_taxonomy", "verify_oracle",
+    "verify_partition", "w_labeling", "wheel_crossing", "wheel_partition",
 ]
 
 
@@ -44,3 +44,22 @@ def test_every_traced_function_exists():
                if not callable(getattr(importlib.import_module(f"planetrees.{layer}"),
                                        name, None))]
     assert layers and not missing, missing
+
+
+def test_every_imported_name_is_used():
+    """A module under src/planetrees (the package's __init__ aside, which
+    imports to re-export) uses every name it imports."""
+    src = Path(__file__).resolve().parent.parent / "src" / "planetrees"
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert not unused, unused

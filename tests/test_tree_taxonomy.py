@@ -15,8 +15,7 @@ from planetrees import (GeomTree, InvalidParameter, NotATree, NotWheelConfig,
                         is_plane, is_spanning_tree, make_wheel,
                         observation1_splits, radial_edges, rotate_tree,
                         segments_cross, theorem2_partition, theorem4_partition,
-                        tree_canon, unique_path,
-                        verify_partition, wheel_crossing)
+                        tree_canon, verify_partition, wheel_crossing)
 from planetrees import geom_core
 from planetrees.geom_core import cyclic_order, edge
 from planetrees.presets import builtin_tree, figure_pointset
@@ -46,7 +45,6 @@ def test_classify_p4():
     assert rep.double_star == (1, 1)
     assert rep.s_k == (0, 1, 1)
     assert rep.p4_symmetric is not None and rep.p4_symmetric.type is None
-    assert rep.p4_symmetric.deleted_vertex == rep.p4_symmetric.path[0]
     assert rep.symmetric is not None
 
 
@@ -401,14 +399,6 @@ def test_cyclic_order_built_once_per_point_set(monkeypatch, run):
     ps = run()
     assert len({id(c) for c in calls}) == len(calls)
     assert sum(c is ps for c in calls) == 1
-
-
-def test_unique_path_fig2i(wheel3):
-    p = build_wheel_partition(builtin_tree("fig2i", 3), 3)
-    red = p.trees[1]
-    assert unique_path(red, 2, 1) == [2, 0, 1]
-    with pytest.raises(InvalidParameter):
-        unique_path(red, 0, 99)
 
 
 def test_classify_works_on_geomtrees(wheel3):
@@ -1022,6 +1012,15 @@ def test_geomtree_keeps_only_normalized_tuples():
     assert rebuilt == ((0, 1), (2, 3))
 
 
+@pytest.mark.parametrize("bad", [None, 5])
+def test_geomtree_and_partition_refuse_what_is_no_iterable(bad):
+    ps = make_wheel(3)
+    with pytest.raises(InvalidParameter, match=f"edges must be iterable, got {bad}$"):
+        GeomTree(ps, bad)
+    with pytest.raises(InvalidParameter, match=f"trees must be iterable, got {bad}$"):
+        Partition(ps, bad)
+
+
 @pytest.mark.parametrize("pair, refusal", [
     *(((pair, "edge " + re.escape(repr(pair)) + r" is not two int ends in 0\.\.5$")
       for pair in [(0, 4.5), (0, 4.0), ("0", "4"), (0, "4"), (0, None), (-1, 2), (0, 6),
@@ -1069,10 +1068,3 @@ def test_spine_matches_leaf_stripping_on_all_small_trees():
             g = nx.relabel_nodes(g, dict(zip(g, rng.sample(range(3 * k), k))))
             rep = classify(tuple(g.edges))
             assert (rep.caterpillar, rep.s_k, rep.double_star) == stripped_reference(g)
-
-
-def test_unique_path_takes_an_index_and_rejects_non_trees(wheel3):
-    red = build_wheel_partition(builtin_tree("fig2i", 3), 3).trees[1]
-    assert unique_path(TreeIndex(red.edges), 2, 1) == unique_path(red, 2, 1) == [2, 0, 1]
-    with pytest.raises(NotATree):
-        unique_path(GeomTree(wheel3, ((0, 1), (1, 2), (0, 2))), 0, 2)

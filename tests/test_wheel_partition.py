@@ -11,6 +11,7 @@ from planetrees import (GeomTree, InvalidParameter, NotAPartition, NotATree,
                         observation1_splits, place_caterpillar_on_chain,
                         rotate_tree, theorem4_partition, verify_partition,
                         wheel_partition)
+from planetrees.geom_core import cyclic_order
 from planetrees.presets import builtin_tree, figure_pointset
 from planetrees.tree_taxonomy import TreeIndex, spine_walk
 
@@ -294,6 +295,24 @@ def test_analyze_rejects_bad_partitions(wheel3):
     t2b = GeomTree(p.ps, tuple(t2 - {(1, 2)} | {(2, 3)}))
     with pytest.raises(NotAPartition, match="not a spanning tree"):
         analyze_wheel_partition(Partition(ps=p.ps, trees=(t0b, p.trees[1], t2b)))
+
+
+def test_analyze_raises_in_the_documented_order():
+    # no wheel tag, then a tag that disagrees with the point count (before
+    # the verifier, which would call an empty partition no cover), then a
+    # failed verification; a tag the coordinates refute comes last (see
+    # test_analyze_refutes_tag_of_relabelled_valid_partition)
+    square = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+    with pytest.raises(NotWheelConfig, match="'general' is not a wheel"):
+        analyze_wheel_partition(Partition(PointSet(square), ()))
+    with pytest.raises(InvalidParameter, match="wheel3 disagrees with point count 4"):
+        analyze_wheel_partition(Partition(PointSet(square, "wheel3"), ()))
+    with pytest.raises(InvalidParameter, match="n >= 2"):
+        analyze_wheel_partition(Partition(PointSet(square[:2], "wheel1"), ()))
+    refuted = PointSet(square, "wheel2")  # the centre lies outside the triangle
+    assert cyclic_order(refuted) is None
+    with pytest.raises(NotAPartition, match="0 trees, expected 2"):
+        analyze_wheel_partition(Partition(refuted, ()))
 
 
 def test_observation1_splits():
