@@ -33,7 +33,7 @@ from .geom_core import (PointSet, _strict_hull, collinear_triple, cyclic_order,
 from .halving import h_labeling, halving_profile, k_halving_lines, w_labeling
 from .halving_partition import (ConstructionChoices, theorem2_partition,
                                 theorem3_partition, theorem4_partition)
-from .tree_taxonomy import GeomTree, Partition, classify
+from .tree_taxonomy import GeomTree, Partition, _proved_tree, classify
 from .verify_oracle import brute_force_partitions, verify_partition
 from .wheel_partition import analyze_wheel_partition, build_wheel_partition
 
@@ -132,10 +132,13 @@ def emit_pointset(ps: PointSet) -> str:
 # ---------------------------------------------------------------------------
 # partition and edge-list formats
 
-def _emitted_trees(text: str, npts: int) -> list[zip] | None:
-    """Each tree's (a, b) edges, as a zip to read once, if text is spelled
+def _emitted_trees(text: str, npts: int) -> list[list[tuple[int, int]]] | None:
+    """Each tree's (a, b) edges, as a list of tuples, if text is spelled
     exactly as emit_partition writes a partition on npts points, else None
-    (never an error): a few C-level passes per tree block, no step per line."""
+    (never an error): a few C-level passes per tree block, no step per line.
+    Every end is read from a table of the ints 0..npts-1 and every pair
+    has a < b, so each list is a GeomTree's pairs as they are; a loop or a
+    reversed pair leaves the file to the line reader."""
     header, *blocks = text.split("tree ")
     if header != f"partition {npts} {len(blocks)}\n":
         return None
@@ -152,15 +155,15 @@ def _emitted_trees(text: str, npts: int) -> list[zip] | None:
         except KeyError:
             return None
         a, b = ints[0::2], ints[1::2]
-        if len(ints) != 2 * nlines or any(map(operator.eq, a, b)):
+        if len(ints) != 2 * nlines or not all(map(operator.lt, a, b)):
             return None
-        trees.append(zip(a, b))
+        trees.append([*zip(a, b)])
     return trees
 
 
 def parse_partition(text: str, ps: PointSet) -> Partition:
     if (trees := _emitted_trees(text, len(ps))) is not None:
-        return Partition(ps=ps, trees=tuple(GeomTree(ps, t) for t in trees))
+        return Partition(ps=ps, trees=tuple(_proved_tree(ps, t) for t in trees))
     lines = _content_lines(text)  # any other spelling; every ParseError is raised here
     if not lines:
         raise ParseError("empty partition file", line=1)
@@ -194,7 +197,9 @@ def parse_partition(text: str, ps: PointSet) -> Partition:
 
 
 def emit_partition(p: Partition) -> str:
-    # _emitted_trees reads exactly this spelling in bulk; change both together.
+    # _emitted_trees reads exactly this spelling in bulk, each end through
+    # the inverse str(i) table, and parse_partition hands its a < b pairs to
+    # _proved_tree without a second scan; change all three together.
     # Each line is spelled from one str(i) table per partition (heads[a] is
     # "a "), which holds every end, as a GeomTree's are point indices
     npts = len(p.ps)

@@ -3,14 +3,19 @@
 A GeomTree is an edge set drawn on a PointSet: sorted pairs a < b of
 point indices, checked once where the tree is built, so every reader
 of a tree (the cover, spanning and plane checks, the file writer) takes
-them as such. A Partition is the trees claimed to split E(K_2n) on one
-PointSet, and cover_defect, the verifier's cover check, says how a set
-of trees fails to hold every edge exactly once. Every builder draws one
-tree on labels and makes its Partition in turned_partition, which
-proves on the labels alone, in O(n log n), that the tree's turns hold
-each pair at most once, takes the pairs none holds as the last tree
-round a fixed centre and refuses them without one, and writes each
-turned copy once as point pairs (turned_pairs). Builders and
+them as such. Two makers hold pairs they have already proved and build
+through _proved_tree, which only sorts: turned_partition, whose ends are
+entries of a table of exact ints checked to be a permutation of the
+point indices, each pair written with x < y, and cli_io's bulk reader,
+which reads every end from a table of the ints 0..N-1 and takes a tree
+only when each of its pairs has a < b. A Partition is the trees claimed
+to split E(K_2n) on one PointSet, and cover_defect, the verifier's cover
+check, says how a set of trees fails to hold every edge exactly once.
+Every builder draws one tree on labels and makes its Partition in
+turned_partition, which proves on the labels alone, in O(n log n), that
+the tree's turns hold each pair at most once, takes the pairs none holds
+as the last tree round a fixed centre and refuses them without one, and
+writes each turned copy once as point pairs (turned_pairs). Builders and
 verify_oracle both take these types from here, so the verifier needs
 nothing from the builders it checks.
 
@@ -62,24 +67,30 @@ class GeomTree:
     """Edge set drawn on a point set: sorted pairs (a, b) of point indices,
     0 <= a < b < N = len(ps), checked here once so that no reader of a
     tree checks them again. The caller's pairs are kept, and only sorted,
-    when each is such a tuple of two ints (a zip's items are tuples); else
-    each is rebuilt from operator.index of its ends, so a NumPy integer is
-    stored as an int. InvalidParameter names the first pair that is not
-    two point indices (a float, str or None end, an end outside 0..N-1, a
-    non-pair), and a loop is a degenerate edge, as edge() says; edges that
-    are no iterable at all are InvalidParameter too."""
+    when each is such a tuple of two ints; else each is rebuilt from
+    operator.index of its ends, so a NumPy integer is stored as an int.
+    InvalidParameter names the first pair that is not two point indices
+    (a float, str or None end, an end outside 0..N-1, a non-pair), and a
+    loop is a degenerate edge, as edge() says; a ps that is no PointSet
+    and edges that are no iterable at all are InvalidParameter too.
+
+    turned_partition and cli_io's bulk reader skip this scan through
+    _proved_tree, as their pairs are such tuples by construction (the
+    module docstring says why); every other caller builds here."""
 
     ps: PointSet
     edges: tuple[GeomEdge, ...]
 
     def __post_init__(self):
+        if not isinstance(self.ps, PointSet):
+            raise InvalidParameter(f"ps must be a PointSet, got {self.ps!r}")
         try:
             pairs = list(self.edges)
         except TypeError:  # None, an int: no iterable at all
             raise InvalidParameter(f"edges must be iterable, got {self.edges!r}") from None
         npts = len(self.ps)
         try:  # a tuple of another length raises ValueError; _point_pair names it
-            keep = ((type(self.edges) is zip or list(map(type, pairs)).count(tuple) == len(pairs))
+            keep = (list(map(type, pairs)).count(tuple) == len(pairs)
                     and all(type(a) is type(b) is int and -1 < a < b < npts for a, b in pairs))
         except ValueError:
             keep = False
@@ -101,6 +112,17 @@ def _point_pair(pair, npts: int) -> GeomEdge:
     return edge(a, b)
 
 
+def _proved_tree(ps: PointSet, pairs: list[GeomEdge]) -> GeomTree:
+    """GeomTree(ps, pairs) without its per-pair scan, for a maker that has
+    proved each pair a tuple (a, b) of ints 0 <= a < b < len(ps): only
+    turned_partition and cli_io's bulk reader. pairs is sorted in place."""
+    pairs.sort()
+    tree = object.__new__(GeomTree)
+    object.__setattr__(tree, "ps", ps)
+    object.__setattr__(tree, "edges", tuple(pairs))
+    return tree
+
+
 @dataclass(frozen=True)
 class Partition:
     """Trees claimed to split E(K_2n) on ps; verify_partition checks the claim.
@@ -108,19 +130,24 @@ class Partition:
     trees is stored as a tuple, so a Partition never changes, and
     verify_partition keeps its report on it: one verification per
     Partition, written only by the verifier. Every tree is drawn on ps
-    (that object, or one equal to it); InvalidParameter otherwise, and
-    when trees is no iterable.
+    (that object, or one equal to it); InvalidParameter otherwise, when
+    ps is no PointSet, when trees is no iterable, and when a tree is no
+    GeomTree.
     """
 
     ps: PointSet
     trees: tuple[GeomTree, ...]
 
     def __post_init__(self):
+        if not isinstance(self.ps, PointSet):
+            raise InvalidParameter(f"ps must be a PointSet, got {self.ps!r}")
         try:
             trees = tuple(self.trees)
         except TypeError:
             raise InvalidParameter(f"trees must be iterable, got {self.trees!r}") from None
         for i, t in enumerate(trees):
+            if not isinstance(t, GeomTree):
+                raise InvalidParameter(f"tree {i} is no GeomTree: {t!r}")
             if t.ps is not self.ps and t.ps != self.ps:
                 raise InvalidParameter(f"tree {i} is drawn on another point set")
         object.__setattr__(self, "trees", trees)
@@ -191,7 +218,11 @@ def turned_partition(ps: PointSet, edges: Sequence[tuple[int, int]], point: Sequ
       neighbouring arcs. The cost is O(|edges| log |edges| + m + |rest|),
       plus the witness on a rejection.
     - The proof carries over to point pairs only because point is checked
-      to be a permutation of range(len(ps)).
+      to be a permutation of range(len(ps)). It is read once through
+      operator.index, so its entries are exact ints, and turned_pairs and
+      the rest write each pair (x, y) with x < y: every pair is already a
+      GeomTree's, and each tree is built through _proved_tree, without a
+      second scan.
 
     The four builders: Theorem 1 has m = 2n - 1, k = n - 1 and the centre,
     and its rest is n spokes plus one chord per class; Theorems 2 and 3
@@ -199,17 +230,25 @@ def turned_partition(ps: PointSet, edges: Sequence[tuple[int, int]], point: Sequ
     k = n - 1 and w as the centre. InvalidParameter on a table that is no
     permutation, on k < 1, and on a label pair that is no two labels.
     """
-    npts = len(point)
-    if not m <= npts <= m + 1 or npts != len(ps) or sorted(point) != [*range(npts)]:
+    try:
+        point = [*map(operator.index, point)]
+    except TypeError:  # an entry that is no integer
+        point = None
+    npts = len(ps)
+    if point is None or not m <= npts <= m + 1 or sorted(point) != [*range(npts)]:
         raise InvalidParameter(f"{what}: the label table is no permutation of "
-                               f"range({len(ps)}) with {m} labels on the cycle")
+                               f"range({npts}) with {m} labels on the cycle")
     if k < 1:
         raise InvalidParameter(f"{what}: needs k >= 1 turns, got {k}")
     centre = npts > m  # label m is fixed
     starts: list[list[int]] = [[] for _ in range(m // 2 + 1)]  # class 0: spokes
-    for a, b in edges:
+    for labels in edges:
+        try:
+            a, b = map(operator.index, labels)
+        except (TypeError, ValueError):  # no pair, or a label that is no integer
+            a = b = -1
         if a == b or not (0 <= a < npts and 0 <= b < npts):
-            raise InvalidParameter(f"{what}: label pair ({a}, {b}) is not two of "
+            raise InvalidParameter(f"{what}: label pair {labels!r} is not two of "
                                    f"the labels 0..{npts - 1}")
         if m in (a, b):
             starts[0].append(a + b - m)
@@ -245,9 +284,9 @@ def turned_partition(ps: PointSet, edges: Sequence[tuple[int, int]], point: Sequ
         raise StructureViolation(f"{what}-cover", {
             "missing": [] if centre else sorted(map(pair, gaps)), "extra": [],
             "duplicated": sorted(map(pair, set(doubles)))})
-    trees = [GeomTree(ps, tr) for tr in turned_pairs(edges, point, m, range(k))]
+    trees = [_proved_tree(ps, tr) for tr in turned_pairs(edges, point, m, range(k))]
     if centre:  # the rest
-        trees.append(GeomTree(ps, [*map(pair, gaps)]))
+        trees.append(_proved_tree(ps, [*map(pair, gaps)]))
     return Partition(ps, tuple(trees))
 
 

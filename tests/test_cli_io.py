@@ -295,6 +295,48 @@ def test_emit_partition_spells_each_line_as_the_fstring():
             parse_partition(text, ps)
 
 
+def _assert_checked_tree(t: GeomTree):
+    """t is what the public GeomTree makes of its pairs: sorted pairs
+    a < b of exact ints."""
+    assert t == GeomTree(t.ps, list(t.edges))
+    assert all(type(a) is type(b) is int and a < b for a, b in t.edges)
+    assert list(t.edges) == sorted(t.edges)
+
+
+def test_proved_trees_equal_checked_trees():
+    # the builders (Theorems 1-4) and the bulk reader skip GeomTree's scan
+    for p in BUILT:
+        read = parse_partition(emit_partition(p), p.ps)
+        for t in p.trees + read.trees:
+            _assert_checked_tree(t)
+        assert read == p
+
+
+def test_a_reversed_pair_takes_the_line_reader():
+    for p in BUILT:
+        (a, b), *rest = p.trees[0].edges
+        edge_sets = [[(b, a), *rest]] + [t.edges for t in p.trees[1:]]
+        text = _spell_by_fstring(len(p.ps), edge_sets)
+        assert cli_io._emitted_trees(text, len(p.ps)) is None
+        read = parse_partition(text, p.ps)
+        assert read == p
+        _assert_checked_tree(read.trees[0])
+
+
+def test_builders_and_bulk_reader_scan_no_pair(monkeypatch):
+    # built and bulk-read partitions never reach GeomTree's per-pair scan
+    from planetrees import tree_taxonomy
+
+    def scanned(*args):
+        raise AssertionError("a proved tree took the per-pair scan")
+
+    texts = [emit_partition(p) for p in BUILT]
+    monkeypatch.setattr(tree_taxonomy, "_point_pair", scanned)
+    monkeypatch.setattr(tree_taxonomy.GeomTree, "__post_init__", scanned)
+    assert _built_partitions() == BUILT
+    assert [parse_partition(text, p.ps) for p, text in zip(BUILT, texts)] == BUILT
+
+
 # sha256 of emit_partition's text for fixed builds, recorded before the
 # builders wrote their turned copies in one pass (turned_pairs)
 PINNED_BUILDS = {

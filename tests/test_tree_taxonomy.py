@@ -936,12 +936,41 @@ def test_turned_partition_refuses_bad_labels_and_tables():
     for edges in ([(5, 6)], [(-1, 5)], [(5, 5)]):  # label 5 is the centre
         with pytest.raises(InvalidParameter, match="^demo: label pair"):
             turned_partition(wheel, edges, range(6), 5, 2, "demo")
+    # a label that is no integer, or no pair of labels: no bare TypeError
+    path = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+    for bad in ((0, 1.0), (0, "1"), (None, 1), (0, 1, 2), (0,), 5):
+        with pytest.raises(InvalidParameter, match="^demo: label pair " + re.escape(repr(bad))):
+            turned_partition(ps, [bad, *path[1:]], range(6), 6, 1, "demo")
     for point, m in (([0, 1, 2, 3, 4, 4], 6), ([0, 1, 2, 3, 4, 6], 6), (range(5), 5),
-                     (range(6), 4), (range(7), 6)):
+                     (range(6), 4), (range(7), 6), ([0.0, 1, 2, 3, 4, 5], 6),
+                     ([0, 1, 2, 3, 4, 5.0], 6), (["0", 1, 2, 3, 4, 5], 6), (None, 6)):
         with pytest.raises(InvalidParameter, match="^demo: the label table is no permutation"):
             turned_partition(ps, [(0, 1)], point, m, 1, "demo")
     with pytest.raises(InvalidParameter, match="k >= 1"):
         turned_partition(ps, [(0, 1)], range(6), 6, 0, "demo")
+
+    # labels and a table of integers that are no ints (as a NumPy array
+    # holds) give the trees of the same int labels: exact int ends, sorted
+    class Label:
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    table, zigzag = [3, 1, 2, 0, 4, 5], [(0, 1), (1, 5), (5, 2), (2, 4), (4, 3)]
+    got = turned_partition(ps, [(Label(a), Label(b)) for a, b in zigzag], [*map(Label, table)],
+                           6, 3, "demo")
+    assert got == turned_partition(ps, zigzag, table, 6, 3, "demo")
+    for t in got.trees:
+        assert t == GeomTree(ps, list(t.edges)) and list(t.edges) == sorted(t.edges)
+        assert all(type(a) is type(b) is int and a < b for a, b in t.edges)
+    # with a centre (label 5), the rest is written from the table too
+    tree = [(0, 5), (2, 5), (0, 1), (2, 3), (4, 1)]
+    got = turned_partition(wheel, [(Label(a), Label(b)) for a, b in tree], [*map(Label, range(6))],
+                           5, 2, "demo")
+    assert got == turned_partition(wheel, tree, range(6), 5, 2, "demo") and len(got.trees) == 3
+    assert {type(v) for t in got.trees for e in t.edges for v in e} == {int}
 
 
 def test_turned_pairs_is_rotate_then_look_up():
@@ -1010,6 +1039,20 @@ def test_geomtree_keeps_only_normalized_tuples():
     # one pair out of order: every pair is rebuilt, equal but not the same
     rebuilt = GeomTree(ps, [(0, 1), (3, 2)]).edges
     assert rebuilt == ((0, 1), (2, 3))
+
+
+def test_geomtree_and_partition_refuse_what_is_no_point_set_or_tree():
+    ps = make_wheel(3)
+    for bad in (None, ps.points, 5):
+        refusal = re.escape(f"ps must be a PointSet, got {bad!r}")
+        with pytest.raises(InvalidParameter, match=refusal):
+            GeomTree(bad, [(0, 1)])
+        with pytest.raises(InvalidParameter, match=refusal):
+            Partition(bad, ())
+    tree = GeomTree(ps, [(0, 1)])
+    for bad in (None, [(0, 1)], ((0, 1),), ps):
+        with pytest.raises(InvalidParameter, match=re.escape(f"tree 1 is no GeomTree: {bad!r}")):
+            Partition(ps, [tree, bad])
 
 
 @pytest.mark.parametrize("bad", [None, 5])
